@@ -15,7 +15,6 @@ import argparse
 import sys
 from typing import Sequence
 
-from . import formulas, witnesses
 from .exports import derived_to_dot, derived_to_json, graph_to_dot, graph_to_json
 from .graphs import complete, cycle, fan, path, wheel
 from .mis import SolveAborted, is_independent
@@ -116,13 +115,11 @@ def _build_instance(family: str, m: int, op: str | None):
 
 def cmd_build(args) -> int:
     graph, derived, _ = _build_instance(args.family, args.m, args.op)
-    if args.format == "dot":
-        text = derived_to_dot(derived) if derived is not None else graph_to_dot(graph)
-    elif args.format == "json":
-        text = derived_to_json(derived) if derived is not None else graph_to_json(graph)
-    else:
-        raise ConfigError(f"build supports dot or json, not {args.format!r}")
-    _write_output(text, args.out)
+    to_derived, to_graph = {
+        "dot": (derived_to_dot, graph_to_dot),
+        "json": (derived_to_json, graph_to_json),
+    }[args.format]
+    _write_output(to_derived(derived) if derived is not None else to_graph(graph), args.out)
     return EXIT_OK
 
 
@@ -155,8 +152,6 @@ def cmd_verify(args) -> int:
             m_range=m_range,
             method=args.method,
             budget_ms=args.budget_ms,
-            fmt=args.format,
-            out=args.out,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -164,39 +159,21 @@ def cmd_verify(args) -> int:
         rows = run_sweep(config)
     except ValueError as exc:  # e.g. --method brute beyond the oracle cap
         raise ConfigError(str(exc)) from None
-    if args.format == "table":
-        _write_output(rows_to_table(rows), args.out)
-    elif args.format == "csv":
-        _write_output(rows_to_csv(rows), args.out)
-    elif args.format == "json":
-        _write_output(rows_to_json(rows), args.out)
-    else:
-        raise ConfigError(f"verify supports table, csv or json, not {args.format!r}")
+    render = {"table": rows_to_table, "csv": rows_to_csv, "json": rows_to_json}[args.format]
+    _write_output(render(rows), args.out)
     return sweep_exit_code(rows)
 
 
-WITNESS_BUILDERS = {
-    ("path", "dv"): ("dv_path", witnesses.dv_path_witness_tokens, formulas.dv_path, double_vertex, path),
-    ("fan", "dv"): ("dv_fan", witnesses.dv_fan_witness_tokens, formulas.dv_fan, double_vertex, fan),
-    ("wheel", "dv"): ("dv_wheel", witnesses.dv_wheel_witness_tokens, formulas.dv_wheel, double_vertex, wheel),
-    ("path", "pair"): ("pair_path", witnesses.pair_path_witness_tokens, formulas.pair_path, pair_graph, path),
-    ("cycle", "pair"): ("pair_cycle", witnesses.pair_cycle_witness_tokens, formulas.pair_cycle, pair_graph, cycle),
-    ("fan", "pair"): ("pair_fan", witnesses.pair_fan_witness_tokens, formulas.pair_fan, pair_graph, fan),
-    ("wheel", "pair"): ("pair_wheel", witnesses.pair_wheel_witness_tokens, formulas.pair_wheel, pair_graph, wheel),
-}
-
-
 def cmd_witness(args) -> int:
-    key = (args.family, args.op)
-    if key not in WITNESS_BUILDERS:
+    fam = FAMILIES.get(f"{args.op}_{args.family}")
+    if fam is None or fam.witness_tokens is None:
         raise ConfigError(
             f"no witness construction for family {args.family!r} with --op {args.op!r}"
         )
-    name, tokens_fn, formula_fn, derive, base = WITNESS_BUILDERS[key]
     try:
-        tokens = tokens_fn(args.m)
-        expected = formula_fn(args.m)
-        derived = derive(base(args.m))
+        tokens = fam.witness_tokens(args.m)
+        expected = fam.formula(args.m)
+        derived = fam.derive(fam.base(args.m))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     members = indices_of(derived, tokens)
@@ -206,7 +183,7 @@ def cmd_witness(args) -> int:
         import json as _json
 
         payload = {
-            "family": name,
+            "family": fam.name,
             "m": args.m,
             "size": len(members),
             "formula": expected,
@@ -215,10 +192,10 @@ def cmd_witness(args) -> int:
         }
         _write_output(_json.dumps(payload, indent=2) + "\n", args.out)
     else:
-        print(f"witness {name} m={args.m}: size {len(members)}, formula {expected}, "
+        print(f"witness {fam.name} m={args.m}: size {len(members)}, formula {expected}, "
               f"independent: {'yes' if independent else 'NO'}")
         print("tokens: " + " ".join(str(t) for t in tokens))
-        if name == "dv_wheel" and args.m == 3 and not matches:
+        if fam.name == "dv_wheel" and args.m == 3 and not matches:
             print("note: at m=3 the apex-free construction tops out at 1; "
                   "the full graph reaches 2 only through an apex token")
     return EXIT_OK if matches else EXIT_MISMATCH

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Sequence
 
 from . import formulas, witnesses
@@ -40,9 +40,6 @@ STATUS_ABORTED = "aborted"
 
 AUTO_BRUTE_LIMIT = 20  # auto method: brute force at or below, branch and bound above
 
-CSV_COLUMNS = ("family", "operator", "m", "vertices", "formula", "alpha", "witness", "status", "ms")
-
-
 @dataclass(frozen=True)
 class VerificationRow:
     family: str
@@ -56,8 +53,25 @@ class VerificationRow:
     ms: float
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(VerificationRow))
+
+
 @dataclass(frozen=True)
 class FamilySpec:
+    """One closed form under test: how to build its derived graph, the
+    formula, and the explicit witness construction (``None`` when there
+    is none, as for ``dv_cycle``).
+
+    ``min_m`` is the smallest m the sweep runs, and it is not
+    ``formulas.FormulaId.accepted_min``: the formula may accept an m whose
+    graph cannot be built. For ``pair_path`` they are 2 and 1, because
+    ``pair_graph`` needs base order >= 2. Keep the two apart.
+
+    ``witness_min_m`` is the smallest m whose witness is reported. It is 4
+    for ``dv_wheel`` because at m = 3 the apex-free construction has size
+    1 while the closed form is 2; the row would read as a mismatch.
+    """
+
     name: str
     operator: str  # "double_vertex" | "pair_graph"
     base: Callable[[int], Graph]
@@ -78,8 +92,6 @@ FAMILIES: dict[str, FamilySpec] = {
                    formulas.dv_cycle, None, 3, 0, (3, 12)),
         FamilySpec("dv_fan", "double_vertex", fan, double_vertex,
                    formulas.dv_fan, witnesses.dv_fan_witness_tokens, 1, 1, (2, 12)),
-        # no closed-form construction reaches the m = 3 wheel value, so the
-        # witness column starts at m = 4 there
         FamilySpec("dv_wheel", "double_vertex", wheel, double_vertex,
                    formulas.dv_wheel, witnesses.dv_wheel_witness_tokens, 3, 4, (3, 12)),
         FamilySpec("pair_path", "pair_graph", path, pair_graph,
@@ -100,9 +112,6 @@ class RunConfig:
     m_range: tuple[int, int] | None  # None: per-family default ranges
     method: str = "auto"  # auto | brute | bnb
     budget_ms: float | None = None
-    fmt: str = "table"
-    out: str | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         unknown = [f for f in self.families if f not in FAMILIES]
@@ -192,42 +201,20 @@ def _canonical_cell(value) -> str:
     return "" if value is None else str(value)
 
 
+def _canonical_values(r: VerificationRow) -> tuple:
+    """Report cells in ``CSV_COLUMNS`` order, ``ms`` zeroed for
+    reproducible reports."""
+    return tuple(0 if name == "ms" else getattr(r, name) for name in CSV_COLUMNS)
+
+
 def rows_to_csv(rows: Sequence[VerificationRow]) -> str:
     lines = [",".join(CSV_COLUMNS)]
-    for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    r.family,
-                    r.operator,
-                    str(r.m),
-                    str(r.vertices),
-                    str(r.formula),
-                    _canonical_cell(r.alpha),
-                    _canonical_cell(r.witness),
-                    r.status,
-                    "0",  # zeroed for reproducible reports
-                )
-            )
-        )
+    lines.extend(",".join(map(_canonical_cell, _canonical_values(r))) for r in rows)
     return "\n".join(lines) + "\n"
 
 
 def rows_to_json(rows: Sequence[VerificationRow]) -> str:
-    payload = [
-        {
-            "family": r.family,
-            "operator": r.operator,
-            "m": r.m,
-            "vertices": r.vertices,
-            "formula": r.formula,
-            "alpha": r.alpha,
-            "witness": r.witness,
-            "status": r.status,
-            "ms": 0,
-        }
-        for r in rows
-    ]
+    payload = [dict(zip(CSV_COLUMNS, _canonical_values(r))) for r in rows]
     return json.dumps(payload, indent=2) + "\n"
 
 

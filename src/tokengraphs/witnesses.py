@@ -24,7 +24,7 @@ graph it targets, sized exactly at the matching closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .graphs import Graph, cycle, delete_vertices, fan, path, wheel
 from .mis import IndependentSet, alpha
@@ -330,15 +330,3 @@ def phi_edge_image(m: int) -> tuple[frozenset, frozenset]:
         b = index_of(target, phi(source.labels[v - 1]))
         mapped.add((a, b) if a < b else (b, a))
     return frozenset(mapped), frozenset(target.graph.edges)
-
-
-# registry used by the sweep driver: family key -> tokens builder
-WITNESS_TOKEN_BUILDERS: dict[str, Callable[[int], tuple[TokenVertex, ...]]] = {
-    "dv_path": dv_path_witness_tokens,
-    "dv_fan": dv_fan_witness_tokens,
-    "dv_wheel": dv_wheel_witness_tokens,
-    "pair_path": pair_path_witness_tokens,
-    "pair_cycle": pair_cycle_witness_tokens,
-    "pair_fan": pair_fan_witness_tokens,
-    "pair_wheel": pair_wheel_witness_tokens,
-}

@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from tokengraphs.cli import main
 from tokengraphs.verify import (
+    CSV_COLUMNS,
     FAMILIES,
     RunConfig,
     SuiteResult,
@@ -65,10 +67,11 @@ def test_budget_abort_row_and_exit_code():
     assert rows[0].status == "aborted"
     assert rows[0].alpha is None and rows[0].witness is None
     assert sweep_exit_code(rows) == 2
+    assert rows_to_csv(rows).split("\n")[1] == "dv_fan,double_vertex,12,78,36,,,aborted,0"
 
 
 def test_csv_format_and_reproducibility():
-    config = RunConfig(families=("pair_cycle",), m_range=(3, 5), fmt="csv")
+    config = RunConfig(families=("pair_cycle",), m_range=(3, 5))
     first = rows_to_csv(run_sweep(config))
     second = rows_to_csv(run_sweep(config))
     assert first == second
@@ -94,6 +97,15 @@ def test_json_report_round_trips():
         "ms": 0,
     }
     assert rows_to_json(rows) == rows_to_json(run_sweep(config))
+
+
+def test_json_report_matches_csv_columns_and_rows():
+    rows = run_sweep(RunConfig(families=("dv_cycle", "pair_fan"), m_range=(3, 5)))
+    payload = json.loads(rows_to_json(rows))
+    assert all(tuple(obj) == CSV_COLUMNS for obj in payload)
+    csv_rows = [line.split(",") for line in rows_to_csv(rows).strip().split("\n")[1:]]
+    json_rows = [["" if v is None else str(v) for v in obj.values()] for obj in payload]
+    assert json_rows == csv_rows
 
 
 def test_table_contains_all_rows():
@@ -204,6 +216,12 @@ def test_cli_verify_single_row(capsys):
     assert "pair_cycle,pair_graph,4,10,6,6,6,ok,0" in out
 
 
+def test_cli_verify_default_csv_matches_golden(capsys):
+    golden = Path(__file__).parent / "golden" / "verify_default.csv"
+    assert main(["verify", "--families", "all", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_cli_verify_empty_range_is_config_error(capsys):
     assert main(["verify", "--m", "5..3"]) == 64
 
@@ -246,6 +264,20 @@ def test_cli_witness_wheel3_special_case(capsys):
 
 def test_cli_witness_no_construction(capsys):
     assert main(["witness", "cycle", "5", "--op", "dv"]) == 64
+    assert main(["witness", "cycle", "4", "--op", "dv"]) == 64
+
+
+@pytest.mark.parametrize("family, op, size", [
+    ("path", "dv", 9), ("cycle", "dv", None), ("fan", "dv", 9), ("wheel", "dv", 9),
+    ("path", "pair", 12), ("cycle", "pair", 12), ("fan", "pair", 13), ("wheel", "pair", 13),
+])
+def test_cli_witness_every_family_at_m6(capsys, family, op, size):
+    code = main(["witness", family, "6", "--op", op])
+    if size is None:
+        assert code == 64
+    else:
+        assert code == 0
+        assert f"size {size}, formula {size}, independent: yes" in capsys.readouterr().out
 
 
 def test_cli_witness_json_format(capsys):
