@@ -13,12 +13,12 @@ m = 9
 dg = pair_graph(cycle(m))
 total = sum(len(witnesses.l_set(m, q)) for q in range(1, m + 1))
 print(f"l_set slices of C(C_{m}): sizes 1..{m}, total {total} = {dg.graph.order} vertices")
-print("slice 3:", " ".join(str(t) for t in witnesses.l_set(m, 3).members))
-print("slice 9:", " ".join(str(t) for t in witnesses.l_set(m, 9).members))
+print("slice 3:", " ".join(str(t) for t in witnesses.l_set(m, 3)))
+print("slice 9:", " ".join(str(t) for t in witnesses.l_set(m, 9)))
 
 # Exactly one slice fails to be independent: q = (m+1)/2 for odd m.
 for q in range(1, m + 1):
-    ok = is_independent(dg.graph, indices_of(dg, witnesses.l_set(m, q).members))
+    ok = is_independent(dg.graph, indices_of(dg, witnesses.l_set(m, q)))
     assert ok == witnesses.l_is_independent_expected(m, q)
 print(f"dependent slices for m={m}:",
       [q for q in range(1, m + 1) if not witnesses.l_is_independent_expected(m, q)])
@@ -27,7 +27,7 @@ print(f"dependent slices for m={m}:",
 print("linking profile:", sorted(witnesses.linking_profile(m)))
 
 # Taking alternating unlinked slices yields a maximum independent set.
-w = witnesses.pair_cycle_witness(m)
+w = indices_of(dg, witnesses.pair_cycle_witness_tokens(m))
 print(f"alternating-slice witness: size {len(w)} = pair_cycle({m}) = {formulas.pair_cycle(m)}")
 
 # Fans and wheels gain exactly one more vertex: the apex diagonal.
@@ -44,5 +44,5 @@ from tokengraphs import double_vertex, path
 from tokengraphs.verify import alpha_after_deleting_tokens
 
 dv = double_vertex(path(7))
-drops = [alpha_after_deleting_tokens(dv, witnesses.r_set_dv(7, i).members) for i in range(1, 8)]
+drops = [alpha_after_deleting_tokens(dv, witnesses.r_set_dv(7, i)) for i in range(1, 8)]
 print(f"\nalpha(F2(P7) minus slice i) for i=1..7: {drops} (all {formulas.dv_path(6)})")

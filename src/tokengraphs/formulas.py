@@ -24,7 +24,6 @@ class FormulaId(Enum):
     PAIR_FAN = ("pair_fan", 1, 1)
     PAIR_CYCLE = ("pair_cycle", 3, 3)
     PAIR_WHEEL = ("pair_wheel", 3, 3)
-    GRID = ("grid", 1, 1)
     ALPHA_PATH = ("alpha_path", 1, 1)
     ALPHA_CYCLE = ("alpha_cycle", 3, 3)
 
@@ -147,23 +146,3 @@ def a002620_recurrence_checks(n_max: int) -> bool:
             return False
     return True
 
-
-EVALUATORS = {
-    FormulaId.DV_PATH: dv_path,
-    FormulaId.DV_CYCLE: dv_cycle,
-    FormulaId.DV_FAN: dv_fan,
-    FormulaId.DV_WHEEL: dv_wheel,
-    FormulaId.PAIR_PATH: pair_path,
-    FormulaId.PAIR_FAN: pair_fan,
-    FormulaId.PAIR_CYCLE: pair_cycle,
-    FormulaId.PAIR_WHEEL: pair_wheel,
-    FormulaId.ALPHA_PATH: alpha_path,
-    FormulaId.ALPHA_CYCLE: alpha_cycle,
-}
-
-
-def evaluate(formula: FormulaId, m: int) -> int:
-    """Evaluate a single-parameter formula by id."""
-    if formula is FormulaId.GRID:
-        raise ValueError("grid takes two parameters; call grid_alpha(r, s)")
-    return EVALUATORS[formula](m)

@@ -106,11 +106,14 @@ def brute_force_alpha(g: Graph, cap: int = BRUTE_FORCE_CAP) -> MisResult:
     return MisResult(best, IndependentSet(g.order, _mask_to_set(best_mask)), nodes, elapsed)
 
 
-def _greedy_incumbent(adj: tuple[int, ...], full: int) -> int:
-    """Greedy independent set: repeatedly take a minimum-degree vertex."""
+def _greedy_incumbent(adj: tuple[int, ...], full: int, deadline: float | None) -> int:
+    """Greedy independent set: repeatedly take a minimum-degree vertex.
+    Raises ``SolveAborted`` once ``perf_counter()`` passes ``deadline``."""
     chosen = 0
     rem = full
     while rem:
+        if deadline is not None and time.perf_counter() > deadline:
+            raise SolveAborted("budget exceeded while building the greedy incumbent")
         best_v, best_d = -1, 1 << 30
         scan = rem
         while scan:
@@ -155,29 +158,35 @@ def alpha(g: Graph, budget_ms: float | None = None) -> MisResult:
     deadline = None if budget_ms is None else time.perf_counter() + budget_ms / 1000.0
     start = time.perf_counter()
 
-    best_mask = _greedy_incumbent(adj, full)
+    best_mask = _greedy_incumbent(adj, full, deadline)
     best = best_mask.bit_count()
     nodes = 0
 
     def solve(mask: int, chosen: int, size: int) -> None:
         nonlocal best, best_mask, nodes
         nodes += 1
-        if deadline is not None and time.perf_counter() > deadline:
-            raise SolveAborted(f"budget {budget_ms} ms exceeded after {nodes} nodes")
 
         # Isolated and pendant vertices can always be taken; loop until
-        # none are left since each take can create new ones.
+        # none are left since each take can create new ones. The pass that
+        # takes nothing also picks the branching vertex: maximum degree,
+        # lowest index on ties.
         reduced = True
         while reduced:
+            if deadline is not None and time.perf_counter() > deadline:
+                raise SolveAborted(f"budget {budget_ms} ms exceeded after {nodes} nodes")
             reduced = False
+            branch_v, branch_d = -1, -1
             scan = mask
             while scan:
                 bit = scan & -scan
                 scan ^= bit
                 if not mask & bit:
                     continue
-                nb = adj[bit.bit_length() - 1] & mask
+                v = bit.bit_length() - 1
+                nb = adj[v] & mask
                 d = nb.bit_count()
+                if d > branch_d:
+                    branch_v, branch_d = v, d
                 if d == 0:
                     mask ^= bit
                     chosen |= bit
@@ -196,15 +205,6 @@ def alpha(g: Graph, budget_ms: float | None = None) -> MisResult:
         if size + _clique_cover_bound(adj, mask) <= best:
             return
 
-        scan = mask
-        branch_v, branch_d = -1, -1
-        while scan:
-            bit = scan & -scan
-            scan ^= bit
-            v = bit.bit_length() - 1
-            d = (adj[v] & mask).bit_count()
-            if d > branch_d:
-                branch_v, branch_d = v, d
         vbit = 1 << branch_v
         solve(mask & ~(adj[branch_v] | vbit), chosen | vbit, size + 1)
         solve(mask ^ vbit, chosen, size)

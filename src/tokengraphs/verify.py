@@ -121,7 +121,7 @@ class RunConfig:
             raise ValueError("no families selected")
         if self.m_range is not None and self.m_range[0] > self.m_range[1]:
             raise ValueError(f"empty m range {self.m_range[0]}..{self.m_range[1]}")
-        if self.budget_ms is not None and self.budget_ms <= 0:
+        if self.budget_ms is not None and not self.budget_ms > 0:  # NaN included
             raise ValueError("budget must be positive")
         if self.method not in ("auto", "brute", "bnb"):
             raise ValueError(f"unknown method {self.method!r}")
@@ -349,7 +349,7 @@ def _suite_slice_dichotomy(m_range: Iterable[int]) -> SuiteResult:
         dg = pair_graph(cycle(m))
         for q in range(1, m + 1):
             suite.cases += 1
-            actual = is_independent(dg.graph, indices_of(dg, witnesses.l_set(m, q).members))
+            actual = is_independent(dg.graph, indices_of(dg, witnesses.l_set(m, q)))
             if actual != witnesses.l_is_independent_expected(m, q):
                 suite.failures.append(f"m={m} q={q}")
     return suite
@@ -382,7 +382,7 @@ def _suite_dv_slice_deletion(m_range: Iterable[int]) -> SuiteResult:
         expect = (m - 1) ** 2 // 4
         for i in range(1, m + 1):
             suite.cases += 1
-            if alpha_after_deleting_tokens(dg, witnesses.r_set_dv(m, i).members) != expect:
+            if alpha_after_deleting_tokens(dg, witnesses.r_set_dv(m, i)) != expect:
                 suite.failures.append(f"m={m} i={i}")
     return suite
 
@@ -394,7 +394,7 @@ def _suite_dv_double_deletion(m_range: Iterable[int]) -> SuiteResult:
         expect = (m - 1) ** 2 // 4
         for i in range(1, m + 1):
             for j in range(i + 2, m + 1):
-                tokens = witnesses.r_set_dv(m, i).members + witnesses.r_set_dv(m, j).members
+                tokens = witnesses.r_set_dv(m, i) + witnesses.r_set_dv(m, j)
                 suite.cases += 1
                 if alpha_after_deleting_tokens(dg, set(tokens)) >= expect:
                     suite.failures.append(f"m={m} S=({i},{j})")
@@ -408,7 +408,7 @@ def _suite_pair_slice_deletion(m_range: Iterable[int]) -> SuiteResult:
         bound = m * m // 4 + 1
         for i in range(1, m + 1):
             suite.cases += 1
-            if alpha_after_deleting_tokens(dg, witnesses.r_set_pair(m, i).members) > bound:
+            if alpha_after_deleting_tokens(dg, witnesses.r_set_pair(m, i)) > bound:
                 suite.failures.append(f"m={m} i={i}")
     return suite
 

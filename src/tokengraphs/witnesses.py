@@ -17,21 +17,23 @@ The building blocks:
 * ``phi``: the index shift {i, j} -> {i, j+1} that carries the pair graph
   of P_n onto the double vertex graph of P_{n+1}.
 
-Each witness function returns an ``IndependentSet`` against the derived
-graph it targets, sized exactly at the matching closed form.
+Every set here is a plain ``tuple[TokenVertex, ...]``; ``indices_of``
+turns one into vertex indices of a derived graph. Each ``*_witness_tokens``
+construction is independent in the derived graph of its family and sized
+exactly at the matching closed form. The one exception is
+``dv_wheel_witness``: no construction is known for it, so it returns the
+solver's ``IndependentSet`` of the apex-free part of the graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import Graph, cycle, delete_vertices, fan, path, wheel
+from .graphs import Graph, cycle, delete_vertices, path, wheel
 from .mis import IndependentSet, alpha
 from .operators import (
     MULTISET,
     SUBSET,
-    DerivedGraph,
     TokenVertex,
     double_vertex,
     index_of,
@@ -41,31 +43,11 @@ from .operators import (
     subset_token,
 )
 
-ROLE_L = "L"
-ROLE_R_DV = "R_dv"
-ROLE_R_PAIR = "R_pair"
-ROLE_B_DV = "B_dv"
-ROLE_B_PAIR = "B_pair"
-
-
-@dataclass(frozen=True)
-class StructuredSet:
-    """A named family of token vertices, e.g. one l_set slice."""
-
-    role: str
-    m: int
-    index: int
-    members: tuple[TokenVertex, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
 # ---------------------------------------------------------------------------
 # structured slices
 
 
-def l_set(m: int, q: int) -> StructuredSet:
+def l_set(m: int, q: int) -> tuple[TokenVertex, ...]:
     """Slice q of the cycle pair graph on base C_m: the multisets
     {j, m-(q-j)} for j = 1..q. Slice q has q members; the m slices
     partition all 2-multisets of 1..m."""
@@ -73,8 +55,7 @@ def l_set(m: int, q: int) -> StructuredSet:
         raise ValueError(f"l_set needs m >= 3, got {m}")
     if not (1 <= q <= m):
         raise ValueError(f"l_set needs 1 <= q <= {m}, got {q}")
-    members = tuple(multiset_token(j, m - (q - j)) for j in range(1, q + 1))
-    return StructuredSet(ROLE_L, m, q, members)
+    return tuple(multiset_token(j, m - (q - j)) for j in range(1, q + 1))
 
 
 def l_is_independent_expected(m: int, q: int) -> bool:
@@ -87,43 +68,39 @@ def l_is_independent_expected(m: int, q: int) -> bool:
     return not (m == 2 * q - 1 and 2 <= q <= m - 1)
 
 
-def r_set_dv(m: int, q: int) -> StructuredSet:
+def r_set_dv(m: int, q: int) -> tuple[TokenVertex, ...]:
     """All 2-subsets of 1..m containing q (m-1 tokens). Deleting them
     from the double vertex graph of P_m realizes deleting q from P_m."""
     if m < 2:
         raise ValueError(f"r_set_dv needs m >= 2, got {m}")
     if not (1 <= q <= m):
         raise ValueError(f"r_set_dv needs 1 <= q <= {m}, got {q}")
-    members = tuple(subset_token(q, i) for i in range(1, m + 1) if i != q)
-    return StructuredSet(ROLE_R_DV, m, q, members)
+    return tuple(subset_token(q, i) for i in range(1, m + 1) if i != q)
 
 
-def r_set_pair(m: int, i: int) -> StructuredSet:
+def r_set_pair(m: int, i: int) -> tuple[TokenVertex, ...]:
     """All 2-multisets {i, j} with j = 1..m (m tokens, diagonal included)."""
     if m < 1:
         raise ValueError(f"r_set_pair needs m >= 1, got {m}")
     if not (1 <= i <= m):
         raise ValueError(f"r_set_pair needs 1 <= i <= {m}, got {i}")
-    members = tuple(multiset_token(i, j) for j in range(1, m + 1))
-    return StructuredSet(ROLE_R_PAIR, m, i, members)
+    return tuple(multiset_token(i, j) for j in range(1, m + 1))
 
 
-def b_set_dv(m: int) -> StructuredSet:
+def b_set_dv(m: int) -> tuple[TokenVertex, ...]:
     """The apex tokens {a, m+1} of the double vertex graph of a fan or
     wheel on base vertices 1..m with apex m+1."""
     if m < 1:
         raise ValueError(f"b_set_dv needs m >= 1, got {m}")
-    members = tuple(subset_token(a, m + 1) for a in range(1, m + 1))
-    return StructuredSet(ROLE_B_DV, m, m + 1, members)
+    return tuple(subset_token(a, m + 1) for a in range(1, m + 1))
 
 
-def b_set_pair(m: int) -> StructuredSet:
+def b_set_pair(m: int) -> tuple[TokenVertex, ...]:
     """The apex tokens {i, m+1}, i = 1..m+1, of the pair graph of a fan
     or wheel (the apex diagonal {m+1, m+1} included)."""
     if m < 1:
         raise ValueError(f"b_set_pair needs m >= 1, got {m}")
-    members = tuple(multiset_token(i, m + 1) for i in range(1, m + 2))
-    return StructuredSet(ROLE_B_PAIR, m, m + 1, members)
+    return tuple(multiset_token(i, m + 1) for i in range(1, m + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +124,7 @@ def linking_profile(m: int) -> frozenset[tuple[int, int]]:
     dg = pair_graph(cycle(m))
     slice_of = {}
     for q in range(1, m + 1):
-        for tok in l_set(m, q).members:
+        for tok in l_set(m, q):
             slice_of[index_of(dg, tok)] = q
     pairs = set()
     for u, v in dg.graph.edges:
@@ -170,10 +147,6 @@ def predicted_linking_profile(m: int) -> frozenset[tuple[int, int]]:
 # witness constructions
 
 
-def _to_independent_set(dg: DerivedGraph, tokens: Iterable[TokenVertex]) -> IndependentSet:
-    return IndependentSet(dg.graph.order, indices_of(dg, tokens))
-
-
 def pair_cycle_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
     """Union of alternating l_set slices achieving alpha on the cycle
     pair graph. Even m uses every even slice. Odd m = 2k+1 skips the
@@ -194,12 +167,8 @@ def pair_cycle_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
             picks = list(range(2, k + 1, 2)) + list(range(k + 3, m + 1, 2))
     tokens: list[TokenVertex] = []
     for q in picks:
-        tokens.extend(l_set(m, q).members)
+        tokens.extend(l_set(m, q))
     return tuple(tokens)
-
-
-def pair_cycle_witness(m: int) -> IndependentSet:
-    return _to_independent_set(pair_graph(cycle(m)), pair_cycle_witness_tokens(m))
 
 
 def dv_path_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
@@ -216,10 +185,6 @@ def dv_path_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
     )
 
 
-def dv_path_witness(m: int) -> IndependentSet:
-    return _to_independent_set(double_vertex(path(m)), dv_path_witness_tokens(m))
-
-
 def dv_fan_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
     """Odd-sum 2-subsets of the base path inside the fan double vertex
     graph. The degenerate m = 1 fan is a single token {1, 2}."""
@@ -230,20 +195,12 @@ def dv_fan_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
     return dv_path_witness_tokens(m)
 
 
-def dv_fan_witness(m: int) -> IndependentSet:
-    return _to_independent_set(double_vertex(fan(m)), dv_fan_witness_tokens(m))
-
-
 def pair_path_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
     """The odd-sum witness of the path double vertex graph on m+1
     vertices pulled back through phi_inverse."""
     if m < 1:
         raise ValueError(f"pair_path_witness needs m >= 1, got {m}")
     return tuple(phi_inverse(tok) for tok in dv_path_witness_tokens(m + 1))
-
-
-def pair_path_witness(m: int) -> IndependentSet:
-    return _to_independent_set(pair_graph(path(m)), pair_path_witness_tokens(m))
 
 
 def pair_fan_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
@@ -254,19 +211,11 @@ def pair_fan_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
     return pair_path_witness_tokens(m) + (multiset_token(m + 1, m + 1),)
 
 
-def pair_fan_witness(m: int) -> IndependentSet:
-    return _to_independent_set(pair_graph(fan(m)), pair_fan_witness_tokens(m))
-
-
 def pair_wheel_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
     """Cycle pair witness plus the apex diagonal {m+1, m+1}."""
     if m < 3:
         raise ValueError(f"pair_wheel_witness needs m >= 3, got {m}")
     return pair_cycle_witness_tokens(m) + (multiset_token(m + 1, m + 1),)
-
-
-def pair_wheel_witness(m: int) -> IndependentSet:
-    return _to_independent_set(pair_graph(wheel(m)), pair_wheel_witness_tokens(m))
 
 
 def dv_wheel_witness(m: int) -> IndependentSet:
@@ -282,7 +231,7 @@ def dv_wheel_witness(m: int) -> IndependentSet:
     if m < 3:
         raise ValueError(f"dv_wheel_witness needs m >= 3, got {m}")
     dg = double_vertex(wheel(m))
-    apex_tokens = indices_of(dg, b_set_dv(m).members)
+    apex_tokens = indices_of(dg, b_set_dv(m))
     core, old_to_new = delete_vertices(dg.graph, apex_tokens)
     result = alpha(core)
     back = {new: old for old, new in old_to_new.items()}

@@ -73,8 +73,8 @@ def test_c04_pair_cycle_alpha_and_witness():
         dg = pair_graph(cycle(m))
         expected = F.pair_cycle(m)
         assert alpha(dg.graph).alpha == expected, m
-        witness = W.pair_cycle_witness(m)
-        assert is_independent(dg.graph, witness.members), m
+        witness = indices_of(dg, W.pair_cycle_witness_tokens(m))
+        assert is_independent(dg.graph, witness), m
         assert len(witness) == expected, m
     report(4, True, "alpha(C(C_m)) matches the parity formula with certifying witness, m=3..12")
 
@@ -136,7 +136,7 @@ def test_c09_slice_dichotomy_and_linking_profile():
     for m in range(3, 16):
         dg = pair_graph(cycle(m))
         for q in range(1, m + 1):
-            actual = is_independent(dg.graph, indices_of(dg, W.l_set(m, q).members))
+            actual = is_independent(dg.graph, indices_of(dg, W.l_set(m, q)))
             assert actual == W.l_is_independent_expected(m, q), (m, q)
     for m in range(4, 13):
         assert W.linking_profile(m) == W.predicted_linking_profile(m), m
@@ -148,15 +148,15 @@ def test_c10_token_slice_deletion_identities():
         dv = double_vertex(path(m))
         shorter = (m - 1) ** 2 // 4
         for i in range(1, m + 1):
-            assert alpha_after_deleting_tokens(dv, W.r_set_dv(m, i).members) == shorter, (m, i)
+            assert alpha_after_deleting_tokens(dv, W.r_set_dv(m, i)) == shorter, (m, i)
         for i in range(1, m + 1):
             for j in range(i + 2, m + 1):
-                union = set(W.r_set_dv(m, i).members) | set(W.r_set_dv(m, j).members)
+                union = set(W.r_set_dv(m, i)) | set(W.r_set_dv(m, j))
                 assert alpha_after_deleting_tokens(dv, union) < shorter, (m, i, j)
         pair = pair_graph(path(m))
         bound = m * m // 4 + 1
         for i in range(1, m + 1):
-            assert alpha_after_deleting_tokens(pair, W.r_set_pair(m, i).members) <= bound, (m, i)
+            assert alpha_after_deleting_tokens(pair, W.r_set_pair(m, i)) <= bound, (m, i)
     report(10, True, "slice deletions hit the shorter-path value, strictly less for double deletions")
 
 
@@ -193,7 +193,7 @@ def _oracle_corpus():
         for i in range(1, m + 1):
             from tokengraphs.graphs import delete_vertices
 
-            sub, _ = delete_vertices(dv.graph, indices_of(dv, W.r_set_dv(m, i).members))
+            sub, _ = delete_vertices(dv.graph, indices_of(dv, W.r_set_dv(m, i)))
             graphs.append(sub)
     rng = random.Random(99)
     graphs += [random_graph(rng, rng.randint(4, 10)) for _ in range(60)]

@@ -53,4 +53,4 @@ def test_tokens_to_json():
     from tokengraphs.exports import tokens_to_json
     from tokengraphs.witnesses import l_set
 
-    assert tokens_to_json(l_set(4, 2).members) == "[[1, 3], [2, 4]]"
+    assert tokens_to_json(l_set(4, 2)) == "[[1, 3], [2, 4]]"

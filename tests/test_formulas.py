@@ -152,12 +152,6 @@ def test_formula_ids_record_domains():
         assert formula.accepted_min <= formula.stated_min
 
 
-def test_evaluate_dispatch():
-    assert F.evaluate(FormulaId.DV_PATH, 6) == 9
-    with pytest.raises(ValueError):
-        F.evaluate(FormulaId.GRID, 3)
-
-
 def test_formulas_match_solver_on_small_instances():
     from tokengraphs.graphs import fan, wheel
 

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -10,7 +11,7 @@ from tokengraphs.mis import (
     brute_force_alpha,
     is_independent,
 )
-from tokengraphs.operators import double_vertex, index_of, multiset_token, pair_graph
+from tokengraphs.operators import double_vertex, index_of, k_token, multiset_token, pair_graph
 from tokengraphs.verify import random_graph
 
 from .oracles import exhaustive_alpha
@@ -32,7 +33,7 @@ def test_is_independent_on_pair_cycle_slice_union():
     from tokengraphs.witnesses import l_set
 
     dg = pair_graph(cycle(4))
-    members = indices_of(dg, l_set(4, 2).members + l_set(4, 4).members)
+    members = indices_of(dg, l_set(4, 2) + l_set(4, 4))
     assert is_independent(dg.graph, members)
 
 
@@ -150,6 +151,32 @@ def test_alpha_budget_aborts():
     g = double_vertex(wheel(10)).graph
     with pytest.raises(SolveAborted):
         alpha(g, budget_ms=1e-7)
+
+
+def test_alpha_budget_bounds_the_greedy_incumbent():
+    # 3240 vertices: the O(n^2) incumbent alone takes seconds, so the
+    # deadline has to be checked inside it, not only per search node
+    g = pair_graph(cycle(80)).graph
+    g.adjacency_masks
+    start = time.perf_counter()
+    with pytest.raises(SolveAborted):
+        alpha(g, budget_ms=50)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("build, expected", [
+    (lambda: k_token(cycle(9), 3).graph, (84, 38, 113)),
+    (lambda: k_token(cycle(9), 4).graph, (126, 56, 1103)),
+    (lambda: disjoint_union(*[k_token(cycle(7), 3).graph] * 2), (70, 30, 269)),
+    (lambda: double_vertex(wheel(9)).graph, (45, 18, 23)),
+    (lambda: pair_graph(cycle(11)).graph, (66, 33, 9)),
+], ids=["F3(C9)", "F4(C9)", "2xF3(C7)", "F2(W9)", "C(C11)"])
+def test_alpha_search_is_pinned(build, expected):
+    # order, alpha and node count of the branch and bound; a change to the
+    # branching rule, the bound or the reductions moves the node count
+    g = build()
+    result = alpha(g)
+    assert (g.order, result.alpha, result.nodes) == expected
 
 
 def test_alpha_single_vertex():

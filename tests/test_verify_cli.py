@@ -30,6 +30,8 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(families=("dv_path",), m_range=None, budget_ms=0)
     with pytest.raises(ValueError):
+        RunConfig(families=("dv_path",), m_range=None, budget_ms=float("nan"))
+    with pytest.raises(ValueError):
         RunConfig(families=("dv_path",), m_range=None, method="magic")
 
 
@@ -237,6 +239,11 @@ def test_cli_verify_budget_abort(capsys):
     ])
     assert code == 2
     assert "aborted" in capsys.readouterr().out
+
+
+def test_cli_verify_nan_budget_is_config_error(capsys):
+    assert main(["verify", "--budget-ms", "nan"]) == 64
+    assert "budget must be positive" in capsys.readouterr().err
 
 
 def test_cli_witness_pair_cycle7(capsys):

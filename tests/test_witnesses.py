@@ -14,8 +14,8 @@ from tokengraphs.operators import (
 from tokengraphs.verify import alpha_after_deleting_tokens
 
 
-def tokens_of(structured):
-    return [t.elements for t in structured.members]
+def tokens_of(tokens):
+    return [t.elements for t in tokens]
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +51,7 @@ def test_l_sets_partition_pair_cycle_vertices(m):
     dg = pair_graph(cycle(m))
     seen = []
     for q in range(1, m + 1):
-        seen.extend(W.l_set(m, q).members)
+        seen.extend(W.l_set(m, q))
     assert len(seen) == len(set(seen)) == dg.graph.order
     assert set(seen) == set(dg.labels)
 
@@ -60,7 +60,7 @@ def test_l_sets_partition_pair_cycle_vertices(m):
 def test_l_set_independence_dichotomy(m):
     dg = pair_graph(cycle(m))
     for q in range(1, m + 1):
-        actual = is_independent(dg.graph, indices_of(dg, W.l_set(m, q).members))
+        actual = is_independent(dg.graph, indices_of(dg, W.l_set(m, q)))
         assert actual == W.l_is_independent_expected(m, q), (m, q)
 
 
@@ -78,15 +78,15 @@ def test_l_is_independent_expected_pattern():
 
 def test_linked_consecutive_slices():
     dg = pair_graph(cycle(5))
-    a = indices_of(dg, W.l_set(5, 2).members)
-    b = indices_of(dg, W.l_set(5, 3).members)
+    a = indices_of(dg, W.l_set(5, 2))
+    b = indices_of(dg, W.l_set(5, 3))
     assert W.linked(dg.graph, a, b)
 
 
 def test_not_linked_distant_slices():
     dg = pair_graph(cycle(6))
-    a = indices_of(dg, W.l_set(6, 1).members)
-    b = indices_of(dg, W.l_set(6, 3).members)
+    a = indices_of(dg, W.l_set(6, 1))
+    b = indices_of(dg, W.l_set(6, 3))
     assert not W.linked(dg.graph, a, b)
 
 
@@ -146,10 +146,10 @@ def test_b_sets():
 
 @pytest.mark.parametrize("m", range(3, 13))
 def test_pair_cycle_witness(m):
-    w = W.pair_cycle_witness(m)
     dg = pair_graph(cycle(m))
-    assert is_independent(dg.graph, w.members)
-    assert len(w) == F.pair_cycle(m)
+    members = indices_of(dg, W.pair_cycle_witness_tokens(m))
+    assert is_independent(dg.graph, members)
+    assert len(members) == F.pair_cycle(m)
 
 
 def test_pair_cycle_witness_slice_selection():
@@ -164,10 +164,10 @@ def test_pair_cycle_witness_slice_selection():
 
 @pytest.mark.parametrize("m", range(2, 12))
 def test_dv_path_witness(m):
-    w = W.dv_path_witness(m)
     dg = double_vertex(path(m))
-    assert is_independent(dg.graph, w.members)
-    assert len(w) == F.dv_path(m)
+    members = indices_of(dg, W.dv_path_witness_tokens(m))
+    assert is_independent(dg.graph, members)
+    assert len(members) == F.dv_path(m)
 
 
 def test_dv_path_witness_m4_listing():
@@ -180,26 +180,26 @@ def test_dv_path_witness_m2():
 
 @pytest.mark.parametrize("m", range(1, 12))
 def test_dv_fan_witness(m):
-    w = W.dv_fan_witness(m)
     dg = double_vertex(fan(m))
-    assert is_independent(dg.graph, w.members)
-    assert len(w) == F.dv_fan(m)
+    members = indices_of(dg, W.dv_fan_witness_tokens(m))
+    assert is_independent(dg.graph, members)
+    assert len(members) == F.dv_fan(m)
 
 
 @pytest.mark.parametrize("m", range(2, 11))
 def test_pair_path_witness(m):
-    w = W.pair_path_witness(m)
     dg = pair_graph(path(m))
-    assert is_independent(dg.graph, w.members)
-    assert len(w) == F.pair_path(m)
+    members = indices_of(dg, W.pair_path_witness_tokens(m))
+    assert is_independent(dg.graph, members)
+    assert len(members) == F.pair_path(m)
 
 
 @pytest.mark.parametrize("m", range(2, 11))
 def test_pair_fan_witness(m):
-    w = W.pair_fan_witness(m)
     dg = pair_graph(fan(m))
-    assert is_independent(dg.graph, w.members)
-    assert len(w) == F.pair_fan(m)
+    members = indices_of(dg, W.pair_fan_witness_tokens(m))
+    assert is_independent(dg.graph, members)
+    assert len(members) == F.pair_fan(m)
 
 
 def test_pair_fan_witness_contains_apex_diagonal():
@@ -208,10 +208,10 @@ def test_pair_fan_witness_contains_apex_diagonal():
 
 @pytest.mark.parametrize("m", range(3, 11))
 def test_pair_wheel_witness(m):
-    w = W.pair_wheel_witness(m)
     dg = pair_graph(wheel(m))
-    assert is_independent(dg.graph, w.members)
-    assert len(w) == F.pair_wheel(m)
+    members = indices_of(dg, W.pair_wheel_witness_tokens(m))
+    assert is_independent(dg.graph, members)
+    assert len(members) == F.pair_wheel(m)
 
 
 def test_pair_wheel_witness_m4_composition():
@@ -227,7 +227,7 @@ def test_dv_wheel_witness(m):
     assert is_independent(dg.graph, w.members)
     assert len(w) == F.dv_wheel(m)
     # solver-backed witness avoids the apex tokens by construction
-    apex = indices_of(dg, W.b_set_dv(m).members)
+    apex = indices_of(dg, W.b_set_dv(m))
     assert not (w.members & apex)
 
 
@@ -277,7 +277,7 @@ def test_phi_edge_image_equality(m):
 def test_dv_slice_deletion_drops_to_shorter_path_value(m):
     dg = double_vertex(path(m))
     for i in range(1, m + 1):
-        got = alpha_after_deleting_tokens(dg, W.r_set_dv(m, i).members)
+        got = alpha_after_deleting_tokens(dg, W.r_set_dv(m, i))
         assert got == (m - 1) ** 2 // 4
 
 
@@ -286,7 +286,7 @@ def test_dv_double_slice_deletion_is_strict(m):
     dg = double_vertex(path(m))
     for i in range(1, m + 1):
         for j in range(i + 2, m + 1):
-            tokens = set(W.r_set_dv(m, i).members) | set(W.r_set_dv(m, j).members)
+            tokens = set(W.r_set_dv(m, i)) | set(W.r_set_dv(m, j))
             assert alpha_after_deleting_tokens(dg, tokens) < (m - 1) ** 2 // 4
 
 
@@ -294,5 +294,5 @@ def test_dv_double_slice_deletion_is_strict(m):
 def test_pair_slice_deletion_bound(m):
     dg = pair_graph(path(m))
     for i in range(1, m + 1):
-        got = alpha_after_deleting_tokens(dg, W.r_set_pair(m, i).members)
+        got = alpha_after_deleting_tokens(dg, W.r_set_pair(m, i))
         assert got <= m * m // 4 + 1
