@@ -7,8 +7,9 @@ Two independent routes are provided on purpose:
   It is the oracle; it stays simple so it can be trusted.
 * ``alpha``: branch and bound. Branches on a maximum-degree vertex
   (lowest index on ties), include branch first, greedy clique cover as
-  the upper bound, a greedy independent set as the initial incumbent,
-  and isolated/pendant-vertex reductions between branchings.
+  the upper bound, a minimum-degree greedy incumbent (bucket queue,
+  lowest index on ties), and isolated/pendant-vertex reductions between
+  branchings.
 
 Both are exact and deterministic: repeated runs return the same size and
 the same witness. All bookkeeping is done on Python-int bitmasks, bit i
@@ -106,25 +107,45 @@ def brute_force_alpha(g: Graph, cap: int = BRUTE_FORCE_CAP) -> MisResult:
     return MisResult(best, IndependentSet(g.order, _mask_to_set(best_mask)), nodes, elapsed)
 
 
-def _greedy_incumbent(adj: tuple[int, ...], full: int, deadline: float | None) -> int:
-    """Greedy independent set: repeatedly take a minimum-degree vertex.
+def _greedy_incumbent(adj: tuple[int, ...], deadline: float | None) -> int:
+    """Greedy independent set of the whole graph: repeatedly take a
+    minimum-degree vertex, lowest index on ties, and delete its closed
+    neighbourhood. Degrees live in a bucket queue (Matula & Beck's
+    smallest-last ordering): ``buckets[d]`` masks the remaining vertices
+    of current degree d, so the whole run is O(n + m) bitmask updates.
     Raises ``SolveAborted`` once ``perf_counter()`` passes ``deadline``."""
+    deg = [nb.bit_count() for nb in adj]
+    buckets = [0] * (max(deg) + 1)
+    for v, d in enumerate(deg):
+        buckets[d] |= 1 << v
     chosen = 0
-    rem = full
+    rem = (1 << len(adj)) - 1
+    low = 0
     while rem:
         if deadline is not None and time.perf_counter() > deadline:
             raise SolveAborted("budget exceeded while building the greedy incumbent")
-        best_v, best_d = -1, 1 << 30
-        scan = rem
-        while scan:
-            bit = scan & -scan
-            scan ^= bit
-            v = bit.bit_length() - 1
-            d = (adj[v] & rem).bit_count()
-            if d < best_d:
-                best_v, best_d = v, d
-        chosen |= 1 << best_v
-        rem &= ~(adj[best_v] | 1 << best_v)
+        while not buckets[low]:
+            low += 1
+        bit = buckets[low] & -buckets[low]
+        chosen |= bit
+        removed = (adj[bit.bit_length() - 1] & rem) | bit
+        rem ^= removed
+        while removed:
+            ubit = removed & -removed
+            removed ^= ubit
+            u = ubit.bit_length() - 1
+            buckets[deg[u]] ^= ubit
+            nb = adj[u] & rem
+            while nb:
+                wbit = nb & -nb
+                nb ^= wbit
+                w = wbit.bit_length() - 1
+                d = deg[w]
+                buckets[d] ^= wbit
+                buckets[d - 1] |= wbit
+                deg[w] = d - 1
+                if d - 1 < low:
+                    low = d - 1
     return chosen
 
 
@@ -149,16 +170,19 @@ def alpha(g: Graph, budget_ms: float | None = None) -> MisResult:
     """Exact alpha by branch and bound; no size limit, no default timeout.
 
     ``budget_ms`` aborts the solve with ``SolveAborted`` once exceeded so
-    callers can report a distinguishable aborted status.
+    callers can report a distinguishable aborted status; it must be
+    positive (a NaN deadline would never pass).
     """
     if g.order < 1:
         raise ValueError("alpha needs a non-empty graph")
+    if budget_ms is not None and not budget_ms > 0:  # NaN included
+        raise ValueError(f"budget must be positive, got {budget_ms}")
     adj = g.adjacency_masks
     full = (1 << g.order) - 1
     deadline = None if budget_ms is None else time.perf_counter() + budget_ms / 1000.0
     start = time.perf_counter()
 
-    best_mask = _greedy_incumbent(adj, full, deadline)
+    best_mask = _greedy_incumbent(adj, deadline)
     best = best_mask.bit_count()
     nodes = 0
 

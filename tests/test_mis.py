@@ -6,13 +6,14 @@ import pytest
 from tokengraphs.graphs import Graph, complete, cycle, disjoint_union, fan, induced_subgraph, path, wheel
 from tokengraphs.mis import (
     SolveAborted,
+    _greedy_incumbent,
     alpha,
     alpha_avoiding,
     brute_force_alpha,
     is_independent,
 )
 from tokengraphs.operators import double_vertex, index_of, k_token, multiset_token, pair_graph
-from tokengraphs.verify import random_graph
+from tokengraphs.verify import FAMILIES, random_graph
 
 from .oracles import exhaustive_alpha
 
@@ -154,14 +155,62 @@ def test_alpha_budget_aborts():
 
 
 def test_alpha_budget_bounds_the_greedy_incumbent():
-    # 3240 vertices: the O(n^2) incumbent alone takes seconds, so the
-    # deadline has to be checked inside it, not only per search node
+    # 3240 vertices: the incumbent alone takes about 10 ms, so a 2 ms budget
+    # can only be honoured by a deadline check inside the incumbent loop
     g = pair_graph(cycle(80)).graph
     g.adjacency_masks
     start = time.perf_counter()
-    with pytest.raises(SolveAborted):
-        alpha(g, budget_ms=50)
+    with pytest.raises(SolveAborted, match="greedy incumbent"):
+        alpha(g, budget_ms=2)
     assert time.perf_counter() - start < 0.5
+
+
+def test_alpha_closes_big_pair_cycle_at_the_root_within_budget():
+    g = pair_graph(cycle(80)).graph
+    result = alpha(g, budget_ms=1000)
+    assert (g.order, result.alpha, result.nodes) == (3240, 1640, 1)
+
+
+@pytest.mark.parametrize("budget", [float("nan"), 0, -5.0])
+def test_alpha_rejects_non_positive_budget(budget):
+    # a NaN deadline never passes, so the solve would ignore its budget
+    with pytest.raises(ValueError, match="budget"):
+        alpha(path(3), budget_ms=budget)
+    with pytest.raises(ValueError, match="budget"):
+        alpha_avoiding(path(3), 2, budget_ms=budget)
+
+
+def _quadratic_greedy_incumbent(adj):
+    # reference: rescan every remaining vertex for the minimum degree,
+    # lowest index on ties, then delete its closed neighbourhood
+    chosen = 0
+    rem = (1 << len(adj)) - 1
+    while rem:
+        remaining = [v for v in range(len(adj)) if rem >> v & 1]
+        v = min(remaining, key=lambda u: ((adj[u] & rem).bit_count(), u))
+        chosen |= 1 << v
+        rem &= ~(adj[v] | 1 << v)
+    return chosen
+
+
+def _incumbent_corpus():
+    for fam in FAMILIES.values():
+        for m in range(max(3, fam.min_m), 16):
+            yield fam.derive(fam.base(m)).graph
+    for m in range(5, 11):
+        yield k_token(cycle(m), 3).graph
+        yield k_token(cycle(m), 4).graph
+    rng = random.Random(90)
+    for n in range(1, 41):
+        yield random_graph(rng, n)
+        yield random_graph(rng, rng.randint(1, 40))
+        yield Graph(n, frozenset())
+
+
+def test_greedy_incumbent_matches_quadratic_reference():
+    for g in _incumbent_corpus():
+        adj = g.adjacency_masks
+        assert _greedy_incumbent(adj, None) == _quadratic_greedy_incumbent(adj)
 
 
 @pytest.mark.parametrize("build, expected", [
