@@ -213,16 +213,27 @@ def test_greedy_incumbent_matches_quadratic_reference():
         assert _greedy_incumbent(adj, None) == _quadratic_greedy_incumbent(adj)
 
 
+def _bridged_f3_c7_pair():
+    # two F3(C7) copies and a vertex u adjacent to 1 and 36 with a pendant w:
+    # connected until the root reduction takes w and deletes u
+    two = disjoint_union(*[k_token(cycle(7), 3).graph] * 2)
+    u = two.order + 1
+    return Graph(u + 1, two.edges | {(1, u), (36, u), (u, u + 1)})
+
+
 @pytest.mark.parametrize("build, expected", [
     (lambda: k_token(cycle(9), 3).graph, (84, 38, 113)),
     (lambda: k_token(cycle(9), 4).graph, (126, 56, 1103)),
-    (lambda: disjoint_union(*[k_token(cycle(7), 3).graph] * 2), (70, 30, 269)),
+    (lambda: disjoint_union(*[k_token(cycle(7), 3).graph] * 2), (70, 30, 43)),
+    (lambda: disjoint_union(*[k_token(cycle(9), 3).graph] * 2), (168, 76, 227)),
+    (_bridged_f3_c7_pair, (72, 31, 43)),
     (lambda: double_vertex(wheel(9)).graph, (45, 18, 23)),
     (lambda: pair_graph(cycle(11)).graph, (66, 33, 9)),
-], ids=["F3(C9)", "F4(C9)", "2xF3(C7)", "F2(W9)", "C(C11)"])
+], ids=["F3(C9)", "F4(C9)", "2xF3(C7)", "2xF3(C9)", "bridge", "F2(W9)", "C(C11)"])
 def test_alpha_search_is_pinned(build, expected):
     # order, alpha and node count of the branch and bound; a change to the
-    # branching rule, the bound or the reductions moves the node count
+    # branching rule, the bound, the reductions or the component split
+    # moves the node count
     g = build()
     result = alpha(g)
     assert (g.order, result.alpha, result.nodes) == expected

@@ -129,6 +129,42 @@ def test_alpha_additive_over_disjoint_union(g, h):
     assert alpha(disjoint_union(g, h)).alpha == alpha(g).alpha + alpha(h).alpha
 
 
+@st.composite
+def five_cycles(draw):
+    order = draw(st.permutations(range(1, 6)))
+    return Graph(5, frozenset((order[i - 1], order[i]) for i in range(5)))
+
+
+@st.composite
+def bridged_unions(draw):
+    """Disjoint union of 2-3 graphs of order <= 5, each random or a
+    relabeled 5-cycle; a 5-cycle keeps the clique-cover bound from closing
+    the root, so the search reaches the component split. Some neighbouring
+    parts are joined by a new vertex u adjacent to one vertex on each side,
+    with a pendant w on u: the graph only falls apart once a reduction
+    takes w and deletes u."""
+    part = st.one_of(graphs(min_order=1, max_order=5), five_cycles())
+    parts = draw(st.lists(part, min_size=2, max_size=3))
+    g = parts[0]
+    for h in parts[1:]:
+        left = draw(st.integers(min_value=1, max_value=g.order))
+        right = g.order + draw(st.integers(min_value=1, max_value=h.order))
+        g = disjoint_union(g, h)
+        if draw(st.booleans()):
+            u = g.order + 1
+            g = Graph(u + 1, g.edges | {(left, u), (right, u), (u, u + 1)})
+    return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(bridged_unions())
+def test_alpha_on_disjoint_unions_matches_exhaustive_oracle(g):
+    result = alpha(g)
+    assert result.alpha == exhaustive_alpha(g)
+    assert len(result.witness.members) == result.alpha
+    assert is_independent(g, result.witness.members)
+
+
 @given(graphs(min_order=1, max_order=8))
 def test_alpha_witness_certifies_itself(g):
     result = alpha(g)
