@@ -6,11 +6,15 @@ Two independent routes are provided on purpose:
   ascending vertex order with only the trivial remaining-vertices bound.
   It is the oracle; it stays simple so it can be trusted.
 * ``alpha``: branch and bound. Branches on a maximum-degree vertex
-  (lowest index on ties), include branch first, greedy clique cover as
-  the upper bound, a minimum-degree greedy incumbent (bucket queue,
-  lowest index on ties), isolated/pendant-vertex reductions between
-  branchings, and connected components of the residual graph solved
-  separately at the root of each search.
+  (lowest index on ties), include branch first, a minimum-degree greedy
+  incumbent (bucket queue, lowest index on ties), isolated/pendant-vertex
+  reductions between branchings, and connected components of the
+  residual graph solved separately at the root of each search. Two upper
+  bounds: a greedy clique cover, and where it fails to prune, a cycle
+  cover read off a maximum matching of the bipartite double cover (the
+  LP plus cycle-cover bound of Akiba & Iwata, TCS 2016), each node
+  starting from its parent's matching. The cycle cover is exact on
+  bipartite graphs; the clique cover is the tighter one on cliques.
 
 Both are exact and deterministic: repeated runs return the same size and
 the same witness. All bookkeeping is done on Python-int bitmasks, bit i
@@ -20,7 +24,7 @@ standing for vertex i+1.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .graphs import Graph, delete_vertices
 
@@ -53,6 +57,8 @@ class MisResult:
     witness: IndependentSet
     nodes: int
     elapsed: float  # seconds
+    clique_prunes: int = 0  # nodes closed by the clique-cover bound
+    cover_prunes: int = 0  # nodes closed by the cycle-cover bound
 
 
 def is_independent(g: Graph, members) -> bool:
@@ -167,6 +173,116 @@ def _clique_cover_bound(adj: tuple[int, ...], mask: int) -> int:
     return count
 
 
+def _cycle_cover_bound(
+    adj: tuple[int, ...], mask: int, matching: tuple, deadline: float | None
+) -> tuple[int, tuple]:
+    """Upper bound on alpha of the subgraph induced by ``mask`` from a
+    maximum matching of its bipartite double cover, where u' sees v'' for
+    each edge uv. Read as arcs u -> v, the matching gives every vertex at
+    most one arc out and one in, so it splits ``mask`` into paths and
+    cycles of the graph: a cycle of L vertices holds at most floor(L/2)
+    independent vertices, a path (an unmatched vertex is a path of one) at
+    most ceil(L/2).
+
+    ``matching`` is ``(out, inn, tails, heads)``: ``out[u] == v`` and
+    ``inn[v] == u`` for each arc u -> v, and the masks ``tails`` and
+    ``heads`` hold the vertices with an arc out and an arc in; list entries
+    outside them are stale. It may be a matching of a larger vertex set
+    (the parent node's): arcs that touch vertices outside ``mask`` are
+    dropped, the vertices left without an arc out get a free neighbour
+    greedily, and the rest are augmented by depth-first Kuhn searches on
+    an explicit stack. Returns ``(bound, matching)`` and leaves the given
+    matching intact. Raises ``SolveAborted`` once ``perf_counter()``
+    passes ``deadline``."""
+    out, inn, tails, heads = matching
+    out, inn = out[:], inn[:]
+    gone = tails & ~mask
+    while gone:
+        bit = gone & -gone
+        gone ^= bit
+        heads &= ~(1 << out[bit.bit_length() - 1])
+    gone = heads & ~mask
+    while gone:
+        bit = gone & -gone
+        gone ^= bit
+        tails &= ~(1 << inn[bit.bit_length() - 1])
+    tails &= mask
+    heads &= mask
+
+    free_heads = mask & ~heads
+    pending = mask & ~tails
+    while pending:
+        ubit = pending & -pending
+        pending ^= ubit
+        u = ubit.bit_length() - 1
+        hit = adj[u] & free_heads
+        if hit:
+            vbit = hit & -hit
+            v = vbit.bit_length() - 1
+            out[u], inn[v] = v, u
+            tails |= ubit
+            free_heads ^= vbit
+    # ``dead`` holds the heads that failed searches reached. Their mates see
+    # only dead heads, so an alternating path that enters them never gets
+    # out to a free head, before or after later augmentations.
+    dead = 0
+    pending = mask & ~tails
+    while pending:
+        if deadline is not None and time.perf_counter() > deadline:
+            raise SolveAborted("budget exceeded while matching the cycle-cover bound")
+        ubit = pending & -pending
+        pending ^= ubit
+        u = ubit.bit_length() - 1
+        seen = dead
+        stack = [u]
+        while stack:
+            x = stack[-1]
+            cand = adj[x] & mask & ~seen
+            hit = cand & free_heads
+            if hit:
+                vbit = hit & -hit
+                free_heads ^= vbit
+                tails |= ubit
+                v = vbit.bit_length() - 1
+                for x in reversed(stack):  # flip the alternating path
+                    out[x], inn[v], v = v, x, out[x]
+                break
+            if cand:
+                vbit = cand & -cand
+                seen |= vbit
+                stack.append(inn[vbit.bit_length() - 1])
+            else:
+                stack.pop()
+        if not tails & ubit:
+            dead = seen
+    heads = mask & ~free_heads
+
+    bound = 0
+    rest = mask
+    starts = mask & ~heads
+    while starts:
+        bit = starts & -starts
+        starts ^= bit
+        rest ^= bit
+        u, length = bit.bit_length() - 1, 1
+        while tails >> u & 1:
+            u = out[u]
+            rest ^= 1 << u
+            length += 1
+        bound += (length + 1) // 2
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        first = bit.bit_length() - 1
+        u, length = out[first], 1
+        while u != first:
+            rest ^= 1 << u
+            u = out[u]
+            length += 1
+        bound += length // 2
+    return bound, (out, inn, tails, heads)
+
+
 def _components(adj: tuple[int, ...], mask: int):
     """Yield the vertex masks of the connected components of the subgraph
     induced by ``mask``, in order of their lowest vertex (a flood fill on
@@ -198,16 +314,17 @@ def alpha(g: Graph, budget_ms: float | None = None) -> MisResult:
     deadline = None if budget_ms is None else time.perf_counter() + budget_ms / 1000.0
     start = time.perf_counter()
 
-    nodes = 0
+    nodes = clique_prunes = cover_prunes = 0
 
-    def search(mask: int, incumbent: int) -> int:
+    def search(mask: int, incumbent: int, matching: tuple) -> int:
         """Maximum independent set of the subgraph induced by ``mask``;
-        ``incumbent`` is an independent subset of ``mask`` to beat."""
+        ``incumbent`` is an independent subset of ``mask`` to beat and
+        ``matching`` a start for the cycle-cover bound."""
         best_mask = incumbent
         best = incumbent.bit_count()
 
-        def solve(mask: int, chosen: int, size: int, root: bool) -> None:
-            nonlocal best, best_mask, nodes
+        def solve(mask: int, chosen: int, size: int, root: bool, matching: tuple) -> None:
+            nonlocal best, best_mask, nodes, clique_prunes, cover_prunes
             nodes += 1
 
             # Isolated and pendant vertices can always be taken; loop until
@@ -247,6 +364,12 @@ def alpha(g: Graph, budget_ms: float | None = None) -> MisResult:
                     best, best_mask = size, chosen
                 return
             if size + _clique_cover_bound(adj, mask) <= best:
+                clique_prunes += 1
+                return
+            # the children start from this node's matching
+            bound, matching = _cycle_cover_bound(adj, mask, matching, deadline)
+            if size + bound <= best:
+                cover_prunes += 1
                 return
 
             # Split into components only at the root: a check at every node
@@ -256,23 +379,25 @@ def alpha(g: Graph, budget_ms: float | None = None) -> MisResult:
                 comps = list(_components(adj, mask))
                 if len(comps) > 1:
                     for comp in comps:
-                        chosen |= search(comp, best_mask & comp)
+                        chosen |= search(comp, best_mask & comp, matching)
                     # optimal: the reductions are safe and each component
                     # search returns a maximum set of its component
                     best_mask = chosen
                     return
 
             vbit = 1 << branch_v
-            solve(mask & ~(adj[branch_v] | vbit), chosen | vbit, size + 1, False)
-            solve(mask ^ vbit, chosen, size, False)
+            solve(mask & ~(adj[branch_v] | vbit), chosen | vbit, size + 1, False, matching)
+            solve(mask ^ vbit, chosen, size, False, matching)
 
-        solve(mask, 0, 0, True)
+        solve(mask, 0, 0, True, matching)
         return best_mask
 
-    best_mask = search(full, _greedy_incumbent(adj, deadline))
+    no_arcs = [-1] * g.order
+    best_mask = search(full, _greedy_incumbent(adj, deadline), (no_arcs, no_arcs, 0, 0))
     elapsed = time.perf_counter() - start
     return MisResult(
-        best_mask.bit_count(), IndependentSet(g.order, _mask_to_set(best_mask)), nodes, elapsed
+        best_mask.bit_count(), IndependentSet(g.order, _mask_to_set(best_mask)), nodes, elapsed,
+        clique_prunes, cover_prunes,
     )
 
 
@@ -286,4 +411,4 @@ def alpha_avoiding(g: Graph, v: int, budget_ms: float | None = None) -> MisResul
     result = alpha(reduced, budget_ms=budget_ms)
     back = {new: old for old, new in old_to_new.items()}
     members = frozenset(back[w] for w in result.witness.members)
-    return MisResult(result.alpha, IndependentSet(g.order, members), result.nodes, result.elapsed)
+    return replace(result, witness=IndependentSet(g.order, members))

@@ -6,6 +6,7 @@ import pytest
 from tokengraphs.graphs import Graph, complete, cycle, disjoint_union, fan, induced_subgraph, path, wheel
 from tokengraphs.mis import (
     SolveAborted,
+    _cycle_cover_bound,
     _greedy_incumbent,
     alpha,
     alpha_avoiding,
@@ -171,6 +172,45 @@ def test_alpha_closes_big_pair_cycle_at_the_root_within_budget():
     assert (g.order, result.alpha, result.nodes) == (3240, 1640, 1)
 
 
+def test_alpha_budget_holds_inside_the_cycle_cover_matching():
+    g = k_token(cycle(15), 3).graph
+    start = time.perf_counter()
+    with pytest.raises(SolveAborted):
+        alpha(g, budget_ms=50)
+    assert time.perf_counter() - start < 0.5
+    # on a path of three the greedy start leaves vertex 3 free, so the
+    # augmenting loop runs and sees the passed deadline
+    no_arcs = [-1] * 3
+    with pytest.raises(SolveAborted, match="cycle-cover"):
+        _cycle_cover_bound(path(3).adjacency_masks, 0b111, (no_arcs, no_arcs, 0, 0),
+                           time.perf_counter() - 1)
+
+
+def test_cycle_cover_bound_on_a_big_graph_does_not_recurse():
+    # 3240 vertices: a recursive augmenting search would hit the
+    # interpreter's recursion limit on long alternating paths
+    g = pair_graph(cycle(80)).graph
+    no_arcs = [-1] * g.order
+    bound, _ = _cycle_cover_bound(g.adjacency_masks, (1 << g.order) - 1,
+                                  (no_arcs, no_arcs, 0, 0), None)
+    assert bound == 1640
+
+
+def test_alpha_counts_which_bound_closed_nodes():
+    # triangle-free: the clique cover stalls at n/2, odd cycles close nodes
+    result = alpha(k_token(cycle(11), 3).graph)
+    assert result.cover_prunes > 0
+    assert result.clique_prunes + result.cover_prunes < result.nodes
+    big = alpha(pair_graph(cycle(80)).graph)
+    assert (big.nodes, big.cover_prunes) == (1, 0)
+
+
+@pytest.mark.slow
+def test_alpha_solves_f3_c15():
+    # the standing gate for the exact search: about 8 s on a 2-vCPU Xeon
+    assert alpha(k_token(cycle(15), 3).graph, budget_ms=120_000).alpha == 213
+
+
 @pytest.mark.parametrize("budget", [float("nan"), 0, -5.0])
 def test_alpha_rejects_non_positive_budget(budget):
     # a NaN deadline never passes, so the solve would ignore its budget
@@ -222,18 +262,20 @@ def _bridged_f3_c7_pair():
 
 
 @pytest.mark.parametrize("build, expected", [
-    (lambda: k_token(cycle(9), 3).graph, (84, 38, 113)),
-    (lambda: k_token(cycle(9), 4).graph, (126, 56, 1103)),
-    (lambda: disjoint_union(*[k_token(cycle(7), 3).graph] * 2), (70, 30, 43)),
-    (lambda: disjoint_union(*[k_token(cycle(9), 3).graph] * 2), (168, 76, 227)),
-    (_bridged_f3_c7_pair, (72, 31, 43)),
-    (lambda: double_vertex(wheel(9)).graph, (45, 18, 23)),
-    (lambda: pair_graph(cycle(11)).graph, (66, 33, 9)),
-], ids=["F3(C9)", "F4(C9)", "2xF3(C7)", "2xF3(C9)", "bridge", "F2(W9)", "C(C11)"])
+    (lambda: k_token(cycle(9), 3).graph, (84, 38, 31)),
+    (lambda: k_token(cycle(9), 4).graph, (126, 56, 129)),
+    (lambda: disjoint_union(*[k_token(cycle(7), 3).graph] * 2), (70, 30, 15)),
+    (lambda: disjoint_union(*[k_token(cycle(9), 3).graph] * 2), (168, 76, 63)),
+    (_bridged_f3_c7_pair, (72, 31, 15)),
+    (lambda: double_vertex(wheel(9)).graph, (45, 18, 17)),
+    (lambda: pair_graph(cycle(11)).graph, (66, 33, 1)),
+    (lambda: k_token(cycle(13), 3).graph, (286, 132, 1597)),
+], ids=["F3(C9)", "F4(C9)", "2xF3(C7)", "2xF3(C9)", "bridge", "F2(W9)", "C(C11)", "F3(C13)"])
 def test_alpha_search_is_pinned(build, expected):
     # order, alpha and node count of the branch and bound; a change to the
-    # branching rule, the bound, the reductions or the component split
-    # moves the node count
+    # branching rule, the bounds (clique cover, cycle cover and the matching
+    # it starts from), the reductions or the component split moves the
+    # node count
     g = build()
     result = alpha(g)
     assert (g.order, result.alpha, result.nodes) == expected

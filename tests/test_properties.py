@@ -14,7 +14,7 @@ from tokengraphs.graphs import (
     is_isomorphic,
     join,
 )
-from tokengraphs.mis import alpha, brute_force_alpha, is_independent
+from tokengraphs.mis import _cycle_cover_bound, alpha, brute_force_alpha, is_independent
 from tokengraphs.operators import double_vertex, pair_graph, subset_restriction
 from tokengraphs.verify import check_token_deletion_commutes
 
@@ -130,21 +130,29 @@ def test_alpha_additive_over_disjoint_union(g, h):
 
 
 @st.composite
-def five_cycles(draw):
-    order = draw(st.permutations(range(1, 6)))
-    return Graph(5, frozenset((order[i - 1], order[i]) for i in range(5)))
+def relabeled_cycles(draw, lengths=(3, 5, 7, 9, 11)):
+    n = draw(st.sampled_from(lengths))
+    order = draw(st.permutations(range(1, n + 1)))
+    return Graph(n, frozenset((order[i - 1], order[i]) for i in range(n)))
+
+
+def with_apex(g):
+    apex = g.order + 1
+    return Graph(apex, g.edges | {(v, apex) for v in g.vertices})
 
 
 @st.composite
 def bridged_unions(draw):
-    """Disjoint union of 2-3 graphs of order <= 5, each random or a
-    relabeled 5-cycle; a 5-cycle keeps the clique-cover bound from closing
-    the root, so the search reaches the component split. Some neighbouring
-    parts are joined by a new vertex u adjacent to one vertex on each side,
-    with a pendant w on u: the graph only falls apart once a reduction
-    takes w and deletes u."""
-    part = st.one_of(graphs(min_order=1, max_order=5), five_cycles())
-    parts = draw(st.lists(part, min_size=2, max_size=3))
+    """Disjoint union of 2-3 graphs of order <= 6 (at most 16 vertices in
+    all), each random of order <= 5 or a relabeled 5-wheel. Every graph of
+    order <= 5 closes at the root, but a 5-wheel keeps both bounds at 3
+    against an alpha of 2, so the search reaches the component split. Some
+    neighbouring parts are joined by a new vertex u adjacent to one vertex
+    on each side, with a pendant w on u: the graph only falls apart once a
+    reduction takes w and deletes u."""
+    part = st.one_of(graphs(min_order=1, max_order=5), relabeled_cycles((5,)).map(with_apex))
+    parts = draw(st.lists(part, min_size=2, max_size=3).filter(
+        lambda ps: sum(p.order for p in ps) <= 16))
     g = parts[0]
     for h in parts[1:]:
         left = draw(st.integers(min_value=1, max_value=g.order))
@@ -163,6 +171,95 @@ def test_alpha_on_disjoint_unions_matches_exhaustive_oracle(g):
     assert result.alpha == exhaustive_alpha(g)
     assert len(result.witness.members) == result.alpha
     assert is_independent(g, result.witness.members)
+
+
+def _reference_matching_size(g, vertices):
+    """Maximum matching of the bipartite double cover of the subgraph of g
+    induced by ``vertices`` (u' sees v'' for each edge uv), by recursive
+    Kuhn augmentation over plain dicts."""
+    mate = {}
+
+    def augment(u, seen):
+        for v in vertices:
+            if v not in seen and g.has_edge(u, v):
+                seen.add(v)
+                if v not in mate or augment(mate[v], seen):
+                    mate[v] = u
+                    return True
+        return False
+
+    return sum(augment(u, set()) for u in vertices)
+
+
+def _random_matching(g, rng):
+    """A random matching of g's double cover, not necessarily maximal or
+    maximum, in the solver's ``(out, inn, tails, heads)`` form with
+    0-based vertices; list entries off the matching hold junk."""
+    out = [rng.randrange(g.order) for _ in range(g.order)]
+    inn = [rng.randrange(g.order) for _ in range(g.order)]
+    tails = heads = 0
+    arcs = [(a - 1, b - 1) for u, v in sorted(g.edges) for a, b in ((u, v), (v, u))]
+    rng.shuffle(arcs)
+    for u, v in arcs:
+        if rng.random() < 0.7 and not (tails >> u & 1 or heads >> v & 1):
+            out[u], inn[v] = v, u
+            tails, heads = tails | 1 << u, heads | 1 << v
+    return out, inn, tails, heads
+
+
+def _bound_of_pieces(g, mask, matching):
+    """Check that the arcs u -> out[u] split ``mask`` into paths and cycles
+    of g, and return the sum of ceil(L/2) over the paths and floor(L/2)
+    over the cycles."""
+    out, inn, tails, heads = matching
+    vertices = [v for v in range(g.order) if mask >> v & 1]
+    assert not (tails | heads) & ~mask
+    arcs = {u: out[u] for u in vertices if tails >> u & 1}
+    assert sorted(arcs.values()) == [v for v in vertices if heads >> v & 1]
+    for u, v in arcs.items():
+        assert g.has_edge(u + 1, v + 1) and inn[v] == u
+    unseen = set(vertices)
+    bound = 0
+    for start in [v for v in vertices if not heads >> v & 1]:
+        length, u = 1, start
+        unseen.remove(u)
+        while u in arcs:
+            u = arcs[u]
+            unseen.remove(u)
+            length += 1
+        bound += (length + 1) // 2
+    while unseen:
+        start = u = min(unseen)
+        length = 0
+        while True:
+            unseen.remove(u)
+            length += 1
+            u = arcs[u]
+            if u == start:
+                break
+        bound += length // 2
+    return bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(bridged_unions(), relabeled_cycles()), st.data())
+def test_cycle_cover_bound_from_cold_and_stale_matchings(g, data):
+    keep = data.draw(st.one_of(
+        st.just(set(g.vertices)),
+        st.sets(st.integers(min_value=1, max_value=g.order), min_size=1),
+    ))
+    mask = sum(1 << (v - 1) for v in keep)
+    expected_alpha = exhaustive_alpha(induced_subgraph(g, keep)[0])
+    expected_size = _reference_matching_size(g, sorted(keep))
+    no_arcs = [-1] * g.order
+    stale = _random_matching(g, data.draw(st.randoms(use_true_random=False)))
+    for start in ((no_arcs, no_arcs, 0, 0), stale):
+        kept = (start[0][:], start[1][:], start[2], start[3])
+        bound, matching = _cycle_cover_bound(g.adjacency_masks, mask, start, None)
+        assert start == kept
+        assert bound >= expected_alpha
+        assert matching[2].bit_count() == expected_size
+        assert bound == _bound_of_pieces(g, mask, matching)
 
 
 @given(graphs(min_order=1, max_order=8))
