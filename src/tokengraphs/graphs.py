@@ -24,6 +24,18 @@ def _normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _is_normalized(edges: frozenset, order: int) -> bool:
+    """True iff every edge is a 2-tuple (u, v) with 1 <= u < v <= order,
+    the form ``Graph`` stores."""
+    for e in edges:
+        if type(e) is not tuple or len(e) != 2:
+            return False
+        u, v = e
+        if not 0 < u < v <= order:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph: ``order`` vertices labeled 1..order and a
@@ -35,6 +47,8 @@ class Graph:
     def __post_init__(self) -> None:
         if self.order < 0:
             raise ValueError(f"order must be non-negative, got {self.order}")
+        if type(self.edges) is frozenset and _is_normalized(self.edges, self.order):
+            return
         normalized = frozenset(_normalize_edge(u, v) for u, v in self.edges)
         for u, v in normalized:
             if not (1 <= u <= self.order and 1 <= v <= self.order):

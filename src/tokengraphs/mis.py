@@ -15,6 +15,9 @@ Two independent routes are provided on purpose:
   LP plus cycle-cover bound of Akiba & Iwata, TCS 2016), each node
   starting from its parent's matching. The cycle cover is exact on
   bipartite graphs; the clique cover is the tighter one on cliques.
+  Each node inherits its vertex degrees from its parent, so the
+  reductions revisit only the vertices whose degree dropped, and the
+  search runs on an explicit stack, not on interpreter frames.
 
 Both are exact and deterministic: repeated runs return the same size and
 the same witness. All bookkeeping is done on Python-int bitmasks, bit i
@@ -59,6 +62,8 @@ class MisResult:
     elapsed: float  # seconds
     clique_prunes: int = 0  # nodes closed by the clique-cover bound
     cover_prunes: int = 0  # nodes closed by the cycle-cover bound
+    reductions: int = 0  # vertices taken by the isolated/pendant rule
+    max_depth: int = 0  # most branchings above any search node
 
 
 def is_independent(g: Graph, members) -> bool:
@@ -298,6 +303,26 @@ def _components(adj: tuple[int, ...], mask: int):
         yield comp
 
 
+def _drop(adj: tuple[int, ...], deg: list[int], mask: int, gone: int) -> int:
+    """Take the vertices of ``gone`` out of the degree table ``deg`` of the
+    subgraph that ``mask`` (already without them) induces: they get -1 and
+    each survivor loses one per removed neighbour. Returns the mask of the
+    survivors whose degree dropped."""
+    dirty = 0
+    while gone:
+        bit = gone & -gone
+        gone ^= bit
+        x = bit.bit_length() - 1
+        deg[x] = -1
+        nb = adj[x] & mask
+        dirty |= nb
+        while nb:
+            wbit = nb & -nb
+            nb ^= wbit
+            deg[wbit.bit_length() - 1] -= 1
+    return dirty
+
+
 def alpha(g: Graph, budget_ms: float | None = None) -> MisResult:
     """Exact alpha by branch and bound; no size limit, no default timeout.
 
@@ -310,94 +335,106 @@ def alpha(g: Graph, budget_ms: float | None = None) -> MisResult:
     if budget_ms is not None and not budget_ms > 0:  # NaN included
         raise ValueError(f"budget must be positive, got {budget_ms}")
     adj = g.adjacency_masks
-    full = (1 << g.order) - 1
+    n = g.order
     deadline = None if budget_ms is None else time.perf_counter() + budget_ms / 1000.0
     start = time.perf_counter()
 
-    nodes = clique_prunes = cover_prunes = 0
+    nodes = clique_prunes = cover_prunes = reductions = max_depth = 0
 
     def search(mask: int, incumbent: int, matching: tuple) -> int:
         """Maximum independent set of the subgraph induced by ``mask``;
         ``incumbent`` is an independent subset of ``mask`` to beat and
         ``matching`` a start for the cycle-cover bound."""
+        nonlocal nodes, clique_prunes, cover_prunes, reductions, max_depth
         best_mask = incumbent
         best = incumbent.bit_count()
 
-        def solve(mask: int, chosen: int, size: int, root: bool, matching: tuple) -> None:
-            nonlocal best, best_mask, nodes, clique_prunes, cover_prunes
+        # ``deg[v]`` is v's degree in the node's residual graph, -1 once v is
+        # gone; ``dirty`` masks the vertices whose degree dropped since the
+        # reductions last looked at them (all of them at the root).
+        deg = [(nb & mask).bit_count() if mask >> v & 1 else -1 for v, nb in enumerate(adj)]
+        # Frames are (mask, chosen, size, depth, deg, dirty, matching); the
+        # exclude child is pushed under the include child, so nodes are
+        # visited in the order a recursive search would visit them.
+        stack = [(mask, 0, 0, 0, deg, mask, matching)]
+        while stack:
+            mask, chosen, size, depth, deg, dirty, matching = stack.pop()
             nodes += 1
+            if depth > max_depth:
+                max_depth = depth
 
-            # Isolated and pendant vertices can always be taken; loop until
-            # none are left since each take can create new ones. The pass that
-            # takes nothing also picks the branching vertex: maximum degree,
-            # lowest index on ties.
-            reduced = True
-            while reduced:
+            # Isolated and pendant vertices can always be taken. Each pass
+            # visits the dirty vertices in index order, as a full pass over
+            # the residual graph would (the others still have degree >= 2):
+            # a vertex dirtied ahead of the cursor joins this pass, one
+            # dirtied behind it waits for the next.
+            while True:
                 if deadline is not None and time.perf_counter() > deadline:
                     raise SolveAborted(f"budget {budget_ms} ms exceeded after {nodes} nodes")
-                reduced = False
-                branch_v, branch_d = -1, -1
-                scan = mask
+                scan, dirty = dirty & mask, 0
                 while scan:
                     bit = scan & -scan
                     scan ^= bit
-                    if not mask & bit:
-                        continue
                     v = bit.bit_length() - 1
-                    nb = adj[v] & mask
-                    d = nb.bit_count()
-                    if d > branch_d:
-                        branch_v, branch_d = v, d
-                    if d == 0:
-                        mask ^= bit
-                        chosen |= bit
-                        size += 1
-                        reduced = True
-                    elif d == 1:
-                        mask &= ~(nb | bit)
-                        chosen |= bit
-                        size += 1
-                        reduced = True
+                    d = deg[v]
+                    if d > 1 or d < 0:  # still of degree >= 2, or gone
+                        continue
+                    # take v; a pendant's one neighbour goes with it
+                    gone = (adj[v] & mask) | bit
+                    mask ^= gone
+                    chosen |= bit
+                    size += 1
+                    reductions += 1
+                    new = _drop(adj, deg, mask, gone)
+                    ahead = new & -(bit << 1)
+                    scan |= ahead
+                    dirty |= new ^ ahead
+                if not dirty:
+                    break
 
             if mask == 0:
                 if size > best:
                     best, best_mask = size, chosen
-                return
+                continue
             if size + _clique_cover_bound(adj, mask) <= best:
                 clique_prunes += 1
-                return
+                continue
             # the children start from this node's matching
             bound, matching = _cycle_cover_bound(adj, mask, matching, deadline)
             if size + bound <= best:
                 cover_prunes += 1
-                return
+                continue
 
             # Split into components only at the root: a check at every node
             # found no split below the root on k-token graphs of cycles and
             # cost 13-17% per node.
-            if root:
+            if depth == 0:
                 comps = list(_components(adj, mask))
                 if len(comps) > 1:
                     for comp in comps:
                         chosen |= search(comp, best_mask & comp, matching)
                     # optimal: the reductions are safe and each component
                     # search returns a maximum set of its component
-                    best_mask = chosen
-                    return
+                    return chosen
 
-            vbit = 1 << branch_v
-            solve(mask & ~(adj[branch_v] | vbit), chosen | vbit, size + 1, False, matching)
-            solve(mask ^ vbit, chosen, size, False, matching)
-
-        solve(mask, 0, 0, True, matching)
+            # branch on a maximum-degree vertex, lowest index on ties
+            v = deg.index(max(deg))
+            vbit = 1 << v
+            closed = (adj[v] & mask) | vbit
+            include_deg = deg[:]
+            include_dirty = _drop(adj, include_deg, mask & ~closed, closed)
+            exclude_dirty = _drop(adj, deg, mask ^ vbit, vbit)
+            stack.append((mask ^ vbit, chosen, size, depth + 1, deg, exclude_dirty, matching))
+            stack.append((mask & ~closed, chosen | vbit, size + 1, depth + 1, include_deg,
+                          include_dirty, matching))
         return best_mask
 
-    no_arcs = [-1] * g.order
-    best_mask = search(full, _greedy_incumbent(adj, deadline), (no_arcs, no_arcs, 0, 0))
+    no_arcs = [-1] * n
+    best_mask = search((1 << n) - 1, _greedy_incumbent(adj, deadline), (no_arcs, no_arcs, 0, 0))
     elapsed = time.perf_counter() - start
     return MisResult(
-        best_mask.bit_count(), IndependentSet(g.order, _mask_to_set(best_mask)), nodes, elapsed,
-        clique_prunes, cover_prunes,
+        best_mask.bit_count(), IndependentSet(n, _mask_to_set(best_mask)), nodes, elapsed,
+        clique_prunes, cover_prunes, reductions, max_depth,
     )
 
 

@@ -22,14 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
+from operator import ge, gt
 
-from .graphs import Edge, Graph
+from .graphs import Graph
 
 SUBSET = "subset"
 MULTISET = "multiset"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenVertex:
     """A sorted tuple of base-graph vertices used as a vertex label.
 
@@ -46,10 +47,13 @@ class TokenVertex:
             raise ValueError(f"unknown token kind {self.kind!r}")
         if not self.elements:
             raise ValueError("token needs at least one element")
-        object.__setattr__(self, "elements", tuple(self.elements))
-        for a, b in zip(self.elements, self.elements[1:]):
-            if a > b or (a == b and self.kind == SUBSET):
-                raise ValueError(f"elements {self.elements} invalid for {self.kind} token")
+        elements = self.elements
+        if type(elements) is not tuple:
+            elements = tuple(elements)
+            object.__setattr__(self, "elements", elements)
+        # subset elements strictly increase, multiset elements never decrease
+        if any(map(ge if self.kind == SUBSET else gt, elements, elements[1:])):
+            raise ValueError(f"elements {elements} invalid for {self.kind} token")
 
     @property
     def a(self) -> int:
@@ -140,15 +144,19 @@ def k_token(g: Graph, k: int) -> DerivedGraph:
     if not (1 <= k <= g.order):
         raise ValueError(f"k must satisfy 1 <= k <= {g.order}, got {k}")
     labels = tuple(TokenVertex(SUBSET, combo) for combo in combinations(g.vertices, k))
-    index = {tok.elements: i for i, tok in enumerate(labels, start=1)}
-    rest = set(g.vertices)
-    edges: set[Edge] = set()
+    # a k-subset is indexed by its bitmask, bit x-1 standing for vertex x,
+    # so a move x -> y is two ORs and a lookup
+    bits = [1 << x for x in range(g.order)]
+    index = {sum(combo): i for i, combo in enumerate(combinations(bits, k), start=1)}
+    edges = []
     for x, y in g.edges:
-        movable = sorted(rest - {x, y})
-        for stay in combinations(movable, k - 1):
-            i = index[tuple(sorted(stay + (x,)))]
-            j = index[tuple(sorted(stay + (y,)))]
-            edges.add((i, j) if i < j else (j, i))
+        bx, by = bits[x - 1], bits[y - 1]
+        movable = [b for b in bits if b != bx and b != by]
+        # with x < y, stay + {x} comes before stay + {y} in the label order
+        edges += [
+            (index[stay | bx], index[stay | by])
+            for stay in map(sum, combinations(movable, k - 1))
+        ]
     return DerivedGraph(Graph(len(labels), frozenset(edges)), labels, g.order)
 
 
@@ -157,17 +165,21 @@ def pair_graph(g: Graph) -> DerivedGraph:
     of g. Needs g.order >= 2."""
     if g.order < 2:
         raise ValueError(f"pair graph needs base order >= 2, got {g.order}")
+    n = g.order
     labels = tuple(
         TokenVertex(MULTISET, combo)
         for combo in combinations_with_replacement(g.vertices, 2)
     )
-    index = {tok.elements: i for i, tok in enumerate(labels, start=1)}
-    edges: set[Edge] = set()
+    # {a, b} with a <= b is label start[a] + b: the (a - 1)(2n + 2 - a) / 2
+    # labels {a', .} with a' < a come first, then {a, a} .. {a, b}
+    start = [(a - 1) * (2 * n - a) // 2 for a in range(n + 1)]
+    edges = []
     for x, y in g.edges:
-        for shared in g.vertices:
-            i = index[(shared, x) if shared <= x else (x, shared)]
-            j = index[(shared, y) if shared <= y else (y, shared)]
-            edges.add((i, j) if i < j else (j, i))
+        # {s, x} ~ {s, y} for every shared s; with x < y the first is the
+        # lower index, whichever side of x and y s falls on
+        edges += [(start[s] + x, start[s] + y) for s in range(1, x + 1)]
+        edges += [(start[x] + s, start[s] + y) for s in range(x + 1, y + 1)]
+        edges += [(start[x] + s, start[y] + s) for s in range(y + 1, n + 1)]
     return DerivedGraph(Graph(len(labels), frozenset(edges)), labels, g.order)
 
 

@@ -46,6 +46,18 @@ def naive_double_vertex_edges(g: Graph) -> set[frozenset]:
     return edges
 
 
+def naive_k_token_edges(g: Graph, k: int) -> set[frozenset]:
+    """Adjacency of k-subsets from the definition: S ~ T iff their
+    symmetric difference has two elements and those form an edge of g."""
+    tokens = list(combinations(g.vertices, k))
+    edges = set()
+    for t1, t2 in combinations(tokens, 2):
+        diff = set(t1) ^ set(t2)
+        if len(diff) == 2 and g.has_edge(*diff):
+            edges.add(frozenset((t1, t2)))
+    return edges
+
+
 def naive_pair_adjacent(g: Graph, t1: tuple[int, int], t2: tuple[int, int]) -> bool:
     """Adjacency of 2-multisets: some common element (with multiplicity)
     leaves two distinct remainders that are adjacent in g."""

@@ -33,6 +33,38 @@ def test_graph_normalizes_edge_orientation():
     assert g.has_edge(1, 3) and g.has_edge(3, 1)
 
 
+@pytest.mark.parametrize("edges", [
+    frozenset({(2, 1), (3, 2)}),  # reversed, inside a frozenset
+    {(1, 2), (3, 2)},  # a set
+    [(2, 1), (2, 3), (1, 2)],  # a list, with a repeat
+    frozenset({frozenset({1, 2}), frozenset({3, 2})}),  # pairs that are not tuples
+])
+def test_graph_normalizes_any_edge_collection(edges):
+    g = Graph(3, edges)
+    assert type(g.edges) is frozenset
+    assert g.edges == frozenset({(1, 2), (2, 3)})
+    assert {type(e) for e in g.edges} == {tuple}
+
+
+def test_graph_keeps_a_normalized_frozenset():
+    edges = frozenset({(1, 2), (2, 3)})
+    assert Graph(3, edges).edges == edges
+
+
+@pytest.mark.parametrize("edges, message", [
+    (frozenset({(1, 2), (1, 2, 3)}), r"^too many values to unpack \(expected 2\)$"),
+    (frozenset({(1, 2), (1,)}), r"^not enough values to unpack \(expected 2, got 1\)$"),
+    (frozenset({(1, 2), (2, 2)}), r"^loop edge \(2, 2\) is not allowed$"),
+    ([(1, 2), (3, 3)], r"^loop edge \(3, 3\) is not allowed$"),
+    (frozenset({(1, 2), (2, 5)}), r"^edge \(2, 5\) out of range 1..4$"),
+    (frozenset({(0, 1), (1, 2)}), r"^edge \(0, 1\) out of range 1..4$"),
+    (frozenset({(5, 2)}), r"^edge \(2, 5\) out of range 1..4$"),
+])
+def test_graph_rejections_and_messages(edges, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(4, edges)
+
+
 def test_empty_graph_is_representable():
     g = Graph(0)
     assert g.order == 0 and g.size == 0

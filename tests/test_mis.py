@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 
 import pytest
@@ -270,7 +271,11 @@ def _bridged_f3_c7_pair():
     (lambda: double_vertex(wheel(9)).graph, (45, 18, 17)),
     (lambda: pair_graph(cycle(11)).graph, (66, 33, 1)),
     (lambda: k_token(cycle(13), 3).graph, (286, 132, 1597)),
-], ids=["F3(C9)", "F4(C9)", "2xF3(C7)", "2xF3(C9)", "bridge", "F2(W9)", "C(C11)", "F3(C13)"])
+    (lambda: double_vertex(wheel(23)).graph, (276, 126, 47)),
+    (lambda: pair_graph(wheel(23)).graph, (300, 139, 41)),
+    (lambda: double_vertex(path(40)).graph, (780, 400, 1)),
+], ids=["F3(C9)", "F4(C9)", "2xF3(C7)", "2xF3(C9)", "bridge", "F2(W9)",
+        "C(C11)", "F3(C13)", "F2(W23)", "C(W23)", "F2(P40)"])
 def test_alpha_search_is_pinned(build, expected):
     # order, alpha and node count of the branch and bound; a change to the
     # branching rule, the bounds (clique cover, cycle cover and the matching
@@ -279,6 +284,48 @@ def test_alpha_search_is_pinned(build, expected):
     g = build()
     result = alpha(g)
     assert (g.order, result.alpha, result.nodes) == expected
+
+
+@pytest.mark.parametrize("build, expected", [
+    (lambda: k_token(cycle(11), 3).graph, (414, 15)),
+    (lambda: double_vertex(wheel(23)).graph, (463, 23)),
+    (lambda: double_vertex(path(40)).graph, (400, 0)),  # the pendant rule takes all
+], ids=["F3(C11)", "F2(W23)", "F2(P40)"])
+def test_alpha_counts_reductions_and_depth(build, expected):
+    result = alpha(build())
+    assert (result.reductions, result.max_depth) == expected
+
+
+def test_alpha_reductions_keep_the_full_pass_order():
+    # a vertex whose degree drops ahead of the reduction cursor is looked at
+    # in the same pass, as a rescan of every vertex would; deferring it to
+    # the next pass takes vertex 12 instead of 10 here
+    g = Graph(12, frozenset({(1, 5), (1, 8), (1, 9), (1, 11), (1, 12), (2, 4), (2, 9), (3, 7),
+                             (3, 8), (4, 11), (5, 6), (6, 8), (6, 10), (8, 11), (10, 12)}))
+    assert sorted(alpha(g).witness.members) == [4, 5, 7, 8, 9, 10]
+
+
+def _frame_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_alpha_search_depth_needs_no_interpreter_frames():
+    # the search runs 23 branchings deep; with a frame per branching it
+    # would overrun a recursion limit 15 frames above the caller
+    g = double_vertex(wheel(23)).graph
+    g.adjacency_masks
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 15)
+    try:
+        result = alpha(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (result.alpha, result.nodes) == (126, 47)
+    assert result.max_depth > 15
 
 
 def test_alpha_single_vertex():

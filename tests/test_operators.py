@@ -29,6 +29,25 @@ def test_token_vertex_validation():
     assert str(subset_token(3, 1)) == "{1,3}"
 
 
+@pytest.mark.parametrize("kind, elements, message", [
+    ("subset", (1, 1), r"^elements \(1, 1\) invalid for subset token$"),
+    ("subset", [2, 1], r"^elements \(2, 1\) invalid for subset token$"),
+    ("multiset", (1, 3, 2), r"^elements \(1, 3, 2\) invalid for multiset token$"),
+    ("bag", (1, 2), r"^unknown token kind 'bag'$"),
+    ("subset", (), r"^token needs at least one element$"),
+])
+def test_token_vertex_rejections_and_messages(kind, elements, message):
+    with pytest.raises(ValueError, match=message):
+        TokenVertex(kind, elements)
+
+
+def test_token_vertex_stores_a_tuple():
+    tok = TokenVertex("multiset", [1, 1, 2])
+    assert tok.elements == (1, 1, 2) and type(tok.elements) is tuple
+    assert tok == multiset_token(2, 1, 1) and hash(tok) == hash(multiset_token(1, 1, 2))
+    assert (tok.a, tok.b) == (1, 2)
+
+
 def test_double_vertex_of_p3_is_p3():
     dg = double_vertex(path(3))
     assert [t.elements for t in dg.labels] == [(1, 2), (1, 3), (2, 3)]

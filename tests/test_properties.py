@@ -1,6 +1,7 @@
 """Invariant checks on randomized inputs."""
 
 import random
+from itertools import combinations, combinations_with_replacement
 
 from hypothesis import given, settings, strategies as st
 
@@ -15,10 +16,15 @@ from tokengraphs.graphs import (
     join,
 )
 from tokengraphs.mis import _cycle_cover_bound, alpha, brute_force_alpha, is_independent
-from tokengraphs.operators import double_vertex, pair_graph, subset_restriction
+from tokengraphs.operators import double_vertex, k_token, pair_graph, subset_restriction
 from tokengraphs.verify import check_token_deletion_commutes
 
-from .oracles import exhaustive_alpha, naive_double_vertex_edges, naive_pair_graph_edges
+from .oracles import (
+    exhaustive_alpha,
+    naive_double_vertex_edges,
+    naive_k_token_edges,
+    naive_pair_graph_edges,
+)
 
 
 @st.composite
@@ -68,6 +74,31 @@ def test_isomorphism_finds_relabelings_and_is_symmetric(pair):
     g, h = pair
     assert is_isomorphic(g, h)
     assert is_isomorphic(h, g)
+
+
+def _labelled_edges(dg):
+    return {
+        frozenset((dg.labels[u - 1].elements, dg.labels[v - 1].elements))
+        for u, v in dg.graph.edges
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(min_order=1, max_order=9))
+def test_k_token_and_pair_graph_match_first_principles(g):
+    # labels in lexicographic order, edges against the oracles' definitions
+    for k in range(1, min(4, g.order) + 1):
+        dg = k_token(g, k)
+        assert [t.elements for t in dg.labels] == list(combinations(g.vertices, k))
+        assert {t.kind for t in dg.labels} == {"subset"}
+        assert dg.graph.order == len(dg.labels)
+        assert _labelled_edges(dg) == naive_k_token_edges(g, k)
+    if g.order >= 2:
+        dg = pair_graph(g)
+        assert [t.elements for t in dg.labels] == list(combinations_with_replacement(g.vertices, 2))
+        assert {t.kind for t in dg.labels} == {"multiset"}
+        assert dg.graph.order == len(dg.labels)
+        assert _labelled_edges(dg) == naive_pair_graph_edges(g)
 
 
 @given(graphs(min_order=2, max_order=8))
