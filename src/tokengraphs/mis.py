@@ -69,10 +69,13 @@ class MisResult:
 def is_independent(g: Graph, members) -> bool:
     """True iff no edge of g has both endpoints in ``members``."""
     member_set = set(members)
+    mask = 0
     for v in member_set:
         if not (1 <= v <= g.order):
             raise ValueError(f"vertex {v} out of range 1..{g.order}")
-    return not any(u in member_set and v in member_set for u, v in g.edges)
+        mask |= 1 << (v - 1)
+    adj = g.adjacency_masks
+    return not any(adj[v - 1] & mask for v in member_set)
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:

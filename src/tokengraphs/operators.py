@@ -13,8 +13,11 @@ Three operators are provided:
   {x, x} ~ {x, y} exactly when xy is an edge, and two distinct diagonal
   vertices {x, x}, {y, y} are never adjacent.
 
-Every derived graph keeps a bijection between its 1-based vertex indices
-and the token labels, so vertex sets can be moved between the two views.
+Vertex i of a derived graph is the i-th k-subset or k-multiset of
+1..n in lexicographic order, so a derived graph stores only its kind, k
+and n. ``index_of`` ranks a token arithmetically and the ``labels``
+tuple is built only when something iterates it; vertex sets move between
+the index and token views through these two.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
+from math import comb
 from operator import ge, gt
 
 from .graphs import Graph
@@ -77,33 +81,36 @@ def multiset_token(*elements: int) -> TokenVertex:
 
 @dataclass(frozen=True)
 class DerivedGraph:
-    """A graph together with the token label of each vertex index."""
+    """A graph on the k-subsets (``SUBSET``) or k-multisets (``MULTISET``)
+    of 1..base_order, vertex i being the i-th of them in lexicographic
+    order. The token labels are derived from that order on demand."""
 
     graph: Graph
-    labels: tuple[TokenVertex, ...]
+    kind: str
+    k: int
     base_order: int
 
     def __post_init__(self) -> None:
-        if len(self.labels) != self.graph.order:
+        if self.kind not in (SUBSET, MULTISET):
+            raise ValueError(f"unknown token kind {self.kind!r}")
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
+        # a k-multiset of 1..n is a k-subset of 1..n+k-1 (add i to its i-th element)
+        pool = self.base_order + (self.k - 1 if self.kind == MULTISET else 0)
+        if self.graph.order != comb(pool, self.k):
             raise ValueError("label count must match graph order")
-        for tok in self.labels:
-            if tok.b > self.base_order or tok.a < 1:
-                raise ValueError(f"token {tok} outside base range 1..{self.base_order}")
 
     @cached_property
-    def _index_of(self) -> dict[TokenVertex, int]:
-        table = {tok: i for i, tok in enumerate(self.labels, start=1)}
-        if len(table) != len(self.labels):
-            raise ValueError("token labels must be distinct")
-        return table
+    def labels(self) -> tuple[TokenVertex, ...]:
+        choose = combinations if self.kind == SUBSET else combinations_with_replacement
+        return tuple(
+            TokenVertex(self.kind, combo)
+            for combo in choose(range(1, self.base_order + 1), self.k)
+        )
 
     @property
     def order(self) -> int:
         return self.graph.order
-
-    @property
-    def kind(self) -> str:
-        return self.labels[0].kind
 
     def __repr__(self) -> str:
         return f"DerivedGraph(order={self.graph.order}, base_order={self.base_order}, kind={self.kind})"
@@ -117,11 +124,24 @@ def token_label_of(dg: DerivedGraph, index: int) -> TokenVertex:
 
 
 def index_of(dg: DerivedGraph, token: TokenVertex) -> int:
-    """Vertex index of a token label; unknown labels are rejected."""
-    try:
-        return dg._index_of[token]
-    except KeyError:
-        raise ValueError(f"token {token} ({token.kind}) is not a vertex label here") from None
+    """Vertex index (1-based) of a token label, its lexicographic rank;
+    tokens that are not labels here are rejected."""
+    e = token.elements
+    n, k = dg.base_order, dg.k
+    if token.kind != dg.kind or len(e) != k or e[0] < 1 or e[-1] > n:
+        raise ValueError(f"token {token} ({token.kind}) is not a vertex label here")
+    if k == 2:
+        # the (a - 1)(2n - a) / 2 2-subsets {a', .} with a' < a come first,
+        # then {a, a + 1} .. {a, b}; multisets add the diagonals {a', a'}
+        # and {a, a}, so {a, b} is pair_graph's start[a] + b
+        a, b = e
+        return (a - 1) * (2 * n - a) // 2 + b - (a if dg.kind == SUBSET else 0)
+    if dg.kind == MULTISET:
+        e = [x + i for i, x in enumerate(e)]
+        n += k - 1
+    # combinatorial number system: the k-subsets after e are those that
+    # first exceed it at some position i, comb(n - e_i, k - i) for each i
+    return comb(n, k) - sum(comb(n - x, k - i) for i, x in enumerate(e))
 
 
 def indices_of(dg: DerivedGraph, tokens) -> frozenset[int]:
@@ -143,7 +163,6 @@ def k_token(g: Graph, k: int) -> DerivedGraph:
     difference of the two subsets is exactly one edge of g."""
     if not (1 <= k <= g.order):
         raise ValueError(f"k must satisfy 1 <= k <= {g.order}, got {k}")
-    labels = tuple(TokenVertex(SUBSET, combo) for combo in combinations(g.vertices, k))
     # a k-subset is indexed by its bitmask, bit x-1 standing for vertex x,
     # so a move x -> y is two ORs and a lookup
     bits = [1 << x for x in range(g.order)]
@@ -157,7 +176,7 @@ def k_token(g: Graph, k: int) -> DerivedGraph:
             (index[stay | bx], index[stay | by])
             for stay in map(sum, combinations(movable, k - 1))
         ]
-    return DerivedGraph(Graph(len(labels), frozenset(edges)), labels, g.order)
+    return DerivedGraph(Graph(len(index), frozenset(edges)), SUBSET, k, g.order)
 
 
 def pair_graph(g: Graph) -> DerivedGraph:
@@ -166,10 +185,6 @@ def pair_graph(g: Graph) -> DerivedGraph:
     if g.order < 2:
         raise ValueError(f"pair graph needs base order >= 2, got {g.order}")
     n = g.order
-    labels = tuple(
-        TokenVertex(MULTISET, combo)
-        for combo in combinations_with_replacement(g.vertices, 2)
-    )
     # {a, b} with a <= b is label start[a] + b: the (a - 1)(2n + 2 - a) / 2
     # labels {a', .} with a' < a come first, then {a, a} .. {a, b}
     start = [(a - 1) * (2 * n - a) // 2 for a in range(n + 1)]
@@ -180,7 +195,7 @@ def pair_graph(g: Graph) -> DerivedGraph:
         edges += [(start[s] + x, start[s] + y) for s in range(1, x + 1)]
         edges += [(start[x] + s, start[s] + y) for s in range(x + 1, y + 1)]
         edges += [(start[x] + s, start[y] + s) for s in range(y + 1, n + 1)]
-    return DerivedGraph(Graph(len(labels), frozenset(edges)), labels, g.order)
+    return DerivedGraph(Graph(n * (n + 1) // 2, frozenset(edges)), MULTISET, 2, n)
 
 
 def subset_restriction(dg: DerivedGraph):

@@ -40,6 +40,20 @@ def test_is_independent_on_pair_cycle_slice_union():
     assert is_independent(dg.graph, members)
 
 
+def test_is_independent_on_big_pair_cycle():
+    from tokengraphs.operators import indices_of
+    from tokengraphs.witnesses import pair_cycle_witness_tokens
+
+    dg = pair_graph(cycle(80))
+    members = indices_of(dg, pair_cycle_witness_tokens(80))
+    assert is_independent(dg.graph, members)
+    neighbour = dg.graph.adjacency_masks[min(members) - 1].bit_length()
+    assert not is_independent(dg.graph, members | {neighbour})
+    for bad in (0, 3241):
+        with pytest.raises(ValueError, match="out of range 1..3240"):
+            is_independent(dg.graph, members | {bad})
+
+
 def test_brute_force_small_families():
     assert brute_force_alpha(path(5)).alpha == 3
     assert brute_force_alpha(cycle(7)).alpha == 3

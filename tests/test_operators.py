@@ -1,7 +1,10 @@
 import pytest
 
+from tokengraphs.formulas import pair_cycle
 from tokengraphs.graphs import complete, cycle, delete_vertices, disjoint_union, fan, is_isomorphic, path
 from tokengraphs.operators import (
+    MULTISET,
+    SUBSET,
     DerivedGraph,
     TokenVertex,
     double_vertex,
@@ -14,6 +17,7 @@ from tokengraphs.operators import (
     subset_token,
     token_label_of,
 )
+from tokengraphs.witnesses import pair_cycle_witness_tokens
 
 from .oracles import naive_double_vertex_edges, naive_pair_graph_edges
 
@@ -206,9 +210,15 @@ def test_token_deletion_commutes_with_construction():
 
 def test_derived_graph_validation():
     with pytest.raises(ValueError):
-        DerivedGraph(path(2), (subset_token(1, 2), subset_token(1, 3)), 2)  # token outside base range
+        DerivedGraph(path(4), SUBSET, 2, 3)  # graph order 4, but 3 two-subsets of 1..3
     with pytest.raises(ValueError):
-        DerivedGraph(path(3), (subset_token(1, 2),), 3)  # label count mismatch
+        DerivedGraph(path(3), "bag", 2, 3)  # unknown kind
     with pytest.raises(ValueError):
-        dup = DerivedGraph(path(2), (subset_token(1, 2), subset_token(1, 2)), 2)
-        index_of(dup, subset_token(1, 2))  # duplicate labels surface on lookup
+        DerivedGraph(path(1), SUBSET, 0, 3)  # k = 0
+    assert DerivedGraph(path(6), MULTISET, 2, 3).kind == MULTISET
+
+
+def test_witness_lookup_leaves_labels_unbuilt():
+    dg = pair_graph(cycle(40))
+    assert len(indices_of(dg, pair_cycle_witness_tokens(40))) == pair_cycle(40)
+    assert "labels" not in vars(dg)

@@ -1,8 +1,11 @@
 """Invariant checks on randomized inputs."""
 
 import random
+import re
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tokengraphs.graphs import (
@@ -16,7 +19,17 @@ from tokengraphs.graphs import (
     join,
 )
 from tokengraphs.mis import _cycle_cover_bound, alpha, brute_force_alpha, is_independent
-from tokengraphs.operators import double_vertex, k_token, pair_graph, subset_restriction
+from tokengraphs.operators import (
+    MULTISET,
+    SUBSET,
+    DerivedGraph,
+    TokenVertex,
+    double_vertex,
+    index_of,
+    k_token,
+    pair_graph,
+    subset_restriction,
+)
 from tokengraphs.verify import check_token_deletion_commutes
 
 from .oracles import (
@@ -99,6 +112,43 @@ def test_k_token_and_pair_graph_match_first_principles(g):
         assert {t.kind for t in dg.labels} == {"multiset"}
         assert dg.graph.order == len(dg.labels)
         assert _labelled_edges(dg) == naive_pair_graph_edges(g)
+
+
+def _elements(data, kind, size, n):
+    """Sorted elements of a random ``kind`` token of ``size`` elements from
+    1..n, or None when there is no such token."""
+    if kind == SUBSET and size > n:
+        return None
+    return sorted(data.draw(st.lists(st.integers(1, n), min_size=size, max_size=size,
+                                     unique=kind == SUBSET)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(min_order=1, max_order=9), st.data())
+def test_index_of_ranks_every_label_and_rejects_others(g, data):
+    n = g.order
+    derived = [k_token(g, k) for k in range(1, min(5, n) + 1)]
+    if n >= 2:
+        derived.append(pair_graph(g))
+    # no operator builds k-multisets for k != 2, so rank them on edgeless graphs
+    derived += [DerivedGraph(Graph(comb(n + k - 1, k), frozenset()), MULTISET, k, n)
+                for k in (1, 3, 4)]
+    for dg in derived:
+        for i, tok in enumerate(dg.labels, start=1):
+            assert index_of(dg, tok) == i
+        # tokens that are valid but not labels here: the other kind, k - 1
+        # or k + 1 elements, or one element outside 1..n
+        k, other = dg.k, SUBSET if dg.kind == MULTISET else MULTISET
+        misses = [(other, _elements(data, other, k, n))]
+        misses += [(dg.kind, _elements(data, dg.kind, size, n)) for size in (k - 1, k + 1) if size]
+        inside = _elements(data, dg.kind, k - 1, n)
+        misses += [(dg.kind, sorted(inside + [outside])) for outside in (0, n + 1)]
+        for kind, elements in misses:
+            if elements is not None:
+                token = TokenVertex(kind, tuple(elements))
+                message = f"token {token} ({kind}) is not a vertex label here"
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    index_of(dg, token)
 
 
 @given(graphs(min_order=2, max_order=8))

@@ -224,6 +224,17 @@ def test_cli_verify_default_csv_matches_golden(capsys):
     assert capsys.readouterr().out == golden.read_text()
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["build", "cycle", "5", "--op", "pair", "--format", "json"], "build_cycle5_pair.json"),
+    (["build", "fan", "4", "--op", "dv", "--format", "dot"], "build_fan4_dv.dot"),
+    (["build", "cycle", "6", "--op", "token:3", "--format", "json"], "build_cycle6_token3.json"),
+])
+def test_cli_build_derived_export_matches_golden(capsys, argv, name):
+    golden = Path(__file__).parent / "golden" / name
+    assert main(argv) == 0
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_cli_verify_empty_range_is_config_error(capsys):
     assert main(["verify", "--m", "5..3"]) == 64
 
