@@ -59,14 +59,6 @@ class TokenVertex:
         if any(map(ge if self.kind == SUBSET else gt, elements, elements[1:])):
             raise ValueError(f"elements {elements} invalid for {self.kind} token")
 
-    @property
-    def a(self) -> int:
-        return self.elements[0]
-
-    @property
-    def b(self) -> int:
-        return self.elements[-1]
-
     def __str__(self) -> str:
         return "{" + ",".join(str(e) for e in self.elements) + "}"
 
@@ -130,18 +122,18 @@ def index_of(dg: DerivedGraph, token: TokenVertex) -> int:
     n, k = dg.base_order, dg.k
     if token.kind != dg.kind or len(e) != k or e[0] < 1 or e[-1] > n:
         raise ValueError(f"token {token} ({token.kind}) is not a vertex label here")
-    if k == 2:
-        # the (a - 1)(2n - a) / 2 2-subsets {a', .} with a' < a come first,
-        # then {a, a + 1} .. {a, b}; multisets add the diagonals {a', a'}
-        # and {a, a}, so {a, b} is pair_graph's start[a] + b
-        a, b = e
-        return (a - 1) * (2 * n - a) // 2 + b - (a if dg.kind == SUBSET else 0)
-    if dg.kind == MULTISET:
-        e = [x + i for i, x in enumerate(e)]
-        n += k - 1
     # combinatorial number system: the k-subsets after e are those that
-    # first exceed it at some position i, comb(n - e_i, k - i) for each i
-    return comb(n, k) - sum(comb(n - x, k - i) for i, x in enumerate(e))
+    # first exceed it at some position i, comb(n - e_i, k - i) for each i.
+    # A k-multiset is the k-subset e_i + i of 1..n+k-1, so there the pool
+    # top n+k-1 and the shift i together shrink n - e_i by one per position.
+    shrink = dg.kind == MULTISET
+    n += shrink * (k - 1)
+    rank = comb(n, k)
+    for x in e:
+        rank -= comb(n - x, k)
+        n -= shrink
+        k -= 1
+    return rank
 
 
 def indices_of(dg: DerivedGraph, tokens) -> frozenset[int]:

@@ -27,8 +27,9 @@ def test_is_independent_basic():
 
 
 def test_is_independent_range_check():
-    with pytest.raises(ValueError):
-        is_independent(path(4), {5})
+    for bad in (0, 5):
+        with pytest.raises(ValueError, match="out of range 1..4"):
+            is_independent(path(4), {1, bad})
 
 
 def test_is_independent_on_pair_cycle_slice_union():
@@ -38,20 +39,8 @@ def test_is_independent_on_pair_cycle_slice_union():
     dg = pair_graph(cycle(4))
     members = indices_of(dg, l_set(4, 2) + l_set(4, 4))
     assert is_independent(dg.graph, members)
-
-
-def test_is_independent_on_big_pair_cycle():
-    from tokengraphs.operators import indices_of
-    from tokengraphs.witnesses import pair_cycle_witness_tokens
-
-    dg = pair_graph(cycle(80))
-    members = indices_of(dg, pair_cycle_witness_tokens(80))
-    assert is_independent(dg.graph, members)
     neighbour = dg.graph.adjacency_masks[min(members) - 1].bit_length()
     assert not is_independent(dg.graph, members | {neighbour})
-    for bad in (0, 3241):
-        with pytest.raises(ValueError, match="out of range 1..3240"):
-            is_independent(dg.graph, members | {bad})
 
 
 def test_brute_force_small_families():

@@ -49,7 +49,6 @@ def test_token_vertex_stores_a_tuple():
     tok = TokenVertex("multiset", [1, 1, 2])
     assert tok.elements == (1, 1, 2) and type(tok.elements) is tuple
     assert tok == multiset_token(2, 1, 1) and hash(tok) == hash(multiset_token(1, 1, 2))
-    assert (tok.a, tok.b) == (1, 2)
 
 
 def test_double_vertex_of_p3_is_p3():
