@@ -4,12 +4,13 @@ and structural operations the rest of the package is built on.
 Graphs are immutable values: every operation returns a new ``Graph``.
 Operations that relabel vertices (deletion, induced subgraphs, component
 splitting) compact labels to 1..k and return the old-to-new label map so
-vertex sets can be translated back afterwards.
+vertex sets can be translated back afterwards. Adjacency is kept in one
+form, per-vertex neighbor bitmasks (``Graph.adjacency_masks``);
+``components`` and the solver in ``mis`` share one flood fill over them.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -34,6 +35,16 @@ def _is_normalized(edges: frozenset, order: int) -> bool:
         if not 0 < u < v <= order:
             return False
     return True
+
+
+def _mask_to_set(mask: int) -> frozenset[int]:
+    """The vertices of a bitmask; bit i stands for vertex i+1."""
+    members = set()
+    while mask:
+        bit = mask & -mask
+        members.add(bit.bit_length())
+        mask ^= bit
+    return frozenset(members)
 
 
 @dataclass(frozen=True)
@@ -67,20 +78,13 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and _normalize_edge(u, v) in self.edges
 
-    @cached_property
-    def _neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        sets: list[set[int]] = [set() for _ in range(self.order)]
-        for u, v in self.edges:
-            sets[u - 1].add(v)
-            sets[v - 1].add(u)
-        return tuple(frozenset(s) for s in sets)
-
     def neighbors(self, v: int) -> frozenset[int]:
         self._check_vertex(v)
-        return self._neighbor_sets[v - 1]
+        return _mask_to_set(self.adjacency_masks[v - 1])
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        self._check_vertex(v)
+        return self.adjacency_masks[v - 1].bit_count()
 
     @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
@@ -209,6 +213,21 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, in
     return delete_vertices(g, set(g.vertices) - keep_set)
 
 
+def _component_masks(adj: tuple[int, ...], mask: int):
+    """Yield the vertex masks of the connected components of the subgraph
+    induced by ``mask``, in order of their lowest vertex (a flood fill on
+    the bitmasks ``adj`` of ``Graph.adjacency_masks``)."""
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            bit = frontier & -frontier
+            new = adj[bit.bit_length() - 1] & mask & ~comp
+            comp |= new
+            frontier = (frontier ^ bit) | new
+        mask ^= comp
+        yield comp
+
+
 def components(g: Graph) -> list[tuple[Graph, dict[int, int]]]:
     """Connected components, each compacted with its old-to-new label map.
 
@@ -216,23 +235,10 @@ def components(g: Graph) -> list[tuple[Graph, dict[int, int]]]:
     """
     if g.order < 1:
         raise ValueError("components needs a non-empty graph")
-    seen: set[int] = set()
-    result: list[tuple[Graph, dict[int, int]]] = []
-    for start in g.vertices:
-        if start in seen:
-            continue
-        queue = deque([start])
-        comp: set[int] = {start}
-        seen.add(start)
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if w not in comp:
-                    comp.add(w)
-                    seen.add(w)
-                    queue.append(w)
-        result.append(induced_subgraph(g, comp))
-    return result
+    return [
+        induced_subgraph(g, _mask_to_set(comp))
+        for comp in _component_masks(g.adjacency_masks, (1 << g.order) - 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +247,13 @@ def components(g: Graph) -> list[tuple[Graph, dict[int, int]]]:
 
 def _refined_colors(g: Graph) -> list[int]:
     """Iterated neighborhood-degree refinement; stable color per vertex."""
-    colors = [g.degree(v) for v in g.vertices]
+    adj = g.adjacency_masks
+    colors = [nb.bit_count() for nb in adj]
+    neighbors = [_mask_to_set(nb) for nb in adj]
     for _ in range(g.order):
         signatures = [
-            (colors[v - 1], tuple(sorted(colors[w - 1] for w in g.neighbors(v))))
-            for v in g.vertices
+            (color, tuple(sorted(colors[w - 1] for w in nbs)))
+            for color, nbs in zip(colors, neighbors)
         ]
         palette = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
         new_colors = [palette[sig] for sig in signatures]
@@ -267,7 +275,9 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
         return False
     if g.order == 0:
         return True
-    if sorted(g.degree(v) for v in g.vertices) != sorted(h.degree(v) for v in h.vertices):
+    if sorted(nb.bit_count() for nb in g.adjacency_masks) != sorted(
+        nb.bit_count() for nb in h.adjacency_masks
+    ):
         return False
 
     gcol = _refined_colors(g)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 
-from .graphs import Graph, delete_vertices
+from .graphs import Graph, _component_masks, _mask_to_set, delete_vertices
 
 BRUTE_FORCE_CAP = 26
 
@@ -76,15 +76,6 @@ def is_independent(g: Graph, members) -> bool:
         mask |= 1 << (v - 1)
     adj = g.adjacency_masks
     return not any(adj[v - 1] & mask for v in member_set)
-
-
-def _mask_to_set(mask: int) -> frozenset[int]:
-    members = set()
-    while mask:
-        bit = mask & -mask
-        members.add(bit.bit_length())
-        mask ^= bit
-    return frozenset(members)
 
 
 def brute_force_alpha(g: Graph, cap: int = BRUTE_FORCE_CAP) -> MisResult:
@@ -291,21 +282,6 @@ def _cycle_cover_bound(
     return bound, (out, inn, tails, heads)
 
 
-def _components(adj: tuple[int, ...], mask: int):
-    """Yield the vertex masks of the connected components of the subgraph
-    induced by ``mask``, in order of their lowest vertex (a flood fill on
-    bitmasks)."""
-    while mask:
-        comp = frontier = mask & -mask
-        while frontier:
-            bit = frontier & -frontier
-            new = adj[bit.bit_length() - 1] & mask & ~comp
-            comp |= new
-            frontier = (frontier ^ bit) | new
-        mask ^= comp
-        yield comp
-
-
 def _drop(adj: tuple[int, ...], deg: list[int], mask: int, gone: int) -> int:
     """Take the vertices of ``gone`` out of the degree table ``deg`` of the
     subgraph that ``mask`` (already without them) induces: they get -1 and
@@ -412,7 +388,7 @@ def alpha(g: Graph, budget_ms: float | None = None) -> MisResult:
             # found no split below the root on k-token graphs of cycles and
             # cost 13-17% per node.
             if depth == 0:
-                comps = list(_components(adj, mask))
+                comps = list(_component_masks(adj, mask))
                 if len(comps) > 1:
                     for comp in comps:
                         chosen |= search(comp, best_mask & comp, matching)
@@ -441,11 +417,11 @@ def alpha(g: Graph, budget_ms: float | None = None) -> MisResult:
     )
 
 
-def alpha_avoiding(g: Graph, v: int, budget_ms: float | None = None) -> MisResult:
-    """Exact maximum independent set among those that exclude vertex v:
-    delete v, solve, translate the witness back to g's labels."""
-    g._check_vertex(v)
-    reduced, old_to_new = delete_vertices(g, {v})
+def alpha_avoiding(g: Graph, *vertices: int, budget_ms: float | None = None) -> MisResult:
+    """Exact maximum independent set among those that exclude every one of
+    ``vertices``: delete them, solve, translate the witness back to g's
+    labels. Excluding every vertex gives alpha 0 and an empty witness."""
+    reduced, old_to_new = delete_vertices(g, vertices)
     if reduced.order == 0:
         return MisResult(0, IndependentSet(g.order, frozenset()), 0, 0.0)
     result = alpha(reduced, budget_ms=budget_ms)

@@ -28,7 +28,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 from operator import ge, gt
 
-from .graphs import Graph
+from .graphs import Graph, induced_subgraph
 
 SUBSET = "subset"
 MULTISET = "multiset"
@@ -194,7 +194,5 @@ def subset_restriction(dg: DerivedGraph):
     """Induced subgraph of a multiset-kind derived graph on its 2-subset
     vertices, as (graph, old-to-new map). Used to compare a pair graph
     against the double vertex graph of the same base."""
-    from .graphs import induced_subgraph
-
     keep = [i for i, tok in enumerate(dg.labels, start=1) if tok.elements[0] != tok.elements[-1]]
     return induced_subgraph(dg.graph, keep)

@@ -22,15 +22,16 @@ turns one into vertex indices of a derived graph. Each ``*_witness_tokens``
 construction is independent in the derived graph of its family and sized
 exactly at the matching closed form. The one exception is
 ``dv_wheel_witness``: no construction is known for it, so it returns the
-solver's ``IndependentSet`` of the apex-free part of the graph.
+solver's ``IndependentSet`` of the apex-free part of the graph, found by
+``mis.alpha_avoiding`` with the apex tokens ``b_set_dv`` excluded.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .graphs import Graph, cycle, delete_vertices, path, wheel
-from .mis import IndependentSet, alpha
+from .graphs import Graph, cycle, path, wheel
+from .mis import IndependentSet, alpha_avoiding
 from .operators import (
     MULTISET,
     SUBSET,
@@ -220,8 +221,10 @@ def pair_wheel_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
 
 def dv_wheel_witness(m: int) -> IndependentSet:
     """Solver-extracted maximum independent set of the apex-free part of
-    the wheel double vertex graph (no closed-form construction is
-    available for cycle double vertex graphs here).
+    the wheel double vertex graph: ``alpha_avoiding`` with every apex
+    token of ``b_set_dv(m)`` excluded, in the labels of the whole graph
+    (no closed-form construction is available for cycle double vertex
+    graphs here).
 
     For m >= 4 its size equals the wheel closed form. For m = 3 the
     apex-free part is a triangle, so the witness has size 1 while the
@@ -231,12 +234,7 @@ def dv_wheel_witness(m: int) -> IndependentSet:
     if m < 3:
         raise ValueError(f"dv_wheel_witness needs m >= 3, got {m}")
     dg = double_vertex(wheel(m))
-    apex_tokens = indices_of(dg, b_set_dv(m))
-    core, old_to_new = delete_vertices(dg.graph, apex_tokens)
-    result = alpha(core)
-    back = {new: old for old, new in old_to_new.items()}
-    members = frozenset(back[v] for v in result.witness.members)
-    return IndependentSet(dg.graph.order, members)
+    return alpha_avoiding(dg.graph, *indices_of(dg, b_set_dv(m))).witness
 
 
 def dv_wheel_witness_tokens(m: int) -> tuple[TokenVertex, ...]:

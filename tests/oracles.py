@@ -19,6 +19,25 @@ def subset_is_independent(edges, members) -> bool:
     return not any(u in member_set and v in member_set for u, v in edges)
 
 
+def union_find_components(g: Graph) -> list[frozenset[int]]:
+    """Vertex sets of the connected components, by union-find over the
+    raw edge list, ordered by smallest vertex."""
+    parent = {v: v for v in g.vertices}
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in g.edges:
+        parent[find(u)] = find(v)
+    parts: dict[int, set[int]] = {}
+    for v in g.vertices:
+        parts.setdefault(find(v), set()).add(v)
+    return sorted((frozenset(p) for p in parts.values()), key=min)
+
+
 def exhaustive_alpha(g: Graph) -> int:
     """Largest independent set size by checking k-subsets from the top."""
     vertices = list(g.vertices)

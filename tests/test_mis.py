@@ -14,8 +14,9 @@ from tokengraphs.mis import (
     brute_force_alpha,
     is_independent,
 )
-from tokengraphs.operators import double_vertex, index_of, k_token, multiset_token, pair_graph
+from tokengraphs.operators import double_vertex, index_of, indices_of, k_token, multiset_token, pair_graph
 from tokengraphs.verify import FAMILIES, random_graph
+from tokengraphs.witnesses import b_set_dv, dv_wheel_witness
 
 from .oracles import exhaustive_alpha
 
@@ -151,6 +152,25 @@ def test_alpha_avoiding_corner_token_keeps_value():
     assert avoiding.alpha == full
     assert corner not in avoiding.witness.members
     assert is_independent(dg.graph, avoiding.witness.members)
+
+
+@pytest.mark.parametrize("m", range(4, 10))
+def test_alpha_avoiding_apex_tokens_is_the_dv_wheel_witness(m):
+    dg = double_vertex(wheel(m))
+    apex = indices_of(dg, b_set_dv(m))
+    result = alpha_avoiding(dg.graph, *apex)
+    witness = dv_wheel_witness(m)
+    assert result.witness == witness
+    assert result.alpha == len(witness)
+    assert not set(apex) & result.witness.members
+
+
+def test_alpha_avoiding_every_vertex():
+    g = cycle(5)
+    result = alpha_avoiding(g, *g.vertices)
+    assert result.alpha == 0
+    assert result.witness.order == 5
+    assert result.witness.members == frozenset()
 
 
 def test_alpha_budget_aborts():

@@ -37,6 +37,7 @@ from .oracles import (
     naive_double_vertex_edges,
     naive_k_token_edges,
     naive_pair_graph_edges,
+    union_find_components,
 )
 
 
@@ -75,6 +76,17 @@ def test_delete_then_components_counts_are_consistent(g, data):
     assert sorted(relabel.values()) == list(range(1, reduced.order + 1))
     if reduced.order:
         assert sum(c.order for c, _ in components(reduced)) == reduced.order
+
+
+@given(graphs())
+def test_components_match_union_find_oracle(g):
+    comps = components(g)
+    parts = [frozenset(relabel) for _, relabel in comps]
+    # the oracle orders its parts by smallest vertex, so this checks the
+    # partition and the order
+    assert parts == union_find_components(g)
+    for (comp, relabel), part in zip(comps, parts):
+        assert (comp, relabel) == induced_subgraph(g, part)
 
 
 @given(graphs())

@@ -1,0 +1,31 @@
+"""The package under src/ imports nothing outside the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tokengraphs"
+MODULES = sorted(PACKAGE.rglob("*.py"))
+
+
+def absolute_imports(tree: ast.AST):
+    """Top-level module names of every absolute import in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_package_has_modules():
+    assert len(MODULES) > 1
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_only_stdlib(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    outside = sorted(set(absolute_imports(tree)) - sys.stdlib_module_names)
+    assert outside == [], f"{path.name} imports non-stdlib modules: {outside}"

@@ -280,6 +280,18 @@ def test_cli_witness_wheel3_special_case(capsys):
     assert "apex" in capsys.readouterr().out
 
 
+def test_cli_witness_note_only_below_witness_min_m(capsys):
+    assert main(["witness", "wheel", "3", "--op", "dv"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "witness dv_wheel m=3: size 1, formula 2, independent: yes",
+        "tokens: {1,2}",
+        "note: at m=3 the apex-free construction tops out at 1; "
+        "the full graph reaches 2 only through an apex token",
+    ]
+    assert main(["witness", "wheel", "4", "--op", "dv"]) == 0
+    assert "note:" not in capsys.readouterr().out
+
+
 def test_cli_witness_no_construction(capsys):
     assert main(["witness", "cycle", "5", "--op", "dv"]) == 64
     assert main(["witness", "cycle", "4", "--op", "dv"]) == 64
