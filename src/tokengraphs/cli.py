@@ -21,6 +21,9 @@ from .graphs import complete, cycle, fan, path, wheel
 from .mis import SolveAborted, is_independent
 from .operators import double_vertex, indices_of, k_token, pair_graph
 from .verify import (
+    EXIT_ABORTED,
+    EXIT_MISMATCH,
+    EXIT_OK,
     FAMILIES,
     RunConfig,
     rows_to_csv,
@@ -33,9 +36,6 @@ from .verify import (
     sweep_exit_code,
 )
 
-EXIT_OK = 0
-EXIT_MISMATCH = 1
-EXIT_ABORTED = 2
 EXIT_CONFIG = 64
 
 BASE_BUILDERS = {

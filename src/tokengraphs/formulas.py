@@ -61,11 +61,11 @@ def dv_fan(m: int) -> int:
 
 def dv_wheel(m: int) -> int:
     """alpha of the double vertex graph of the wheel on m+1 vertices:
-    floor((m/2)*floor(m/2)), except the machine-checked value 2 at m = 3."""
+    the cycle value, except the machine-checked value 2 at m = 3."""
     _require(FormulaId.DV_WHEEL, m)
     if m == 3:
         return 2
-    return m * (m // 2) // 2
+    return dv_cycle(m)
 
 
 def pair_path(m: int) -> int:

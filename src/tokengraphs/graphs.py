@@ -231,14 +231,22 @@ def _component_masks(adj: tuple[int, ...], mask: int):
 def components(g: Graph) -> list[tuple[Graph, dict[int, int]]]:
     """Connected components, each compacted with its old-to-new label map.
 
-    Components are ordered by their smallest original vertex.
+    Components are ordered by their smallest original vertex. Each part
+    reads its edges from its own vertices' masks, so no part scans the
+    whole edge list.
     """
     if g.order < 1:
         raise ValueError("components needs a non-empty graph")
-    return [
-        induced_subgraph(g, _mask_to_set(comp))
-        for comp in _component_masks(g.adjacency_masks, (1 << g.order) - 1)
-    ]
+    adj = g.adjacency_masks
+    parts = []
+    for comp in _component_masks(adj, (1 << g.order) - 1):
+        kept = sorted(_mask_to_set(comp))
+        relabel = {old: new for new, old in enumerate(kept, start=1)}
+        edges = frozenset(
+            (relabel[u], relabel[v]) for u in kept for v in _mask_to_set(adj[u - 1]) if u < v
+        )
+        parts.append((Graph(len(kept), edges), relabel))
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -267,17 +275,20 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     """Exact isomorphism test by backtracking.
 
     Prunes on degree sequence and iterated neighborhood-degree colors,
-    then searches for an edge-preserving bijection. Intended for the
-    small structured graphs this package produces (order up to ~100);
+    then searches for an edge-preserving bijection. The search runs on an
+    explicit stack, so its depth needs no interpreter frames. Intended for
+    the small structured graphs this package produces (order up to ~100);
     adversarial regular graphs may be slow.
     """
     if g.order != h.order or g.size != h.size:
         return False
     if g.order == 0:
         return True
-    if sorted(nb.bit_count() for nb in g.adjacency_masks) != sorted(
-        nb.bit_count() for nb in h.adjacency_masks
-    ):
+    n = g.order
+    g_adj = g.adjacency_masks
+    h_adj = h.adjacency_masks
+    degree = [nb.bit_count() for nb in g_adj]
+    if sorted(degree) != sorted(nb.bit_count() for nb in h_adj):
         return False
 
     gcol = _refined_colors(g)
@@ -285,51 +296,48 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     if sorted(gcol) != sorted(hcol):
         return False
 
-    n = g.order
-    g_adj = g.adjacency_masks
-    h_adj = h.adjacency_masks
     by_color: dict[int, list[int]] = {}
-    for v in h.vertices:
-        by_color.setdefault(hcol[v - 1], []).append(v - 1)
+    for v in range(n):
+        by_color.setdefault(hcol[v], []).append(v)
 
-    # Assign g-vertices one at a time, preferring vertices with many
-    # already-assigned neighbors (keeps the partial map connected).
-    assigned: dict[int, int] = {}  # g index 0-based -> h index 0-based
+    # Place g-vertices (0-based) in one fixed order: most already-placed
+    # neighbours, then highest degree, then lowest index. It keeps the
+    # partial map connected, and it depends only on which vertices are
+    # placed, never on their images. back[d] holds the earlier-placed
+    # neighbours of order[d] (1-based labels).
+    order: list[int] = []
+    back: list[frozenset[int]] = []
+    placed = 0
+    for _ in range(n):
+        u = max(
+            (w for w in range(n) if not placed >> w & 1),
+            key=lambda w: ((g_adj[w] & placed).bit_count(), degree[w], -w),
+        )
+        order.append(u)
+        back.append(_mask_to_set(g_adj[u] & placed))
+        placed |= 1 << u
+
+    # Backtrack on an explicit stack holding one candidate iterator per
+    # depth; image[u] is the h-vertex given to g-vertex u. The color
+    # multisets agree, so every g color is a key of by_color.
+    image = [0] * n
     used_mask = 0
-    mapped_g_mask = 0
-
-    def next_vertex() -> int:
-        best, best_key = -1, (-1, -1)
-        for u in range(n):
-            if u in assigned:
-                continue
-            key = ((g_adj[u] & mapped_g_mask).bit_count(), g_adj[u].bit_count())
-            if key > best_key:
-                best, best_key = u, key
-        return best
-
-    def extend() -> bool:
-        nonlocal used_mask, mapped_g_mask
-        if len(assigned) == n:
-            return True
-        u = next_vertex()
+    stack = [iter(by_color[gcol[order[0]]])]
+    while stack:
+        depth = len(stack) - 1
         required = 0
-        for w, image in assigned.items():
-            if g_adj[u] >> w & 1:
-                required |= 1 << image
-        for v in by_color.get(gcol[u], ()):
-            if used_mask >> v & 1:
-                continue
-            if h_adj[v] & used_mask != required:
-                continue
-            assigned[u] = v
-            used_mask |= 1 << v
-            mapped_g_mask |= 1 << u
-            if extend():
-                return True
-            del assigned[u]
-            used_mask &= ~(1 << v)
-            mapped_g_mask &= ~(1 << u)
-        return False
-
-    return extend()
+        for w in back[depth]:
+            required |= 1 << image[w - 1]
+        for v in stack[-1]:
+            if not used_mask >> v & 1 and h_adj[v] & used_mask == required:
+                if depth + 1 == n:
+                    return True
+                image[order[depth]] = v
+                used_mask |= 1 << v
+                stack.append(iter(by_color[gcol[order[depth + 1]]]))
+                break
+        else:
+            stack.pop()
+            if stack:
+                used_mask &= ~(1 << image[order[depth - 1]])
+    return False

@@ -27,7 +27,6 @@ from .graphs import (
     disjoint_union,
     fan,
     induced_subgraph,
-    is_isomorphic,
     path,
     wheel,
 )
@@ -37,6 +36,10 @@ from .operators import DerivedGraph, double_vertex, index_of, indices_of, k_toke
 STATUS_OK = "ok"
 STATUS_MISMATCH = "mismatch"
 STATUS_ABORTED = "aborted"
+
+EXIT_OK = 0
+EXIT_MISMATCH = 1  # a mismatch row or a failed check
+EXIT_ABORTED = 2  # a solve ran out of budget
 
 AUTO_BRUTE_LIMIT = 20  # auto method: brute force at or below, branch and bound above
 
@@ -187,10 +190,10 @@ def run_sweep(config: RunConfig) -> list[VerificationRow]:
 
 def sweep_exit_code(rows: Sequence[VerificationRow]) -> int:
     if any(r.status == STATUS_MISMATCH for r in rows):
-        return 1
+        return EXIT_MISMATCH
     if any(r.status == STATUS_ABORTED for r in rows):
-        return 2
-    return 0
+        return EXIT_ABORTED
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -266,151 +269,136 @@ def alpha_after_deleting_tokens(dg: DerivedGraph, tokens) -> int:
     return alpha(sub).alpha
 
 
-def _suite_monotonicity(rng: random.Random, sizes: Sequence[int], trials: int) -> SuiteResult:
-    suite = SuiteResult("alpha_monotone_under_induced_subgraphs", 0)
-    for n in sizes:
-        for _ in range(trials):
-            g = random_graph(rng, n)
-            keep = [v for v in g.vertices if rng.random() < 0.6] or [1]
-            h, _ = induced_subgraph(g, keep)
-            suite.cases += 1
-            if h.order >= 1 and alpha(h).alpha > alpha(g).alpha:
-                suite.failures.append(f"n={n} keep={keep}")
+def _run_suite(name: str, cases: Iterable[tuple[str, bool]]) -> SuiteResult:
+    """Run every ``(label, passed)`` case of one suite, counting them and
+    keeping the labels of the cases that failed."""
+    suite = SuiteResult(name, 0)
+    for label, passed in cases:
+        suite.cases += 1
+        if not passed:
+            suite.failures.append(label)
     return suite
 
 
+def _suite_monotonicity(rng: random.Random, sizes: Sequence[int], trials: int) -> SuiteResult:
+    def cases():
+        for n in sizes:
+            for _ in range(trials):
+                g = random_graph(rng, n)
+                keep = [v for v in g.vertices if rng.random() < 0.6] or [1]
+                h, _ = induced_subgraph(g, keep)
+                yield f"n={n} keep={keep}", alpha(h).alpha <= alpha(g).alpha
+    return _run_suite("alpha_monotone_under_induced_subgraphs", cases())
+
+
 def _suite_component_decomposition(rng: random.Random, sizes: Sequence[int], trials: int) -> SuiteResult:
-    suite = SuiteResult("double_vertex_of_disjoint_union_decomposes", 0)
-    fixed = [(path(3), path(4)), (path(3), cycle(4)), (cycle(3), cycle(4))]
-    pairs = list(fixed)
+    pairs = [(path(3), path(4)), (path(3), cycle(4)), (cycle(3), cycle(4))]
     for _ in range(trials):
         # small connected parts keep the product component modest
         pairs.append((_random_connected_graph(rng, rng.randint(2, 5)),
                       _random_connected_graph(rng, rng.randint(2, 5))))
-    for g1, g2 in pairs:
-        suite.cases += 1
-        if not check_component_decomposition(g1, g2):
-            suite.failures.append(f"g1={g1!r} g2={g2!r}")
-    return suite
+    return _run_suite("double_vertex_of_disjoint_union_decomposes", (
+        (f"g1={g1!r} g2={g2!r}", check_component_decomposition(g1, g2)) for g1, g2 in pairs
+    ))
 
 
 def check_component_decomposition(g1: Graph, g2: Graph) -> bool:
-    """components(F2(g1 + g2)) must match {F2(g1), F2(g2), g1 x g2} as an
-    unordered multiset under isomorphism."""
-    derived = double_vertex(disjoint_union(g1, g2))
-    parts = [comp for comp, _ in components(derived.graph)]
-    targets = [double_vertex(g1).graph, double_vertex(g2).graph, cartesian_product(g1, g2)]
-    if len(parts) != len(targets):
-        return False
-    remaining = list(targets)
-    for part in parts:
-        for i, target in enumerate(remaining):
-            if is_isomorphic(part, target):
-                del remaining[i]
-                break
-        else:
-            return False
-    return True
+    """True iff the components of F2(g1 + g2), in smallest-token order,
+    equal F2(g1), g1 x g2 and F2(g2) as labelled graphs, as they do for
+    connected g1 and g2 of order >= 2. F2 lists tokens lexicographically,
+    and g2's vertex b is g1.order + b in g1 + g2, so the mixed token
+    {a, g1.order + b} lands on (a-1)*g2.order + b, the label
+    ``cartesian_product`` gives the product vertex (a, b)."""
+    parts = [part for part, _ in components(double_vertex(disjoint_union(g1, g2)).graph)]
+    return parts == [double_vertex(g1).graph, cartesian_product(g1, g2), double_vertex(g2).graph]
 
 
 def check_token_deletion_commutes(g: Graph, victims: set[int], k: int) -> bool:
-    """F_k(g - victims) must be isomorphic to the induced subgraph of
-    F_k(g) on tokens disjoint from the victims."""
+    """True iff F_k(g - victims) equals the subgraph of F_k(g) induced on
+    the tokens that avoid the victims, as labelled graphs (it does when
+    len(victims) <= g.order - k). Deletion keeps the surviving vertices in
+    order, so both sides list the surviving tokens in the same order."""
     reduced, _ = delete_vertices(g, victims)
-    direct = k_token(reduced, k).graph
     dg = k_token(g, k)
     keep = [
         i for i, tok in enumerate(dg.labels, start=1)
         if not victims.intersection(tok.elements)
     ]
     induced, _ = induced_subgraph(dg.graph, keep)
-    return is_isomorphic(direct, induced)
+    return k_token(reduced, k).graph == induced
 
 
 def _suite_token_deletion(rng: random.Random, sizes: Sequence[int], trials: int) -> SuiteResult:
-    suite = SuiteResult("token_graph_deletion_commutes", 0)
-    for n in sizes:
-        for _ in range(trials):
-            g = random_graph(rng, n)
-            for k in (2, 3):
-                if k > g.order:
-                    continue
-                max_del = g.order - k
-                victims = set(rng.sample(range(1, g.order + 1), rng.randint(0, max_del)))
-                suite.cases += 1
-                if not check_token_deletion_commutes(g, victims, k):
-                    suite.failures.append(f"n={n} k={k} victims={sorted(victims)}")
-    return suite
+    def cases():
+        for n in sizes:
+            for _ in range(trials):
+                g = random_graph(rng, n)
+                for k in (2, 3):
+                    if k > g.order:
+                        continue
+                    max_del = g.order - k
+                    victims = set(rng.sample(range(1, g.order + 1), rng.randint(0, max_del)))
+                    yield (f"n={n} k={k} victims={sorted(victims)}",
+                           check_token_deletion_commutes(g, victims, k))
+    return _run_suite("token_graph_deletion_commutes", cases())
 
 
 def _suite_slice_dichotomy(m_range: Iterable[int]) -> SuiteResult:
-    suite = SuiteResult("l_set_independence_dichotomy", 0)
-    for m in m_range:
-        dg = pair_graph(cycle(m))
-        for q in range(1, m + 1):
-            suite.cases += 1
-            actual = is_independent(dg.graph, indices_of(dg, witnesses.l_set(m, q)))
-            if actual != witnesses.l_is_independent_expected(m, q):
-                suite.failures.append(f"m={m} q={q}")
-    return suite
+    def cases():
+        for m in m_range:
+            dg = pair_graph(cycle(m))
+            for q in range(1, m + 1):
+                actual = is_independent(dg.graph, indices_of(dg, witnesses.l_set(m, q)))
+                yield f"m={m} q={q}", actual == witnesses.l_is_independent_expected(m, q)
+    return _run_suite("l_set_independence_dichotomy", cases())
 
 
 def _suite_linking_profile(m_range: Iterable[int]) -> SuiteResult:
-    suite = SuiteResult("l_set_linking_profile_exact", 0)
-    for m in m_range:
-        suite.cases += 1
-        if witnesses.linking_profile(m) != witnesses.predicted_linking_profile(m):
-            suite.failures.append(f"m={m}")
-    return suite
+    return _run_suite("l_set_linking_profile_exact", (
+        (f"m={m}", witnesses.linking_profile(m) == witnesses.predicted_linking_profile(m))
+        for m in m_range
+    ))
 
 
 def _suite_corner_avoidance(n_values: Iterable[int]) -> SuiteResult:
-    suite = SuiteResult("alpha_unchanged_avoiding_corner_token", 0)
-    for n in n_values:
-        dg = pair_graph(cycle(n))
-        corner = index_of(dg, multiset_token(1, n))
-        suite.cases += 1
-        if alpha_avoiding(dg.graph, corner).alpha != formulas.pair_cycle(n):
-            suite.failures.append(f"n={n}")
-    return suite
+    def cases():
+        for n in n_values:
+            dg = pair_graph(cycle(n))
+            corner = index_of(dg, multiset_token(1, n))
+            yield f"n={n}", alpha_avoiding(dg.graph, corner).alpha == formulas.pair_cycle(n)
+    return _run_suite("alpha_unchanged_avoiding_corner_token", cases())
 
 
 def _suite_dv_slice_deletion(m_range: Iterable[int]) -> SuiteResult:
-    suite = SuiteResult("dv_path_token_slice_deletion_alpha", 0)
-    for m in m_range:
-        dg = double_vertex(path(m))
-        expect = (m - 1) ** 2 // 4
-        for i in range(1, m + 1):
-            suite.cases += 1
-            if alpha_after_deleting_tokens(dg, witnesses.r_set_dv(m, i)) != expect:
-                suite.failures.append(f"m={m} i={i}")
-    return suite
+    def cases():
+        for m in m_range:
+            dg = double_vertex(path(m))
+            expect = (m - 1) ** 2 // 4
+            for i in range(1, m + 1):
+                yield f"m={m} i={i}", alpha_after_deleting_tokens(dg, witnesses.r_set_dv(m, i)) == expect
+    return _run_suite("dv_path_token_slice_deletion_alpha", cases())
 
 
 def _suite_dv_double_deletion(m_range: Iterable[int]) -> SuiteResult:
-    suite = SuiteResult("dv_path_nonconsecutive_double_deletion_strict", 0)
-    for m in m_range:
-        dg = double_vertex(path(m))
-        expect = (m - 1) ** 2 // 4
-        for i in range(1, m + 1):
-            for j in range(i + 2, m + 1):
-                tokens = witnesses.r_set_dv(m, i) + witnesses.r_set_dv(m, j)
-                suite.cases += 1
-                if alpha_after_deleting_tokens(dg, set(tokens)) >= expect:
-                    suite.failures.append(f"m={m} S=({i},{j})")
-    return suite
+    def cases():
+        for m in m_range:
+            dg = double_vertex(path(m))
+            expect = (m - 1) ** 2 // 4
+            for i in range(1, m + 1):
+                for j in range(i + 2, m + 1):
+                    tokens = witnesses.r_set_dv(m, i) + witnesses.r_set_dv(m, j)
+                    yield f"m={m} S=({i},{j})", alpha_after_deleting_tokens(dg, set(tokens)) < expect
+    return _run_suite("dv_path_nonconsecutive_double_deletion_strict", cases())
 
 
 def _suite_pair_slice_deletion(m_range: Iterable[int]) -> SuiteResult:
-    suite = SuiteResult("pair_path_token_slice_deletion_bound", 0)
-    for m in m_range:
-        dg = pair_graph(path(m))
-        bound = m * m // 4 + 1
-        for i in range(1, m + 1):
-            suite.cases += 1
-            if alpha_after_deleting_tokens(dg, witnesses.r_set_pair(m, i)) > bound:
-                suite.failures.append(f"m={m} i={i}")
-    return suite
+    def cases():
+        for m in m_range:
+            dg = pair_graph(path(m))
+            bound = m * m // 4 + 1
+            for i in range(1, m + 1):
+                yield f"m={m} i={i}", alpha_after_deleting_tokens(dg, witnesses.r_set_pair(m, i)) <= bound
+    return _run_suite("pair_path_token_slice_deletion_bound", cases())
 
 
 def run_property_suites(seed: int = 0, sizes: Sequence[int] = (5, 6, 7),

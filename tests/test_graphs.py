@@ -1,3 +1,6 @@
+import sys
+from itertools import permutations
+
 import pytest
 
 from tokengraphs.graphs import (
@@ -15,6 +18,8 @@ from tokengraphs.graphs import (
     path,
     wheel,
 )
+
+from .test_mis import _frame_depth
 
 
 def test_graph_rejects_loops():
@@ -265,3 +270,25 @@ def test_is_isomorphic_regular_but_different():
     k33 = Graph(6, frozenset({(1, 4), (1, 5), (1, 6), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6)}))
     prism = Graph(6, frozenset({(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (1, 4), (2, 5), (3, 6)}))
     assert not is_isomorphic(k33, prism)
+
+
+def test_is_isomorphic_backtracks_on_every_relabelled_prism():
+    # one color class; some labellings send the first choices into a dead
+    # end, so the search must undo placements and still find the map
+    prism = Graph(6, frozenset({(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (1, 4), (2, 5), (3, 6)}))
+    for p in permutations(range(1, 7)):
+        relabelled = Graph(6, frozenset((p[u - 1], p[v - 1]) for u, v in prism.edges))
+        assert is_isomorphic(prism, relabelled), p
+
+
+def test_isomorphism_search_depth_needs_no_interpreter_frames():
+    # the search places one vertex per level, 40 levels deep; with a frame
+    # per level it would overrun a recursion limit 15 frames above the caller
+    g, h = path(40), path(40)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 15)
+    try:
+        result = is_isomorphic(g, h)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result

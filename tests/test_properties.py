@@ -2,16 +2,18 @@
 
 import random
 import re
+from functools import reduce
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tokengraphs.graphs import (
     Graph,
     cartesian_product,
     components,
+    cycle,
     delete_vertices,
     disjoint_union,
     induced_subgraph,
@@ -78,7 +80,10 @@ def test_delete_then_components_counts_are_consistent(g, data):
         assert sum(c.order for c, _ in components(reduced)) == reduced.order
 
 
+@settings(deadline=None)  # induced_subgraph per part makes the big examples O(c * n)
 @given(graphs())
+@example(Graph(2000))
+@example(reduce(disjoint_union, [cycle(3), cycle(4), cycle(5)] * 100))
 def test_components_match_union_find_oracle(g):
     comps = components(g)
     parts = [frozenset(relabel) for _, relabel in comps]
