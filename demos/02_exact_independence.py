@@ -6,7 +6,6 @@ Run:  python demos/02_exact_independence.py
 
 from tokengraphs import (
     alpha,
-    alpha_avoiding,
     brute_force_alpha,
     cycle,
     double_vertex,
@@ -19,7 +18,7 @@ from tokengraphs import (
 )
 
 # Two routes to the same number: brute_force_alpha enumerates, alpha
-# branches on max-degree vertices with a greedy clique-cover bound.
+# branches on max-degree vertices under clique-cover and cycle-cover bounds.
 samples = [
     ("double_vertex(wheel(3))", double_vertex(wheel(3)).graph),
     ("double_vertex(fan(6))", double_vertex(fan(6)).graph),
@@ -46,8 +45,9 @@ result = alpha(big)
 print(f"\npair_graph(cycle(12)): {big.order} vertices, alpha = {result.alpha}, "
       f"{result.nodes} nodes, {result.elapsed * 1000:.1f} ms")
 
-# Conditional solves: the best independent set avoiding one vertex.
+# Conditional solves: alpha(g, avoid=...) finds the best independent set
+# that leaves the given vertices out, without copying the graph.
 dg = pair_graph(cycle(7))
 corner = index_of(dg, multiset_token(1, 7))
 print(f"\nalpha(C(C7)) avoiding the corner token {{1,7}}: "
-      f"{alpha_avoiding(dg.graph, corner).alpha} (unchanged from {alpha(dg.graph).alpha})")
+      f"{alpha(dg.graph, avoid=[corner]).alpha} (unchanged from {alpha(dg.graph).alpha})")

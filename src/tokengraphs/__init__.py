@@ -22,7 +22,6 @@ from .mis import (
     MisResult,
     SolveAborted,
     alpha,
-    alpha_avoiding,
     brute_force_alpha,
     is_independent,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "index_of",
     "indices_of",
     "alpha",
-    "alpha_avoiding",
     "brute_force_alpha",
     "is_independent",
 ]

@@ -185,6 +185,14 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 # dissection
 
 
+def _kept_subgraph(g: Graph, kept: list[int]) -> tuple[Graph, dict[int, int]]:
+    """Induced subgraph on the ascending in-range list ``kept``, compacted
+    to 1..k, and the old-to-new label map; one scan of g's edges."""
+    relabel = {old: new for new, old in enumerate(kept, start=1)}
+    edges = frozenset((relabel[u], relabel[v]) for u, v in g.edges if u in relabel and v in relabel)
+    return Graph(len(kept), edges), relabel
+
+
 def delete_vertices(g: Graph, victims: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Induced subgraph on the vertices outside ``victims``.
 
@@ -195,22 +203,15 @@ def delete_vertices(g: Graph, victims: Iterable[int]) -> tuple[Graph, dict[int, 
     victim_set = set(victims)
     for v in victim_set:
         g._check_vertex(v)
-    kept = [v for v in g.vertices if v not in victim_set]
-    relabel = {old: new for new, old in enumerate(kept, start=1)}
-    edges = frozenset(
-        (relabel[u], relabel[v])
-        for u, v in g.edges
-        if u in relabel and v in relabel
-    )
-    return Graph(len(kept), edges), relabel
+    return _kept_subgraph(g, [v for v in g.vertices if v not in victim_set])
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph on ``keep``; complement wrapper of delete_vertices."""
+    """Induced subgraph on ``keep``, compacted like ``delete_vertices``."""
     keep_set = set(keep)
     for v in keep_set:
         g._check_vertex(v)
-    return delete_vertices(g, set(g.vertices) - keep_set)
+    return _kept_subgraph(g, sorted(keep_set))
 
 
 def _component_masks(adj: tuple[int, ...], mask: int):

@@ -18,6 +18,8 @@ Two independent routes are provided on purpose:
   Each node inherits its vertex degrees from its parent, so the
   reductions revisit only the vertices whose degree dropped, and the
   search runs on an explicit stack, not on interpreter frames.
+  ``alpha(g, avoid=...)`` searches from a vertex mask without the given
+  vertices, so no smaller graph is built and the witness keeps g's labels.
 
 Both are exact and deterministic: repeated runs return the same size and
 the same witness. All bookkeeping is done on Python-int bitmasks, bit i
@@ -27,9 +29,10 @@ standing for vertex i+1.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Iterable
 
-from .graphs import Graph, _component_masks, _mask_to_set, delete_vertices
+from .graphs import Graph, _component_masks, _mask_to_set
 
 BRUTE_FORCE_CAP = 26
 
@@ -113,19 +116,20 @@ def brute_force_alpha(g: Graph, cap: int = BRUTE_FORCE_CAP) -> MisResult:
     return MisResult(best, IndependentSet(g.order, _mask_to_set(best_mask)), nodes, elapsed)
 
 
-def _greedy_incumbent(adj: tuple[int, ...], deadline: float | None) -> int:
-    """Greedy independent set of the whole graph: repeatedly take a
-    minimum-degree vertex, lowest index on ties, and delete its closed
-    neighbourhood. Degrees live in a bucket queue (Matula & Beck's
+def _greedy_incumbent(adj: tuple[int, ...], mask: int, deadline: float | None) -> int:
+    """Greedy independent set of the subgraph ``mask`` induces: repeatedly
+    take a minimum-degree vertex, lowest index on ties, and delete its
+    closed neighbourhood. Degrees live in a bucket queue (Matula & Beck's
     smallest-last ordering): ``buckets[d]`` masks the remaining vertices
     of current degree d, so the whole run is O(n + m) bitmask updates.
     Raises ``SolveAborted`` once ``perf_counter()`` passes ``deadline``."""
-    deg = [nb.bit_count() for nb in adj]
+    deg = [(nb & mask).bit_count() for nb in adj]
     buckets = [0] * (max(deg) + 1)
     for v, d in enumerate(deg):
         buckets[d] |= 1 << v
+    buckets = [b & mask for b in buckets]
     chosen = 0
-    rem = (1 << len(adj)) - 1
+    rem = mask
     low = 0
     while rem:
         if deadline is not None and time.perf_counter() > deadline:
@@ -302,21 +306,27 @@ def _drop(adj: tuple[int, ...], deg: list[int], mask: int, gone: int) -> int:
     return dirty
 
 
-def alpha(g: Graph, budget_ms: float | None = None) -> MisResult:
+def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()) -> MisResult:
     """Exact alpha by branch and bound; no size limit, no default timeout.
 
-    ``budget_ms`` aborts the solve with ``SolveAborted`` once exceeded so
-    callers can report a distinguishable aborted status; it must be
-    positive (a NaN deadline would never pass).
+    ``avoid`` names vertices the set must leave out (all of them: alpha
+    0). ``budget_ms`` aborts the solve with ``SolveAborted`` once exceeded
+    so callers can report a distinguishable aborted status; it must be
+    positive (a NaN deadline would never pass). Its clock starts before
+    the adjacency bitmasks are built, a step it cannot interrupt.
     """
     if g.order < 1:
         raise ValueError("alpha needs a non-empty graph")
     if budget_ms is not None and not budget_ms > 0:  # NaN included
         raise ValueError(f"budget must be positive, got {budget_ms}")
+    start = time.perf_counter()
+    deadline = None if budget_ms is None else start + budget_ms / 1000.0
+    avoid_mask = 0
+    for v in avoid:
+        g._check_vertex(v)
+        avoid_mask |= 1 << (v - 1)
     adj = g.adjacency_masks
     n = g.order
-    deadline = None if budget_ms is None else time.perf_counter() + budget_ms / 1000.0
-    start = time.perf_counter()
 
     nodes = clique_prunes = cover_prunes = reductions = max_depth = 0
 
@@ -408,23 +418,12 @@ def alpha(g: Graph, budget_ms: float | None = None) -> MisResult:
                           include_dirty, matching))
         return best_mask
 
+    mask = ((1 << n) - 1) ^ avoid_mask
     no_arcs = [-1] * n
-    best_mask = search((1 << n) - 1, _greedy_incumbent(adj, deadline), (no_arcs, no_arcs, 0, 0))
+    best_mask = search(mask, _greedy_incumbent(adj, mask, deadline), (no_arcs, no_arcs, 0, 0))
     elapsed = time.perf_counter() - start
     return MisResult(
         best_mask.bit_count(), IndependentSet(n, _mask_to_set(best_mask)), nodes, elapsed,
         clique_prunes, cover_prunes, reductions, max_depth,
     )
 
-
-def alpha_avoiding(g: Graph, *vertices: int, budget_ms: float | None = None) -> MisResult:
-    """Exact maximum independent set among those that exclude every one of
-    ``vertices``: delete them, solve, translate the witness back to g's
-    labels. Excluding every vertex gives alpha 0 and an empty witness."""
-    reduced, old_to_new = delete_vertices(g, vertices)
-    if reduced.order == 0:
-        return MisResult(0, IndependentSet(g.order, frozenset()), 0, 0.0)
-    result = alpha(reduced, budget_ms=budget_ms)
-    back = {new: old for old, new in old_to_new.items()}
-    members = frozenset(back[w] for w in result.witness.members)
-    return replace(result, witness=IndependentSet(g.order, members))

@@ -18,7 +18,7 @@ from tokengraphs.graphs import (
     path,
     wheel,
 )
-from tokengraphs.mis import alpha, alpha_avoiding, brute_force_alpha, is_independent
+from tokengraphs.mis import alpha, brute_force_alpha, is_independent
 from tokengraphs.operators import (
     double_vertex,
     index_of,
@@ -164,7 +164,7 @@ def test_c11_corner_token_avoidance():
     for n in (5, 7, 9, 11):
         dg = pair_graph(cycle(n))
         corner = index_of(dg, multiset_token(1, n))
-        assert alpha_avoiding(dg.graph, corner).alpha == F.pair_cycle(n), n
+        assert alpha(dg.graph, avoid=[corner]).alpha == F.pair_cycle(n), n
     report(11, True, "avoiding the corner token {1,n} keeps alpha for odd n in 5..11")
 
 

@@ -1,16 +1,17 @@
 import random
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
+from tokengraphs import mis
 from tokengraphs.graphs import Graph, complete, cycle, disjoint_union, fan, induced_subgraph, path, wheel
 from tokengraphs.mis import (
     SolveAborted,
     _cycle_cover_bound,
     _greedy_incumbent,
     alpha,
-    alpha_avoiding,
     brute_force_alpha,
     is_independent,
 )
@@ -130,25 +131,25 @@ def test_alpha_monotone_under_induced_subgraph():
 
 
 def test_alpha_avoiding_middle_of_path():
-    result = alpha_avoiding(path(3), 2)
+    result = alpha(path(3), avoid=[2])
     assert result.alpha == 2
     assert result.witness.members == frozenset({1, 3})
 
 
 def test_alpha_avoiding_on_complete_graph():
-    assert alpha_avoiding(complete(3), 1).alpha == 1
+    assert alpha(complete(3), avoid=[1]).alpha == 1
 
 
 def test_alpha_avoiding_out_of_range():
-    with pytest.raises(ValueError):
-        alpha_avoiding(path(3), 4)
+    with pytest.raises(ValueError, match="vertex 4 out of range 1..3"):
+        alpha(path(3), avoid=[4])
 
 
 def test_alpha_avoiding_corner_token_keeps_value():
     dg = pair_graph(cycle(5))
     corner = index_of(dg, multiset_token(1, 5))
     full = alpha(dg.graph).alpha
-    avoiding = alpha_avoiding(dg.graph, corner)
+    avoiding = alpha(dg.graph, avoid=[corner])
     assert avoiding.alpha == full
     assert corner not in avoiding.witness.members
     assert is_independent(dg.graph, avoiding.witness.members)
@@ -158,7 +159,7 @@ def test_alpha_avoiding_corner_token_keeps_value():
 def test_alpha_avoiding_apex_tokens_is_the_dv_wheel_witness(m):
     dg = double_vertex(wheel(m))
     apex = indices_of(dg, b_set_dv(m))
-    result = alpha_avoiding(dg.graph, *apex)
+    result = alpha(dg.graph, avoid=apex)
     witness = dv_wheel_witness(m)
     assert result.witness == witness
     assert result.alpha == len(witness)
@@ -167,10 +168,11 @@ def test_alpha_avoiding_apex_tokens_is_the_dv_wheel_witness(m):
 
 def test_alpha_avoiding_every_vertex():
     g = cycle(5)
-    result = alpha_avoiding(g, *g.vertices)
+    result = alpha(g, avoid=g.vertices)
     assert result.alpha == 0
     assert result.witness.order == 5
     assert result.witness.members == frozenset()
+    assert result.nodes == 1  # the empty root is still a search node
 
 
 def test_alpha_budget_aborts():
@@ -188,6 +190,22 @@ def test_alpha_budget_bounds_the_greedy_incumbent():
     with pytest.raises(SolveAborted, match="greedy incumbent"):
         alpha(g, budget_ms=2)
     assert time.perf_counter() - start < 0.5
+
+
+def test_alpha_budget_covers_the_adjacency_build(monkeypatch):
+    # the clock starts before alpha reads the bitmasks, so a mask build that
+    # outlasts the budget fails the first deadline check
+    clock = [0.0]
+    monkeypatch.setattr(mis, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+
+    class SlowMasks(Graph):
+        @property
+        def adjacency_masks(self):
+            clock[0] += 1.0
+            return super().adjacency_masks
+
+    with pytest.raises(SolveAborted, match="greedy incumbent"):
+        alpha(SlowMasks(5, cycle(5).edges), budget_ms=50)
 
 
 def test_alpha_closes_big_pair_cycle_at_the_root_within_budget():
@@ -241,14 +259,14 @@ def test_alpha_rejects_non_positive_budget(budget):
     with pytest.raises(ValueError, match="budget"):
         alpha(path(3), budget_ms=budget)
     with pytest.raises(ValueError, match="budget"):
-        alpha_avoiding(path(3), 2, budget_ms=budget)
+        alpha(path(3), budget_ms=budget, avoid=[2])
 
 
-def _quadratic_greedy_incumbent(adj):
-    # reference: rescan every remaining vertex for the minimum degree,
-    # lowest index on ties, then delete its closed neighbourhood
+def _quadratic_greedy_incumbent(adj, mask):
+    # reference: rescan every remaining vertex of the mask for the minimum
+    # degree, lowest index on ties, then delete its closed neighbourhood
     chosen = 0
-    rem = (1 << len(adj)) - 1
+    rem = mask
     while rem:
         remaining = [v for v in range(len(adj)) if rem >> v & 1]
         v = min(remaining, key=lambda u: ((adj[u] & rem).bit_count(), u))
@@ -272,9 +290,11 @@ def _incumbent_corpus():
 
 
 def test_greedy_incumbent_matches_quadratic_reference():
+    rng = random.Random(91)
     for g in _incumbent_corpus():
         adj = g.adjacency_masks
-        assert _greedy_incumbent(adj, None) == _quadratic_greedy_incumbent(adj)
+        for mask in ((1 << g.order) - 1, rng.getrandbits(g.order), 0):
+            assert _greedy_incumbent(adj, mask, None) == _quadratic_greedy_incumbent(adj, mask)
 
 
 def _bridged_f3_c7_pair():

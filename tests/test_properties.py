@@ -2,6 +2,7 @@
 
 import random
 import re
+from dataclasses import replace
 from functools import reduce
 from itertools import combinations, combinations_with_replacement
 from math import comb
@@ -20,7 +21,7 @@ from tokengraphs.graphs import (
     is_isomorphic,
     join,
 )
-from tokengraphs.mis import _cycle_cover_bound, alpha, brute_force_alpha, is_independent
+from tokengraphs.mis import IndependentSet, _cycle_cover_bound, alpha, brute_force_alpha, is_independent
 from tokengraphs.operators import (
     MULTISET,
     SUBSET,
@@ -80,7 +81,7 @@ def test_delete_then_components_counts_are_consistent(g, data):
         assert sum(c.order for c, _ in components(reduced)) == reduced.order
 
 
-@settings(deadline=None)  # induced_subgraph per part makes the big examples O(c * n)
+@settings(deadline=None)  # one induced_subgraph per part scans every edge: O(c * m)
 @given(graphs())
 @example(Graph(2000))
 @example(reduce(disjoint_union, [cycle(3), cycle(4), cycle(5)] * 100))
@@ -269,6 +270,24 @@ def test_alpha_on_disjoint_unions_matches_exhaustive_oracle(g):
     assert result.alpha == exhaustive_alpha(g)
     assert len(result.witness.members) == result.alpha
     assert is_independent(g, result.witness.members)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(graphs(), bridged_unions(), relabeled_cycles()), st.data())
+def test_alpha_avoiding_vertices_matches_solving_the_copy(g, data):
+    # reference: delete the vertices, solve the smaller graph and map its
+    # witness back. Deletion keeps the vertex order, so every tie-break and
+    # counter agrees; only the elapsed time may differ. At most three
+    # vertices are avoided, so most bridged unions keep a part that branches
+    # and the search often reaches the component split.
+    avoid = data.draw(st.sets(st.integers(min_value=1, max_value=g.order),
+                              max_size=min(3, g.order - 1)))
+    reduced, relabel = delete_vertices(g, avoid)
+    copy = alpha(reduced)
+    back = {new: old for old, new in relabel.items()}
+    witness = IndependentSet(g.order, frozenset(back[w] for w in copy.witness.members))
+    expected = replace(copy, witness=witness, elapsed=0.0)
+    assert replace(alpha(g, avoid=avoid), elapsed=0.0) == expected
 
 
 def _reference_matching_size(g, vertices):
