@@ -6,7 +6,9 @@ solver vs witness sweep), ``witness`` (emit and certify an explicit
 construction), ``props`` (randomized property suites).
 
 Exit codes: 0 all ok, 1 mismatch or failed check, 2 aborted on budget,
-64 configuration error.
+64 configuration error (any argument the package rejects). The package
+raises ``ValueError`` only to reject its arguments, so ``main`` reports
+every ``ValueError`` as ``error: <message>`` and exits 64.
 """
 
 from __future__ import annotations
@@ -47,10 +49,6 @@ BASE_BUILDERS = {
 }
 
 
-class ConfigError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse parser whose usage errors exit with the config code."""
 
@@ -72,9 +70,9 @@ def _parse_op(op: str | None):
         try:
             k = int(op.split(":", 1)[1])
         except ValueError:
-            raise ConfigError(f"bad --op value {op!r}; expected token:<k>") from None
+            raise ValueError(f"bad --op value {op!r}; expected token:<k>") from None
         return (lambda g: k_token(g, k)), f"token_{k}"
-    raise ConfigError(f"unknown --op value {op!r}; expected dv, pair or token:<k>")
+    raise ValueError(f"unknown --op value {op!r}; expected dv, pair or token:<k>")
 
 
 def _parse_m_range(text: str) -> tuple[int, int]:
@@ -82,9 +80,9 @@ def _parse_m_range(text: str) -> tuple[int, int]:
         lo_text, hi_text = text.split("..", 1)
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
-        raise ConfigError(f"bad --m value {text!r}; expected A..B") from None
+        raise ValueError(f"bad --m value {text!r}; expected A..B") from None
     if lo > hi:
-        raise ConfigError(f"empty m range {text!r}")
+        raise ValueError(f"empty m range {text!r}")
     return lo, hi
 
 
@@ -98,19 +96,11 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _build_instance(family: str, m: int, op: str | None):
-    try:
-        base = BASE_BUILDERS[family](m)
-    except KeyError:
-        raise ConfigError(f"unknown family {family!r}") from None
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    base = BASE_BUILDERS[family](m)
     derive, op_name = _parse_op(op)
     if derive is None:
         return base, None, op_name
-    try:
-        derived = derive(base)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    derived = derive(base)
     return derived.graph, derived, op_name
 
 
@@ -126,10 +116,7 @@ def cmd_build(args) -> int:
 
 def cmd_alpha(args) -> int:
     graph, derived, op_name = _build_instance(args.family, args.m, args.op)
-    try:
-        result = solve_exact(graph, method=args.method)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    result = solve_exact(graph, method=args.method)
     shown = f"{op_name}({args.family}({args.m}))" if derived is not None else f"{args.family}({args.m})"
     print(f"alpha({shown}) = {result.alpha}")
     if derived is not None:
@@ -147,36 +134,27 @@ def cmd_verify(args) -> int:
     else:
         names = tuple(args.families.split(","))
     m_range = _parse_m_range(args.m) if args.m is not None else None
-    try:
-        config = RunConfig(
-            families=names,
-            m_range=m_range,
-            method=args.method,
-            budget_ms=args.budget_ms,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    try:
-        rows = run_sweep(config)
-    except ValueError as exc:  # e.g. --method brute beyond the oracle cap
-        raise ConfigError(str(exc)) from None
+    config = RunConfig(
+        families=names,
+        m_range=m_range,
+        method=args.method,
+        budget_ms=args.budget_ms,
+    )
+    rows = run_sweep(config)  # rejects e.g. --method brute beyond the oracle cap
     render = {"table": rows_to_table, "csv": rows_to_csv, "json": rows_to_json}[args.format]
     _write_output(render(rows), args.out)
     return sweep_exit_code(rows)
 
 
 def cmd_witness(args) -> int:
-    fam = FAMILIES.get(f"{args.op}_{args.family}")
-    if fam is None or fam.witness_tokens is None:
-        raise ConfigError(
+    fam = FAMILIES[f"{args.op}_{args.family}"]
+    if fam.witness_tokens is None:
+        raise ValueError(
             f"no witness construction for family {args.family!r} with --op {args.op!r}"
         )
-    try:
-        tokens = fam.witness_tokens(args.m)
-        expected = fam.formula(args.m)
-        derived = fam.derive(fam.base(args.m))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    tokens = fam.witness_tokens(args.m)
+    expected = fam.formula(args.m)
+    derived = fam.derive(fam.base(args.m))
     members = indices_of(derived, tokens)
     independent = is_independent(derived.graph, members)
     matches = independent and len(members) == expected
@@ -191,12 +169,15 @@ def cmd_witness(args) -> int:
         }
         _write_output(json.dumps(payload, indent=2) + "\n", args.out)
     else:
-        print(f"witness {fam.name} m={args.m}: size {len(members)}, formula {expected}, "
-              f"independent: {'yes' if independent else 'NO'}")
-        print("tokens: " + " ".join(str(t) for t in tokens))
+        lines = [
+            f"witness {fam.name} m={args.m}: size {len(members)}, formula {expected}, "
+            f"independent: {'yes' if independent else 'NO'}",
+            "tokens: " + " ".join(str(t) for t in tokens),
+        ]
         if args.m < fam.witness_min_m and not matches:
-            print("note: at m=3 the apex-free construction tops out at 1; "
-                  "the full graph reaches 2 only through an apex token")
+            lines.append("note: at m=3 the apex-free construction tops out at 1; "
+                         "the full graph reaches 2 only through an apex token")
+        _write_output("\n".join(lines) + "\n", args.out)
     return EXIT_OK if matches else EXIT_MISMATCH
 
 
@@ -204,11 +185,8 @@ def cmd_props(args) -> int:
     try:
         sizes = tuple(int(s) for s in args.sizes.split(","))
     except ValueError:
-        raise ConfigError(f"bad --sizes value {args.sizes!r}") from None
-    try:
-        results = run_property_suites(seed=args.seed, sizes=sizes, trials=args.trials)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ValueError(f"bad --sizes value {args.sizes!r}") from None
+    results = run_property_suites(seed=args.seed, sizes=sizes, trials=args.trials)
     sys.stdout.write(suites_report(results))
     return EXIT_OK if all(s.ok for s in results) else EXIT_MISMATCH
 
@@ -265,7 +243,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolveAborted as exc:

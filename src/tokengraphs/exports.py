@@ -10,7 +10,6 @@ so serializations can be frozen as golden strings.
 from __future__ import annotations
 
 import json
-from typing import Iterable
 
 from .graphs import Graph
 from .operators import DerivedGraph
@@ -31,19 +30,12 @@ def derived_to_json(dg: DerivedGraph) -> str:
     )
 
 
-def graph_to_dot(g: Graph, labels: dict[int, str] | None = None,
-                 highlight: Iterable[int] = ()) -> str:
+def graph_to_dot(g: Graph, labels: dict[int, str] | None = None) -> str:
     """One ``graph { ... }`` block; vertex indices as node ids, optional
-    label attributes, highlighted nodes drawn filled."""
-    marked = set(highlight)
+    label attributes."""
     lines = ["graph {"]
     for v in g.vertices:
-        attrs = []
-        if labels and v in labels:
-            attrs.append(f'label="{labels[v]}"')
-        if v in marked:
-            attrs.append("style=filled")
-        suffix = f" [{', '.join(attrs)}]" if attrs else ""
+        suffix = f' [label="{labels[v]}"]' if labels and v in labels else ""
         lines.append(f"  {v}{suffix};")
     for u, v in g.sorted_edges():
         lines.append(f"  {u} -- {v};")
@@ -51,11 +43,7 @@ def graph_to_dot(g: Graph, labels: dict[int, str] | None = None,
     return "\n".join(lines) + "\n"
 
 
-def derived_to_dot(dg: DerivedGraph, highlight: Iterable[int] = ()) -> str:
+def derived_to_dot(dg: DerivedGraph) -> str:
     labels = {i: str(tok) for i, tok in enumerate(dg.labels, start=1)}
-    return graph_to_dot(dg.graph, labels=labels, highlight=highlight)
+    return graph_to_dot(dg.graph, labels=labels)
 
-
-def tokens_to_json(tokens) -> str:
-    """A witness or slice as a JSON list of token element lists."""
-    return json.dumps([list(tok.elements) for tok in tokens])

@@ -1,59 +1,38 @@
 """Closed-form independence numbers for the supported family/operator
 pairs, plus the quarter-squares sequence helpers.
 
-Every evaluator uses exact integer arithmetic and rejects parameters
-outside its accepted domain instead of extrapolating. The accepted
-domain of a formula is sometimes wider than the range its source states;
-both are recorded on ``FormulaId`` (the wider range is the one confirmed
-by the exhaustive solver in the test suite).
+Every evaluator uses exact integer arithmetic and rejects an m below
+its accepted minimum instead of extrapolating. That minimum is sometimes
+lower than the one the paper states; the wider range is the one the
+exhaustive solver confirms in the test suite, and the evaluator's
+docstring records the paper's minimum.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 
-
-class FormulaId(Enum):
-    """Formula registry entry: (key, stated minimum m, accepted minimum m)."""
-
-    DV_PATH = ("dv_path", 2, 2)
-    DV_CYCLE = ("dv_cycle", 3, 3)
-    DV_FAN = ("dv_fan", 2, 1)
-    DV_WHEEL = ("dv_wheel", 4, 3)
-    PAIR_PATH = ("pair_path", 3, 1)
-    PAIR_FAN = ("pair_fan", 1, 1)
-    PAIR_CYCLE = ("pair_cycle", 3, 3)
-    PAIR_WHEEL = ("pair_wheel", 3, 3)
-    ALPHA_PATH = ("alpha_path", 1, 1)
-    ALPHA_CYCLE = ("alpha_cycle", 3, 3)
-
-    def __init__(self, key: str, stated_min: int, accepted_min: int):
-        self.key = key
-        self.stated_min = stated_min
-        self.accepted_min = accepted_min
-
-
-def _require(formula: FormulaId, m: int) -> None:
-    if m < formula.accepted_min:
-        raise ValueError(f"{formula.key} needs m >= {formula.accepted_min}, got {m}")
+def _require(name: str, m: int, least: int) -> None:
+    if m < least:
+        raise ValueError(f"{name} needs m >= {least}, got {m}")
 
 
 def dv_path(m: int) -> int:
     """alpha of the double vertex graph of P_m: floor(m^2/4)."""
-    _require(FormulaId.DV_PATH, m)
+    _require("dv_path", m, 2)
     return m * m // 4
 
 
 def dv_cycle(m: int) -> int:
     """alpha of the double vertex graph of C_m: floor(m*floor(m/2)/2)."""
-    _require(FormulaId.DV_CYCLE, m)
+    _require("dv_cycle", m, 3)
     return m * (m // 2) // 2
 
 
 def dv_fan(m: int) -> int:
     """alpha of the double vertex graph of the fan on m+1 vertices:
-    floor(m^2/4), with the degenerate single-token case at m = 1."""
-    _require(FormulaId.DV_FAN, m)
+    floor(m^2/4), with the degenerate single-token case at m = 1. The
+    paper states it from m = 2; it holds from m = 1."""
+    _require("dv_fan", m, 1)
     if m == 1:
         return 1
     return m * m // 4
@@ -61,30 +40,32 @@ def dv_fan(m: int) -> int:
 
 def dv_wheel(m: int) -> int:
     """alpha of the double vertex graph of the wheel on m+1 vertices:
-    the cycle value, except the machine-checked value 2 at m = 3."""
-    _require(FormulaId.DV_WHEEL, m)
+    the cycle value, except the machine-checked value 2 at m = 3. The
+    paper states it from m = 4; it holds from m = 3."""
+    _require("dv_wheel", m, 3)
     if m == 3:
         return 2
     return dv_cycle(m)
 
 
 def pair_path(m: int) -> int:
-    """alpha of the pair graph of P_m: floor((m+1)^2/4)."""
-    _require(FormulaId.PAIR_PATH, m)
+    """alpha of the pair graph of P_m: floor((m+1)^2/4). The paper states
+    it from m = 3; it holds from m = 1."""
+    _require("pair_path", m, 1)
     return (m + 1) * (m + 1) // 4
 
 
 def pair_fan(m: int) -> int:
     """alpha of the pair graph of the fan on m+1 vertices: one more than
     the path value (the apex diagonal joins any maximum set)."""
-    _require(FormulaId.PAIR_FAN, m)
+    _require("pair_fan", m, 1)
     return pair_path(m) + 1
 
 
 def pair_cycle(m: int) -> int:
     """alpha of the pair graph of C_m: k(k+1) for m = 2k, and
     k(k+1) + floor((k+1)/2) for m = 2k+1."""
-    _require(FormulaId.PAIR_CYCLE, m)
+    _require("pair_cycle", m, 3)
     k = m // 2
     if m % 2 == 0:
         return k * (k + 1)
@@ -94,7 +75,7 @@ def pair_cycle(m: int) -> int:
 def pair_wheel(m: int) -> int:
     """alpha of the pair graph of the wheel on m+1 vertices: one more
     than the cycle value."""
-    _require(FormulaId.PAIR_WHEEL, m)
+    _require("pair_wheel", m, 3)
     return pair_cycle(m) + 1
 
 
@@ -109,13 +90,13 @@ def grid_alpha(r: int, s: int) -> int:
 
 def alpha_path(m: int) -> int:
     """alpha of P_m: ceil(m/2)."""
-    _require(FormulaId.ALPHA_PATH, m)
+    _require("alpha_path", m, 1)
     return (m + 1) // 2
 
 
 def alpha_cycle(m: int) -> int:
     """alpha of C_m: floor(m/2)."""
-    _require(FormulaId.ALPHA_CYCLE, m)
+    _require("alpha_cycle", m, 3)
     return m // 2
 
 

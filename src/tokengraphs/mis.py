@@ -116,18 +116,21 @@ def brute_force_alpha(g: Graph, cap: int = BRUTE_FORCE_CAP) -> MisResult:
     return MisResult(best, IndependentSet(g.order, _mask_to_set(best_mask)), nodes, elapsed)
 
 
-def _greedy_incumbent(adj: tuple[int, ...], mask: int, deadline: float | None) -> int:
+def _greedy_incumbent(
+    adj: tuple[int, ...], mask: int, deg: list[int], deadline: float | None
+) -> int:
     """Greedy independent set of the subgraph ``mask`` induces: repeatedly
     take a minimum-degree vertex, lowest index on ties, and delete its
-    closed neighbourhood. Degrees live in a bucket queue (Matula & Beck's
-    smallest-last ordering): ``buckets[d]`` masks the remaining vertices
-    of current degree d, so the whole run is O(n + m) bitmask updates.
-    Raises ``SolveAborted`` once ``perf_counter()`` passes ``deadline``."""
-    deg = [(nb & mask).bit_count() for nb in adj]
+    closed neighbourhood. ``deg`` is that subgraph's degree table, -1
+    outside ``mask``; the run uses it up. Degrees live in a bucket queue
+    (Matula & Beck's smallest-last ordering): ``buckets[d]`` masks the
+    remaining vertices of current degree d, so the whole run is O(n + m)
+    bitmask updates. Raises ``SolveAborted`` once ``perf_counter()``
+    passes ``deadline``."""
     buckets = [0] * (max(deg) + 1)
     for v, d in enumerate(deg):
-        buckets[d] |= 1 << v
-    buckets = [b & mask for b in buckets]
+        if d >= 0:
+            buckets[d] |= 1 << v
     chosen = 0
     rem = mask
     low = 0
@@ -330,10 +333,11 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
 
     nodes = clique_prunes = cover_prunes = reductions = max_depth = 0
 
-    def search(mask: int, incumbent: int, matching: tuple) -> int:
+    def search(mask: int, deg: list[int], incumbent: int, matching: tuple) -> int:
         """Maximum independent set of the subgraph induced by ``mask``;
-        ``incumbent`` is an independent subset of ``mask`` to beat and
-        ``matching`` a start for the cycle-cover bound."""
+        ``deg`` is its degree table (the search uses it up), ``incumbent``
+        an independent subset of ``mask`` to beat and ``matching`` a start
+        for the cycle-cover bound."""
         nonlocal nodes, clique_prunes, cover_prunes, reductions, max_depth
         best_mask = incumbent
         best = incumbent.bit_count()
@@ -341,7 +345,6 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
         # ``deg[v]`` is v's degree in the node's residual graph, -1 once v is
         # gone; ``dirty`` masks the vertices whose degree dropped since the
         # reductions last looked at them (all of them at the root).
-        deg = [(nb & mask).bit_count() if mask >> v & 1 else -1 for v, nb in enumerate(adj)]
         # Frames are (mask, chosen, size, depth, deg, dirty, matching); the
         # exclude child is pushed under the include child, so nodes are
         # visited in the order a recursive search would visit them.
@@ -401,7 +404,11 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
                 comps = list(_component_masks(adj, mask))
                 if len(comps) > 1:
                     for comp in comps:
-                        chosen |= search(comp, best_mask & comp, matching)
+                        # a component keeps its residual degrees
+                        comp_deg = [-1] * n
+                        for v in _mask_to_set(comp):
+                            comp_deg[v - 1] = deg[v - 1]
+                        chosen |= search(comp, comp_deg, best_mask & comp, matching)
                     # optimal: the reductions are safe and each component
                     # search returns a maximum set of its component
                     return chosen
@@ -419,8 +426,12 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
         return best_mask
 
     mask = ((1 << n) - 1) ^ avoid_mask
+    deg = [(nb & mask).bit_count() for nb in adj]
+    for v in _mask_to_set(avoid_mask):
+        deg[v - 1] = -1
     no_arcs = [-1] * n
-    best_mask = search(mask, _greedy_incumbent(adj, mask, deadline), (no_arcs, no_arcs, 0, 0))
+    incumbent = _greedy_incumbent(adj, mask, deg[:], deadline)
+    best_mask = search(mask, deg, incumbent, (no_arcs, no_arcs, 0, 0))
     elapsed = time.perf_counter() - start
     return MisResult(
         best_mask.bit_count(), IndependentSet(n, _mask_to_set(best_mask)), nodes, elapsed,

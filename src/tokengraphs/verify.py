@@ -65,8 +65,8 @@ class FamilySpec:
     formula, and the explicit witness construction (``None`` when there
     is none, as for ``dv_cycle``).
 
-    ``min_m`` is the smallest m the sweep runs, and it is not
-    ``formulas.FormulaId.accepted_min``: the formula may accept an m whose
+    ``min_m`` is the smallest m the sweep runs, and it is not the
+    smallest m the formula accepts: the formula may accept an m whose
     graph cannot be built. For ``pair_path`` they are 2 and 1, because
     ``pair_graph`` needs base order >= 2. Keep the two apart.
 

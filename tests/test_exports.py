@@ -30,11 +30,11 @@ def test_graph_dot_golden():
     assert graph_to_dot(path(3)) == "graph {\n  1;\n  2;\n  3;\n  1 -- 2;\n  2 -- 3;\n}\n"
 
 
-def test_derived_dot_with_labels_and_highlight():
-    text = derived_to_dot(double_vertex(path(3)), highlight=[1])
+def test_derived_dot_with_labels():
+    text = derived_to_dot(double_vertex(path(3)))
     assert text == (
         "graph {\n"
-        '  1 [label="{1,2}", style=filled];\n'
+        '  1 [label="{1,2}"];\n'
         '  2 [label="{1,3}"];\n'
         '  3 [label="{2,3}"];\n'
         "  1 -- 2;\n"
@@ -47,10 +47,3 @@ def test_exports_are_deterministic():
     dg = pair_graph(cycle(5))
     assert derived_to_json(dg) == derived_to_json(pair_graph(cycle(5)))
     assert derived_to_dot(dg) == derived_to_dot(pair_graph(cycle(5)))
-
-
-def test_tokens_to_json():
-    from tokengraphs.exports import tokens_to_json
-    from tokengraphs.witnesses import l_set
-
-    assert tokens_to_json(l_set(4, 2)) == "[[1, 3], [2, 4]]"

@@ -1,12 +1,15 @@
 import random
 import sys
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
 from tokengraphs import mis
-from tokengraphs.graphs import Graph, complete, cycle, disjoint_union, fan, induced_subgraph, path, wheel
+from tokengraphs.graphs import (
+    Graph, complete, cycle, disjoint_union, fan, induced_subgraph, join, path, wheel,
+)
 from tokengraphs.mis import (
     SolveAborted,
     _cycle_cover_bound,
@@ -166,6 +169,18 @@ def test_alpha_avoiding_apex_tokens_is_the_dv_wheel_witness(m):
     assert not set(apex) & result.witness.members
 
 
+def test_alpha_avoiding_reads_a_generator_once():
+    # the hub outranks every vertex of F3(C9) in degree; a second pass over
+    # a spent generator would leave it in the degree table, and the search
+    # (which branches here) would pick it first
+    g = join(k_token(cycle(9), 3).graph, complete(1))
+    hub = g.order
+    from_tuple = alpha(g, avoid=(hub,))
+    from_generator = alpha(g, avoid=(v for v in (hub,)))
+    assert from_tuple.nodes > 1 and hub not in from_tuple.witness.members
+    assert replace(from_generator, elapsed=0) == replace(from_tuple, elapsed=0)
+
+
 def test_alpha_avoiding_every_vertex():
     g = cycle(5)
     result = alpha(g, avoid=g.vertices)
@@ -294,7 +309,8 @@ def test_greedy_incumbent_matches_quadratic_reference():
     for g in _incumbent_corpus():
         adj = g.adjacency_masks
         for mask in ((1 << g.order) - 1, rng.getrandbits(g.order), 0):
-            assert _greedy_incumbent(adj, mask, None) == _quadratic_greedy_incumbent(adj, mask)
+            deg = [(nb & mask).bit_count() if mask >> v & 1 else -1 for v, nb in enumerate(adj)]
+            assert _greedy_incumbent(adj, mask, deg, None) == _quadratic_greedy_incumbent(adj, mask)
 
 
 def _bridged_f3_c7_pair():

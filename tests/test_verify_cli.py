@@ -310,6 +310,16 @@ def test_cli_witness_every_family_at_m6(capsys, family, op, size):
         assert f"size {size}, formula {size}, independent: yes" in capsys.readouterr().out
 
 
+def test_cli_witness_text_out_file(tmp_path, capsys):
+    argv = ["witness", "cycle", "7", "--op", "pair"]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    target = tmp_path / "w.txt"
+    assert main(argv + ["--out", str(target)]) == 0
+    assert capsys.readouterr().out == f"wrote {target}\n"
+    assert target.read_text() == text
+
+
 def test_cli_witness_json_format(capsys):
     assert main(["witness", "cycle", "4", "--op", "pair", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -343,3 +353,33 @@ def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["alpha", "galaxy", "3"])
     assert excinfo.value.code == 64
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["build", "wheel", "2"], 64, "error: wheel needs m >= 3, got 2"),
+    (["build", "path", "4", "--op", "triple"], 64,
+     "error: unknown --op value 'triple'; expected dv, pair or token:<k>"),
+    (["build", "path", "4", "--op", "token:x"], 64,
+     "error: bad --op value 'token:x'; expected token:<k>"),
+    (["build", "path", "4", "--op", "token:0"], 64, "error: k must satisfy 1 <= k <= 4, got 0"),
+    (["alpha", "path", "30", "--op", "dv", "--method", "brute"], 64,
+     "error: order 435 exceeds the brute-force cap 26; use alpha() instead"),
+    (["verify", "--m", "5..3"], 64, "error: empty m range '5..3'"),
+    (["verify", "--m", "x"], 64, "error: bad --m value 'x'; expected A..B"),
+    (["verify", "--families", "dv_moebius"], 64, "error: unknown families: dv_moebius"),
+    (["verify", "--budget-ms", "nan"], 64, "error: budget must be positive"),
+    (["verify", "--families", "dv_fan", "--m", "12..12", "--method", "brute"], 64,
+     "error: order 78 exceeds the brute-force cap 26; use alpha() instead"),
+    (["witness", "cycle", "5", "--op", "dv"], 64,
+     "error: no witness construction for family 'cycle' with --op 'dv'"),
+    (["witness", "fan", "0", "--op", "dv"], 64, "error: dv_fan_witness needs m >= 1, got 0"),
+    (["props", "--sizes", "four"], 64, "error: bad --sizes value 'four'"),
+    (["props", "--sizes", "17"], 64,
+     "error: sizes above 16 are not supported by the randomized suites"),
+    (["props", "--trials", "0"], 64, "error: trials must be >= 1"),
+])
+def test_cli_rejected_arguments_name_the_problem(capsys, argv, code, line):
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == line
