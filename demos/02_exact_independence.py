@@ -18,7 +18,8 @@ from tokengraphs import (
 )
 
 # Two routes to the same number: brute_force_alpha enumerates, alpha
-# branches on max-degree vertices under clique-cover and cycle-cover bounds.
+# branches on max-degree vertices under clique-, cycle- and triangle-cover
+# bounds.
 samples = [
     ("double_vertex(wheel(3))", double_vertex(wheel(3)).graph),
     ("double_vertex(fan(6))", double_vertex(fan(6)).graph),

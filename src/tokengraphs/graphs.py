@@ -95,6 +95,12 @@ class Graph:
             masks[v - 1] |= 1 << (u - 1)
         return tuple(masks)
 
+    @cached_property
+    def has_triangle(self) -> bool:
+        """True iff some edge's endpoints have a common neighbour."""
+        adj = self.adjacency_masks
+        return any(adj[u - 1] & adj[v - 1] for u, v in self.edges)
+
     def _check_vertex(self, v: int) -> None:
         if not (1 <= v <= self.order):
             raise ValueError(f"vertex {v} out of range 1..{self.order}")

@@ -9,12 +9,19 @@ Two independent routes are provided on purpose:
   (lowest index on ties), include branch first, a minimum-degree greedy
   incumbent (bucket queue, lowest index on ties), isolated/pendant-vertex
   reductions between branchings, and connected components of the
-  residual graph solved separately at the root of each search. Two upper
-  bounds: a greedy clique cover, and where it fails to prune, a cycle
-  cover read off a maximum matching of the bipartite double cover (the
-  LP plus cycle-cover bound of Akiba & Iwata, TCS 2016), each node
-  starting from its parent's matching. The cycle cover is exact on
-  bipartite graphs; the clique cover is the tighter one on cliques.
+  residual graph solved separately at the root of each search. Three
+  upper bounds, each tried only where the ones before it fail to prune: a
+  greedy clique cover; a cycle cover read off a maximum matching of the
+  bipartite double cover (the LP plus cycle-cover bound of Akiba & Iwata,
+  TCS 2016), each node starting from its parent's matching; and
+  vertex-disjoint triangles around the high-degree vertices with a cycle
+  cover of the rest, started from the node's own matching. The cycle
+  cover is exact on bipartite graphs, the clique cover is the tighter one
+  on cliques, and the triangle cover closes the odd wheels' double vertex
+  and pair graphs at the root. The triangle cover runs only when g has a
+  triangle (``Graph.has_triangle``, cached on the graph): a triangle-free
+  g has none in any vertex subset, and a k-token graph has one only when
+  its base does, so on F_k(C_m), m >= 4, it never runs.
   Each node inherits its vertex degrees from its parent, so the
   reductions revisit only the vertices whose degree dropped, and the
   search runs on an explicit stack, not on interpreter frames.
@@ -65,6 +72,7 @@ class MisResult:
     elapsed: float  # seconds
     clique_prunes: int = 0  # nodes closed by the clique-cover bound
     cover_prunes: int = 0  # nodes closed by the cycle-cover bound
+    triangle_prunes: int = 0  # nodes closed by the triangle-cover bound
     reductions: int = 0  # vertices taken by the isolated/pendant rule
     max_depth: int = 0  # most branchings above any search node
 
@@ -289,6 +297,51 @@ def _cycle_cover_bound(
     return bound, (out, inn, tails, heads)
 
 
+def _triangle_cover_bound(
+    adj: tuple[int, ...], mask: int, deg: list[int], matching: tuple, deadline: float | None
+) -> int:
+    """Upper bound on alpha of the subgraph induced by ``mask`` from
+    vertex-disjoint triangles, each holding at most one independent vertex,
+    and a cycle cover of the vertices they leave. ``deg`` is the subgraph's
+    degree table, -1 outside ``mask``. The seeds are the vertices of degree
+    above the median, highest first (lowest index on ties). A seed still
+    free takes its lowest-degree free neighbour that has a free neighbour
+    in the seed's neighbourhood, then that vertex's lowest-degree such
+    neighbour, so each choice is linear in the seed's degree.
+    ``_cycle_cover_bound`` covers the rest from ``matching``. Raises
+    ``SolveAborted`` once ``perf_counter()`` passes ``deadline``."""
+    live = sorted((v for v, d in enumerate(deg) if d >= 0), key=deg.__getitem__, reverse=True)
+    median = deg[live[len(live) // 2]]
+    count = 0
+    free = mask
+    for s in live:
+        if deg[s] <= median:
+            break
+        if not free >> s & 1:
+            continue
+        nb = adj[s] & free
+        a = _lowest_degree_hub(adj, deg, nb, nb)
+        if a >= 0:
+            # a lies in nb, so each of its neighbours in nb has one there
+            b = _lowest_degree_hub(adj, deg, adj[a] & nb, nb)
+            free &= ~(1 << s | 1 << a | 1 << b)
+            count += 1
+    return count + _cycle_cover_bound(adj, free, matching, deadline)[0]
+
+
+def _lowest_degree_hub(adj: tuple[int, ...], deg: list[int], scan: int, within: int) -> int:
+    """The vertex of the mask ``scan`` with a neighbour in ``within`` and
+    the lowest ``deg``, lowest index on ties; -1 if there is none."""
+    best, low = -1, len(deg)
+    while scan:
+        bit = scan & -scan
+        scan ^= bit
+        u = bit.bit_length() - 1
+        if deg[u] < low and adj[u] & within:
+            best, low = u, deg[u]
+    return best
+
+
 def _drop(adj: tuple[int, ...], deg: list[int], mask: int, gone: int) -> int:
     """Take the vertices of ``gone`` out of the degree table ``deg`` of the
     subgraph that ``mask`` (already without them) induces: they get -1 and
@@ -331,14 +384,14 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
     adj = g.adjacency_masks
     n = g.order
 
-    nodes = clique_prunes = cover_prunes = reductions = max_depth = 0
+    nodes = clique_prunes = cover_prunes = triangle_prunes = reductions = max_depth = 0
 
     def search(mask: int, deg: list[int], incumbent: int, matching: tuple) -> int:
         """Maximum independent set of the subgraph induced by ``mask``;
         ``deg`` is its degree table (the search uses it up), ``incumbent``
         an independent subset of ``mask`` to beat and ``matching`` a start
         for the cycle-cover bound."""
-        nonlocal nodes, clique_prunes, cover_prunes, reductions, max_depth
+        nonlocal nodes, clique_prunes, cover_prunes, triangle_prunes, reductions, max_depth
         best_mask = incumbent
         best = incumbent.bit_count()
 
@@ -396,6 +449,12 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
             if size + bound <= best:
                 cover_prunes += 1
                 continue
+            # read at the first node left open; a triangle-free g has no
+            # triangle in any vertex subset either
+            if g.has_triangle and size + _triangle_cover_bound(adj, mask, deg, matching,
+                                                               deadline) <= best:
+                triangle_prunes += 1
+                continue
 
             # Split into components only at the root: a check at every node
             # found no split below the root on k-token graphs of cycles and
@@ -435,6 +494,7 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
     elapsed = time.perf_counter() - start
     return MisResult(
         best_mask.bit_count(), IndependentSet(n, _mask_to_set(best_mask)), nodes, elapsed,
-        clique_prunes, cover_prunes, reductions, max_depth,
+        clique_prunes=clique_prunes, cover_prunes=cover_prunes, triangle_prunes=triangle_prunes,
+        reductions=reductions, max_depth=max_depth,
     )
 

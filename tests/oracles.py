@@ -38,6 +38,14 @@ def union_find_components(g: Graph) -> list[frozenset[int]]:
     return sorted((frozenset(p) for p in parts.values()), key=min)
 
 
+def triple_has_triangle(g: Graph) -> bool:
+    """True iff some three vertices are pairwise joined in the raw edge set."""
+    return any(
+        (a, b) in g.edges and (a, c) in g.edges and (b, c) in g.edges
+        for a, b, c in combinations(g.vertices, 3)
+    )
+
+
 def exhaustive_alpha(g: Graph) -> int:
     """Largest independent set size by checking k-subsets from the top."""
     vertices = list(g.vertices)

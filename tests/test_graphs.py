@@ -1,3 +1,4 @@
+import random
 import sys
 from itertools import permutations
 
@@ -19,6 +20,10 @@ from tokengraphs.graphs import (
     wheel,
 )
 
+from tokengraphs.operators import k_token
+from tokengraphs.verify import random_graph
+
+from .oracles import triple_has_triangle
 from .test_mis import _frame_depth
 
 
@@ -144,6 +149,27 @@ def test_wheel_is_cycle_plus_apex():
     assert g.order == 5 and g.size == 8
     assert g.neighbors(5) == frozenset({1, 2, 3, 4})
     assert is_isomorphic(wheel(3), complete(4))
+
+
+@pytest.mark.parametrize("build, expected", [
+    (lambda: cycle(3), True),
+    (lambda: cycle(4), False),
+    (lambda: wheel(5), True),
+    (lambda: k_token(cycle(9), 3).graph, False),
+    (lambda: k_token(wheel(5), 3).graph, True),
+], ids=["C3", "C4", "W5", "F3(C9)", "F3(W5)"])
+def test_has_triangle_named_cases(build, expected):
+    g = build()
+    assert g.has_triangle == triple_has_triangle(g) == expected
+
+
+def test_has_triangle_matches_the_triple_check():
+    rng = random.Random(13)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 12))
+        sparse = Graph(g.order, frozenset(e for e in g.edges if rng.random() < 0.3))
+        assert g.has_triangle == triple_has_triangle(g)
+        assert sparse.has_triangle == triple_has_triangle(sparse)
 
 
 def test_cartesian_product_counts():

@@ -14,6 +14,7 @@ from tokengraphs.mis import (
     SolveAborted,
     _cycle_cover_bound,
     _greedy_incumbent,
+    _triangle_cover_bound,
     alpha,
     brute_force_alpha,
     is_independent,
@@ -258,8 +259,48 @@ def test_alpha_counts_which_bound_closed_nodes():
     result = alpha(k_token(cycle(11), 3).graph)
     assert result.cover_prunes > 0
     assert result.clique_prunes + result.cover_prunes < result.nodes
+    assert result.triangle_prunes == 0  # F3(C11) has no triangle
     big = alpha(pair_graph(cycle(80)).graph)
     assert (big.nodes, big.cover_prunes) == (1, 0)
+    # the apex triangles of an odd wheel's double vertex graph close its root
+    wheel_result = alpha(double_vertex(wheel(23)).graph)
+    assert (wheel_result.nodes, wheel_result.triangle_prunes) == (1, 1)
+
+
+def test_alpha_skips_the_triangle_cover_on_triangle_free_graphs(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the triangle cover ran on a triangle-free graph")
+
+    monkeypatch.setattr(mis, "_triangle_cover_bound", refuse)
+    g = k_token(cycle(11), 3).graph
+    assert alpha(g).alpha == 75
+    assert alpha(g, avoid=range(1, 40)).alpha == 62  # the guard holds for subsets
+
+
+def test_triangle_cover_bound_is_an_upper_bound():
+    # cold and warm matchings on random graphs and vertex subsets
+    rng = random.Random(17)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 14))
+        adj = g.adjacency_masks
+        keep = [v for v in g.vertices if rng.random() < 0.8] or [1]
+        mask = sum(1 << (v - 1) for v in keep)
+        deg = [(nb & mask).bit_count() if mask >> v & 1 else -1 for v, nb in enumerate(adj)]
+        expected = brute_force_alpha(induced_subgraph(g, keep)[0]).alpha
+        no_arcs = [-1] * g.order
+        cold = (no_arcs, no_arcs, 0, 0)
+        _, warm = _cycle_cover_bound(adj, mask, cold, None)
+        for start in (cold, warm):
+            assert _triangle_cover_bound(adj, mask, deg, start, None) >= expected
+
+
+def test_alpha_budget_holds_inside_the_triangle_cover():
+    # about 1.5 s unbudgeted, with the triangle cover at most open nodes
+    g = k_token(wheel(9), 3).graph
+    start = time.perf_counter()
+    with pytest.raises(SolveAborted):
+        alpha(g, budget_ms=50)
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.slow
@@ -327,19 +368,21 @@ def _bridged_f3_c7_pair():
     (lambda: disjoint_union(*[k_token(cycle(7), 3).graph] * 2), (70, 30, 15)),
     (lambda: disjoint_union(*[k_token(cycle(9), 3).graph] * 2), (168, 76, 63)),
     (_bridged_f3_c7_pair, (72, 31, 15)),
-    (lambda: double_vertex(wheel(9)).graph, (45, 18, 17)),
+    (lambda: double_vertex(wheel(9)).graph, (45, 18, 1)),
     (lambda: pair_graph(cycle(11)).graph, (66, 33, 1)),
     (lambda: k_token(cycle(13), 3).graph, (286, 132, 1597)),
-    (lambda: double_vertex(wheel(23)).graph, (276, 126, 47)),
-    (lambda: pair_graph(wheel(23)).graph, (300, 139, 41)),
+    (lambda: double_vertex(wheel(23)).graph, (276, 126, 1)),
+    (lambda: pair_graph(wheel(23)).graph, (300, 139, 1)),
     (lambda: double_vertex(path(40)).graph, (780, 400, 1)),
+    (lambda: k_token(wheel(9), 3).graph, (120, 38, 7155)),
 ], ids=["F3(C9)", "F4(C9)", "2xF3(C7)", "2xF3(C9)", "bridge", "F2(W9)",
-        "C(C11)", "F3(C13)", "F2(W23)", "C(W23)", "F2(P40)"])
+        "C(C11)", "F3(C13)", "F2(W23)", "C(W23)", "F2(P40)", "F3(W9)"])
 def test_alpha_search_is_pinned(build, expected):
     # order, alpha and node count of the branch and bound; a change to the
     # branching rule, the bounds (clique cover, cycle cover and the matching
-    # it starts from), the reductions or the component split moves the
-    # node count
+    # it starts from, triangle cover), the reductions or the component split
+    # moves the node count. F3(W9) has triangles and still branches, so it
+    # pins what the triangle cover does inside the search.
     g = build()
     result = alpha(g)
     assert (g.order, result.alpha, result.nodes) == expected
@@ -347,7 +390,7 @@ def test_alpha_search_is_pinned(build, expected):
 
 @pytest.mark.parametrize("build, expected", [
     (lambda: k_token(cycle(11), 3).graph, (414, 15)),
-    (lambda: double_vertex(wheel(23)).graph, (463, 23)),
+    (lambda: double_vertex(wheel(23)).graph, (0, 0)),  # the triangle cover closes the root
     (lambda: double_vertex(path(40)).graph, (400, 0)),  # the pendant rule takes all
 ], ids=["F3(C11)", "F2(W23)", "F2(P40)"])
 def test_alpha_counts_reductions_and_depth(build, expected):
@@ -373,9 +416,9 @@ def _frame_depth() -> int:
 
 
 def test_alpha_search_depth_needs_no_interpreter_frames():
-    # the search runs 23 branchings deep; with a frame per branching it
+    # the search runs 18 branchings deep; with a frame per branching it
     # would overrun a recursion limit 15 frames above the caller
-    g = double_vertex(wheel(23)).graph
+    g = k_token(wheel(7), 3).graph
     g.adjacency_masks
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_frame_depth() + 15)
@@ -383,7 +426,7 @@ def test_alpha_search_depth_needs_no_interpreter_frames():
         result = alpha(g)
     finally:
         sys.setrecursionlimit(limit)
-    assert (result.alpha, result.nodes) == (126, 47)
+    assert (result.alpha, result.nodes) == (17, 135)
     assert result.max_depth > 15
 
 

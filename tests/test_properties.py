@@ -132,6 +132,15 @@ def test_k_token_and_pair_graph_match_first_principles(g):
         assert _labelled_edges(dg) == naive_pair_graph_edges(g)
 
 
+@settings(max_examples=60, deadline=None)
+@given(graphs(min_order=4, max_order=8), st.sampled_from([2, 3]))
+def test_k_token_has_a_triangle_iff_its_base_does(g, k):
+    # three token sets pairwise one move apart differ by one token moving
+    # among three mutually adjacent vertices of g; conversely, for k < n a
+    # triangle of g gives one (F_k(g) is isomorphic to F_(n-k)(g))
+    assert k_token(g, k).graph.has_triangle == g.has_triangle
+
+
 def _elements(data, kind, size, n):
     """Sorted elements of a random ``kind`` token of ``size`` elements from
     1..n, or None when there is no such token."""
