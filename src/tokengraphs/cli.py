@@ -174,9 +174,6 @@ def cmd_witness(args) -> int:
             f"independent: {'yes' if independent else 'NO'}",
             "tokens: " + " ".join(str(t) for t in tokens),
         ]
-        if args.m < fam.witness_min_m and not matches:
-            lines.append("note: at m=3 the apex-free construction tops out at 1; "
-                         "the full graph reaches 2 only through an apex token")
         _write_output("\n".join(lines) + "\n", args.out)
     return EXIT_OK if matches else EXIT_MISMATCH
 

@@ -10,10 +10,7 @@ docstring records the paper's minimum.
 
 from __future__ import annotations
 
-
-def _require(name: str, m: int, least: int) -> None:
-    if m < least:
-        raise ValueError(f"{name} needs m >= {least}, got {m}")
+from .graphs import _require
 
 
 def dv_path(m: int) -> int:
@@ -40,7 +37,7 @@ def dv_fan(m: int) -> int:
 
 def dv_wheel(m: int) -> int:
     """alpha of the double vertex graph of the wheel on m+1 vertices:
-    the cycle value, except the machine-checked value 2 at m = 3. The
+    the cycle value, except 2 at m = 3, certified by {1,2}, {3,4}. The
     paper states it from m = 4; it holds from m = 3."""
     _require("dv_wheel", m, 3)
     if m == 3:

@@ -37,6 +37,13 @@ def _is_normalized(edges: frozenset, order: int) -> bool:
     return True
 
 
+def _require(name: str, m: int, least: int) -> None:
+    """Reject an m below ``least``, naming the caller: the one wording of
+    every "needs m >=" domain check in the package."""
+    if m < least:
+        raise ValueError(f"{name} needs m >= {least}, got {m}")
+
+
 def _mask_to_set(mask: int) -> frozenset[int]:
     """The vertices of a bitmask; bit i stands for vertex i+1."""
     members = set()
@@ -118,15 +125,13 @@ class Graph:
 
 def path(m: int) -> Graph:
     """Path P_m: vertices 1..m, edges {i, i+1}."""
-    if m < 1:
-        raise ValueError(f"path needs m >= 1, got {m}")
+    _require("path", m, 1)
     return Graph(m, frozenset((i, i + 1) for i in range(1, m)))
 
 
 def cycle(m: int) -> Graph:
     """Cycle C_m: the path edges plus {1, m}; needs m >= 3."""
-    if m < 3:
-        raise ValueError(f"cycle needs m >= 3, got {m}")
+    _require("cycle", m, 3)
     return Graph(m, frozenset((i, i + 1) for i in range(1, m)) | {(1, m)})
 
 
@@ -151,15 +156,13 @@ def join(g: Graph, h: Graph) -> Graph:
 
 def fan(m: int) -> Graph:
     """Fan: path P_m joined with one apex vertex, labeled m+1."""
-    if m < 1:
-        raise ValueError(f"fan needs m >= 1, got {m}")
+    _require("fan", m, 1)
     return join(path(m), complete(1))
 
 
 def wheel(m: int) -> Graph:
     """Wheel: cycle C_m joined with one apex vertex, labeled m+1."""
-    if m < 3:
-        raise ValueError(f"wheel needs m >= 3, got {m}")
+    _require("wheel", m, 3)
     return join(cycle(m), complete(1))
 
 

@@ -63,16 +63,13 @@ CSV_COLUMNS = tuple(f.name for f in fields(VerificationRow))
 class FamilySpec:
     """One closed form under test: how to build its derived graph, the
     formula, and the explicit witness construction (``None`` when there
-    is none, as for ``dv_cycle``).
+    is none, as for ``dv_cycle``). A construction covers its formula's
+    whole domain, so every row it runs on reports a witness.
 
     ``min_m`` is the smallest m the sweep runs, and it is not the
     smallest m the formula accepts: the formula may accept an m whose
     graph cannot be built. For ``pair_path`` they are 2 and 1, because
     ``pair_graph`` needs base order >= 2. Keep the two apart.
-
-    ``witness_min_m`` is the smallest m whose witness is reported. It is 4
-    for ``dv_wheel`` because at m = 3 the apex-free construction has size
-    1 while the closed form is 2; the row would read as a mismatch.
     """
 
     name: str
@@ -82,7 +79,6 @@ class FamilySpec:
     formula: Callable[[int], int]
     witness_tokens: Callable[[int], tuple] | None
     min_m: int
-    witness_min_m: int
     default_range: tuple[int, int]
 
 
@@ -90,21 +86,21 @@ FAMILIES: dict[str, FamilySpec] = {
     fam.name: fam
     for fam in (
         FamilySpec("dv_path", "double_vertex", path, double_vertex,
-                   formulas.dv_path, witnesses.dv_path_witness_tokens, 2, 2, (2, 12)),
+                   formulas.dv_path, witnesses.dv_path_witness_tokens, 2, (2, 12)),
         FamilySpec("dv_cycle", "double_vertex", cycle, double_vertex,
-                   formulas.dv_cycle, None, 3, 0, (3, 12)),
+                   formulas.dv_cycle, None, 3, (3, 12)),
         FamilySpec("dv_fan", "double_vertex", fan, double_vertex,
-                   formulas.dv_fan, witnesses.dv_fan_witness_tokens, 1, 1, (2, 12)),
+                   formulas.dv_fan, witnesses.dv_fan_witness_tokens, 1, (2, 12)),
         FamilySpec("dv_wheel", "double_vertex", wheel, double_vertex,
-                   formulas.dv_wheel, witnesses.dv_wheel_witness_tokens, 3, 4, (3, 12)),
+                   formulas.dv_wheel, witnesses.dv_wheel_witness_tokens, 3, (3, 12)),
         FamilySpec("pair_path", "pair_graph", path, pair_graph,
-                   formulas.pair_path, witnesses.pair_path_witness_tokens, 2, 2, (3, 10)),
+                   formulas.pair_path, witnesses.pair_path_witness_tokens, 2, (3, 10)),
         FamilySpec("pair_cycle", "pair_graph", cycle, pair_graph,
-                   formulas.pair_cycle, witnesses.pair_cycle_witness_tokens, 3, 3, (3, 12)),
+                   formulas.pair_cycle, witnesses.pair_cycle_witness_tokens, 3, (3, 12)),
         FamilySpec("pair_fan", "pair_graph", fan, pair_graph,
-                   formulas.pair_fan, witnesses.pair_fan_witness_tokens, 1, 1, (3, 10)),
+                   formulas.pair_fan, witnesses.pair_fan_witness_tokens, 1, (3, 10)),
         FamilySpec("pair_wheel", "pair_graph", wheel, pair_graph,
-                   formulas.pair_wheel, witnesses.pair_wheel_witness_tokens, 3, 3, (3, 10)),
+                   formulas.pair_wheel, witnesses.pair_wheel_witness_tokens, 3, (3, 10)),
     )
 }
 
@@ -120,6 +116,9 @@ class RunConfig:
         unknown = [f for f in self.families if f not in FAMILIES]
         if unknown:
             raise ValueError(f"unknown families: {', '.join(unknown)}")
+        repeated = sorted({f for f in self.families if self.families.count(f) > 1})
+        if repeated:
+            raise ValueError(f"duplicate families: {', '.join(repeated)}")
         if not self.families:
             raise ValueError("no families selected")
         if self.m_range is not None and self.m_range[0] > self.m_range[1]:
@@ -146,7 +145,7 @@ def verify_one(fam: FamilySpec, m: int, method: str = "auto",
     witness_size: int | None = None
     try:
         result = solve_exact(derived.graph, method=method, budget_ms=budget_ms)
-        if fam.witness_tokens is not None and m >= fam.witness_min_m:
+        if fam.witness_tokens is not None:
             tokens = fam.witness_tokens(m)
             members = indices_of(derived, tokens)
             if not is_independent(derived.graph, members):

@@ -19,18 +19,20 @@ The building blocks:
 
 Every set here is a plain ``tuple[TokenVertex, ...]``; ``indices_of``
 turns one into vertex indices of a derived graph. Each ``*_witness_tokens``
-construction is independent in the derived graph of its family and sized
-exactly at the matching closed form. The one exception is
-``dv_wheel_witness``: no construction is known for it, so it returns the
-solver's ``IndependentSet`` of the apex-free part of the graph, found by
-``mis.alpha`` with the apex tokens ``b_set_dv`` avoided.
+function takes every m its family's formula accepts, raises ``ValueError``
+at exactly the m the formula rejects, and returns a set independent in
+the derived graph and sized exactly at the closed form. Only
+``dv_wheel_witness_tokens`` is not a pure construction: from m = 4 it
+reads the tokens of ``dv_wheel_witness``, the solver's ``IndependentSet``
+of the apex-free part of the graph, found by ``mis.alpha`` with the apex
+tokens ``b_set_dv`` avoided.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .graphs import Graph, cycle, path, wheel
+from .graphs import Graph, _require, cycle, path, wheel
 from .mis import IndependentSet, alpha
 from .operators import (
     MULTISET,
@@ -48,32 +50,31 @@ from .operators import (
 # structured slices
 
 
+def _check_l_args(m: int, q: int) -> None:
+    _require("l_set", m, 3)
+    if not (1 <= q <= m):
+        raise ValueError(f"l_set needs 1 <= q <= {m}, got {q}")
+
+
 def l_set(m: int, q: int) -> tuple[TokenVertex, ...]:
     """Slice q of the cycle pair graph on base C_m: the multisets
     {j, m-(q-j)} for j = 1..q. Slice q has q members; the m slices
     partition all 2-multisets of 1..m."""
-    if m < 3:
-        raise ValueError(f"l_set needs m >= 3, got {m}")
-    if not (1 <= q <= m):
-        raise ValueError(f"l_set needs 1 <= q <= {m}, got {q}")
+    _check_l_args(m, q)
     return tuple(multiset_token(j, m - (q - j)) for j in range(1, q + 1))
 
 
 def l_is_independent_expected(m: int, q: int) -> bool:
     """Predicted independence of l_set(m, q): the only dependent slice
     is q = (m+1)/2 for odd m (equivalently m = 2q-1, 2 <= q <= m-1)."""
-    if m < 3:
-        raise ValueError(f"l_set needs m >= 3, got {m}")
-    if not (1 <= q <= m):
-        raise ValueError(f"l_set needs 1 <= q <= {m}, got {q}")
+    _check_l_args(m, q)
     return not (m == 2 * q - 1 and 2 <= q <= m - 1)
 
 
 def r_set_dv(m: int, q: int) -> tuple[TokenVertex, ...]:
     """All 2-subsets of 1..m containing q (m-1 tokens). Deleting them
     from the double vertex graph of P_m realizes deleting q from P_m."""
-    if m < 2:
-        raise ValueError(f"r_set_dv needs m >= 2, got {m}")
+    _require("r_set_dv", m, 2)
     if not (1 <= q <= m):
         raise ValueError(f"r_set_dv needs 1 <= q <= {m}, got {q}")
     return tuple(subset_token(q, i) for i in range(1, m + 1) if i != q)
@@ -81,8 +82,7 @@ def r_set_dv(m: int, q: int) -> tuple[TokenVertex, ...]:
 
 def r_set_pair(m: int, i: int) -> tuple[TokenVertex, ...]:
     """All 2-multisets {i, j} with j = 1..m (m tokens, diagonal included)."""
-    if m < 1:
-        raise ValueError(f"r_set_pair needs m >= 1, got {m}")
+    _require("r_set_pair", m, 1)
     if not (1 <= i <= m):
         raise ValueError(f"r_set_pair needs 1 <= i <= {m}, got {i}")
     return tuple(multiset_token(i, j) for j in range(1, m + 1))
@@ -91,16 +91,14 @@ def r_set_pair(m: int, i: int) -> tuple[TokenVertex, ...]:
 def b_set_dv(m: int) -> tuple[TokenVertex, ...]:
     """The apex tokens {a, m+1} of the double vertex graph of a fan or
     wheel on base vertices 1..m with apex m+1."""
-    if m < 1:
-        raise ValueError(f"b_set_dv needs m >= 1, got {m}")
+    _require("b_set_dv", m, 1)
     return tuple(subset_token(a, m + 1) for a in range(1, m + 1))
 
 
 def b_set_pair(m: int) -> tuple[TokenVertex, ...]:
     """The apex tokens {i, m+1}, i = 1..m+1, of the pair graph of a fan
     or wheel (the apex diagonal {m+1, m+1} included)."""
-    if m < 1:
-        raise ValueError(f"b_set_pair needs m >= 1, got {m}")
+    _require("b_set_pair", m, 1)
     return tuple(multiset_token(i, m + 1) for i in range(1, m + 2))
 
 
@@ -154,8 +152,7 @@ def pair_cycle_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
     dependent middle slice: for odd k the union is slices 2, 4, ..,
     k-1, k+2, k+4, .., 2k+1; for even k it is 2, 4, .., k, k+3, .., 2k+1;
     and m = 3 degenerates to the diagonal slice alone."""
-    if m < 3:
-        raise ValueError(f"pair_cycle_witness needs m >= 3, got {m}")
+    _require("pair_cycle_witness", m, 3)
     if m == 3:
         picks = [3]
     elif m % 2 == 0:
@@ -176,8 +173,7 @@ def dv_path_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
     """All 2-subsets {i, j} of 1..m with i + j odd. Moving one token
     along a path edge flips the parity of the sum, so the set is
     independent in the double vertex graph; its size is floor(m^2/4)."""
-    if m < 2:
-        raise ValueError(f"dv_path_witness needs m >= 2, got {m}")
+    _require("dv_path_witness", m, 2)
     return tuple(
         subset_token(i, j)
         for i in range(1, m + 1)
@@ -189,8 +185,7 @@ def dv_path_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
 def dv_fan_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
     """Odd-sum 2-subsets of the base path inside the fan double vertex
     graph. The degenerate m = 1 fan is a single token {1, 2}."""
-    if m < 1:
-        raise ValueError(f"dv_fan_witness needs m >= 1, got {m}")
+    _require("dv_fan_witness", m, 1)
     if m == 1:
         return (subset_token(1, 2),)
     return dv_path_witness_tokens(m)
@@ -199,23 +194,20 @@ def dv_fan_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
 def pair_path_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
     """The odd-sum witness of the path double vertex graph on m+1
     vertices pulled back through phi_inverse."""
-    if m < 1:
-        raise ValueError(f"pair_path_witness needs m >= 1, got {m}")
+    _require("pair_path_witness", m, 1)
     return tuple(phi_inverse(tok) for tok in dv_path_witness_tokens(m + 1))
 
 
 def pair_fan_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
     """Path pair witness plus the apex diagonal {m+1, m+1}, which shares
     no element with any base-only token."""
-    if m < 1:
-        raise ValueError(f"pair_fan_witness needs m >= 1, got {m}")
+    _require("pair_fan_witness", m, 1)
     return pair_path_witness_tokens(m) + (multiset_token(m + 1, m + 1),)
 
 
 def pair_wheel_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
     """Cycle pair witness plus the apex diagonal {m+1, m+1}."""
-    if m < 3:
-        raise ValueError(f"pair_wheel_witness needs m >= 3, got {m}")
+    _require("pair_wheel_witness", m, 3)
     return pair_cycle_witness_tokens(m) + (multiset_token(m + 1, m + 1),)
 
 
@@ -227,16 +219,20 @@ def dv_wheel_witness(m: int) -> IndependentSet:
 
     For m >= 4 its size equals the wheel closed form. For m = 3 the
     apex-free part is a triangle, so the witness has size 1 while the
-    full graph reaches 2 through an apex token; callers wanting the full
-    value should solve the whole graph.
+    full graph reaches 2; ``dv_wheel_witness_tokens`` covers that m.
     """
-    if m < 3:
-        raise ValueError(f"dv_wheel_witness needs m >= 3, got {m}")
+    _require("dv_wheel_witness", m, 3)
     dg = double_vertex(wheel(m))
     return alpha(dg.graph, avoid=indices_of(dg, b_set_dv(m))).witness
 
 
 def dv_wheel_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
+    """A maximum independent set of the wheel double vertex graph, sized
+    at ``formulas.dv_wheel(m)`` for every m >= 3: {1,2}, {3,4} at m = 3,
+    the tokens of ``dv_wheel_witness`` from m = 4."""
+    if m == 3:
+        # F2(W_3) = F2(K_4), where two disjoint 2-subsets are non-adjacent
+        return (subset_token(1, 2), subset_token(3, 4))
     dg = double_vertex(wheel(m))
     witness = dv_wheel_witness(m)
     return tuple(dg.labels[v - 1] for v in sorted(witness.members))

@@ -11,7 +11,7 @@ from tokengraphs.operators import (
     pair_graph,
     subset_token,
 )
-from tokengraphs.verify import alpha_after_deleting_tokens
+from tokengraphs.verify import FAMILIES, alpha_after_deleting_tokens
 
 
 def tokens_of(tokens):
@@ -239,6 +239,36 @@ def test_dv_wheel_witness_m3_special_case():
     assert len(w) == 1
     assert is_independent(dg.graph, w.members)
     assert alpha(dg.graph).alpha == 2
+
+
+# ---------------------------------------------------------------------------
+# the witness contract: every construction covers its formula's domain
+
+CONSTRUCTED = [fam for fam in FAMILIES.values() if fam.witness_tokens is not None]
+
+
+def _rejects(fn, m):
+    try:
+        fn(m)
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("fam", CONSTRUCTED, ids=lambda fam: fam.name)
+def test_construction_certifies_formula_on_every_swept_m(fam):
+    for m in range(fam.min_m, 25):
+        derived = fam.derive(fam.base(m))
+        tokens = fam.witness_tokens(m)
+        members = indices_of(derived, tokens)
+        assert len(members) == len(tokens) == fam.formula(m), m
+        assert is_independent(derived.graph, members), m
+
+
+@pytest.mark.parametrize("fam", CONSTRUCTED, ids=lambda fam: fam.name)
+def test_construction_rejects_exactly_where_formula_does(fam):
+    for m in range(-2, 25):
+        assert _rejects(fam.witness_tokens, m) == _rejects(fam.formula, m), m
 
 
 # ---------------------------------------------------------------------------
