@@ -195,6 +195,14 @@ def test_cli_build_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["order"] == 3
 
 
+def test_cli_build_domain_error(capsys):
+    assert main(["build", "wheel", "2"]) == 64
+
+
+def test_cli_bad_op_value(capsys):
+    assert main(["build", "path", "4", "--op", "triple"]) == 64
+
+
 def test_cli_verify_single_row(capsys):
     assert main(["verify", "--families", "pair_cycle", "--m", "4..4", "--format", "csv"]) == 0
     out = capsys.readouterr().out
@@ -224,6 +232,14 @@ def test_cli_build_derived_export_matches_golden(capsys, argv, name):
     assert capsys.readouterr().out == golden.read_text()
 
 
+def test_cli_verify_empty_range_is_config_error(capsys):
+    assert main(["verify", "--m", "5..3"]) == 64
+
+
+def test_cli_verify_unknown_family(capsys):
+    assert main(["verify", "--families", "dv_moebius"]) == 64
+
+
 def test_cli_verify_budget_abort(capsys):
     code = main([
         "verify", "--families", "dv_fan", "--m", "12..12",
@@ -231,6 +247,11 @@ def test_cli_verify_budget_abort(capsys):
     ])
     assert code == 2
     assert "aborted" in capsys.readouterr().out
+
+
+def test_cli_verify_nan_budget_is_config_error(capsys):
+    assert main(["verify", "--budget-ms", "nan"]) == 64
+    assert "budget must be positive" in capsys.readouterr().err
 
 
 def test_cli_witness_pair_cycle7(capsys):
@@ -259,7 +280,15 @@ def test_cli_witness_wheel3_special_case(capsys):
     ]
 
 
+def test_cli_witness_note_only_below_witness_min_m(capsys):
+    # Every construction now covers its formula's whole domain, so no m gets a note.
+    for m in (3, 4):
+        assert main(["witness", "wheel", str(m), "--op", "dv"]) == 0
+        assert "note:" not in capsys.readouterr().out
+
+
 def test_cli_witness_no_construction(capsys):
+    assert main(["witness", "cycle", "5", "--op", "dv"]) == 64
     assert main(["witness", "cycle", "4", "--op", "dv"]) == 64
 
 
@@ -294,6 +323,10 @@ def test_cli_witness_json_format(capsys):
     assert [1, 3] in payload["tokens"]
 
 
+def test_cli_verify_brute_method_beyond_cap_is_config_error(capsys):
+    assert main(["verify", "--families", "dv_fan", "--m", "12..12", "--method", "brute"]) == 64
+
+
 def test_cli_props(capsys):
     assert main(["props", "--seed", "3", "--sizes", "4,5", "--trials", "1"]) == 0
     assert "all passed" in capsys.readouterr().out
@@ -301,6 +334,7 @@ def test_cli_props(capsys):
 
 def test_cli_props_bad_sizes(capsys):
     assert main(["props", "--sizes", "0"]) == 64
+    assert main(["props", "--sizes", "four"]) == 64
 
 
 def test_cli_props_reproducible(capsys):
