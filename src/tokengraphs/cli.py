@@ -132,7 +132,7 @@ def cmd_verify(args) -> int:
     if args.families == "all":
         names = tuple(sorted(FAMILIES))
     else:
-        names = tuple(args.families.split(","))
+        names = tuple(name for name in args.families.split(",") if name)
     m_range = _parse_m_range(args.m) if args.m is not None else None
     config = RunConfig(
         families=names,

@@ -4,14 +4,15 @@ and structural operations the rest of the package is built on.
 Graphs are immutable values: every operation returns a new ``Graph``.
 Operations that relabel vertices (deletion, induced subgraphs, component
 splitting) compact labels to 1..k and return the old-to-new label map so
-vertex sets can be translated back afterwards. Adjacency is kept in one
-form, per-vertex neighbor bitmasks (``Graph.adjacency_masks``);
-``components`` and the solver in ``mis`` share one flood fill over them.
+vertex sets can be translated back afterwards. A graph is stored in one
+form, per-vertex neighbor bitmasks (``Graph.adjacency_masks``); its edge
+set is a view built on first read. Derived graphs and the parts of a
+dissection are built straight into masks, and ``components`` and the
+solver in ``mis`` share one flood fill over them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable
@@ -54,44 +55,60 @@ def _mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(members)
 
 
-@dataclass(frozen=True)
+def _edges_of(adj: tuple[int, ...]) -> frozenset[Edge]:
+    """The edges (u, v), u < v, that the neighbour bitmasks ``adj`` hold."""
+    return frozenset(
+        (u, v) for u, nb in enumerate(adj, start=1) for v in _mask_to_set(nb >> u << u)
+    )
+
+
 class Graph:
     """Simple undirected graph: ``order`` vertices labeled 1..order and a
-    set of unordered edges with distinct in-range endpoints."""
+    set of unordered edges with distinct in-range endpoints.
+
+    The per-vertex neighbour bitmasks ``adjacency_masks`` are the store:
+    equality, hashing, ``size`` and every query read them. The operators
+    and the dissections build graphs straight into masks, and ``edges`` is
+    a view built from the masks the first time it is read.
+    ``Graph(order, edges)`` checks the edge set it is given and keeps it
+    as that view; its masks are built on first read. Graphs are
+    immutable; assigning an attribute raises.
+    """
 
     order: int
-    edges: frozenset[Edge] = frozenset()
 
-    def __post_init__(self) -> None:
-        if self.order < 0:
-            raise ValueError(f"order must be non-negative, got {self.order}")
-        if type(self.edges) is frozenset and _is_normalized(self.edges, self.order):
-            return
-        normalized = frozenset(_normalize_edge(u, v) for u, v in self.edges)
-        for u, v in normalized:
-            if not (1 <= u <= self.order and 1 <= v <= self.order):
-                raise ValueError(f"edge ({u}, {v}) out of range 1..{self.order}")
-        object.__setattr__(self, "edges", normalized)
+    def __init__(self, order: int, edges: Iterable[Edge] = frozenset()) -> None:
+        if order < 0:
+            raise ValueError(f"order must be non-negative, got {order}")
+        if not (type(edges) is frozenset and _is_normalized(edges, order)):
+            edges = frozenset(_normalize_edge(u, v) for u, v in edges)
+            for u, v in edges:
+                if not (1 <= u <= order and 1 <= v <= order):
+                    raise ValueError(f"edge ({u}, {v}) out of range 1..{order}")
+        self.__dict__.update(order=order, edges=edges)
 
-    @property
-    def vertices(self) -> range:
-        return range(1, self.order + 1)
+    @classmethod
+    def _from_masks(cls, masks: list[int]) -> Graph:
+        """The graph on len(masks) vertices with these neighbour bitmasks,
+        trusted unchecked: the caller guarantees they are symmetric,
+        loop-free and in range."""
+        g = object.__new__(cls)
+        g.__dict__.update(order=len(masks), adjacency_masks=tuple(masks))
+        return g
 
-    @property
-    def size(self) -> int:
-        """Number of edges."""
-        return len(self.edges)
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: Graph is immutable")
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return u != v and _normalize_edge(u, v) in self.edges
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: Graph is immutable")
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        self._check_vertex(v)
-        return _mask_to_set(self.adjacency_masks[v - 1])
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.adjacency_masks == other.adjacency_masks
 
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.adjacency_masks[v - 1].bit_count()
+    def __hash__(self) -> int:
+        return hash(self.adjacency_masks)
 
     @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
@@ -103,10 +120,39 @@ class Graph:
         return tuple(masks)
 
     @cached_property
+    def edges(self) -> frozenset[Edge]:
+        """The edge set, each edge a tuple (u, v) with u < v."""
+        return _edges_of(self.adjacency_masks)
+
+    @property
+    def vertices(self) -> range:
+        return range(1, self.order + 1)
+
+    @property
+    def size(self) -> int:
+        """Number of edges."""
+        return sum(nb.bit_count() for nb in self.adjacency_masks) // 2
+
+    def has_edge(self, u: int, v: int) -> bool:
+        if not (1 <= u <= self.order and 1 <= v <= self.order):
+            return False
+        return self.adjacency_masks[u - 1] >> (v - 1) & 1 == 1
+
+    def neighbors(self, v: int) -> frozenset[int]:
+        self._check_vertex(v)
+        return _mask_to_set(self.adjacency_masks[v - 1])
+
+    def degree(self, v: int) -> int:
+        self._check_vertex(v)
+        return self.adjacency_masks[v - 1].bit_count()
+
+    @cached_property
     def has_triangle(self) -> bool:
         """True iff some edge's endpoints have a common neighbour."""
         adj = self.adjacency_masks
-        return any(adj[u - 1] & adj[v - 1] for u, v in self.edges)
+        return any(
+            adj[v - 1] & nb for u, nb in enumerate(adj, start=1) for v in _mask_to_set(nb >> u << u)
+        )
 
     def _check_vertex(self, v: int) -> None:
         if not (1 <= v <= self.order):
@@ -196,10 +242,21 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 
 def _kept_subgraph(g: Graph, kept: list[int]) -> tuple[Graph, dict[int, int]]:
     """Induced subgraph on the ascending in-range list ``kept``, compacted
-    to 1..k, and the old-to-new label map; one scan of g's edges."""
+    to 1..k, and the old-to-new label map; each kept vertex's mask is
+    read off its mask in g, bit by bit."""
     relabel = {old: new for new, old in enumerate(kept, start=1)}
-    edges = frozenset((relabel[u], relabel[v]) for u, v in g.edges if u in relabel and v in relabel)
-    return Graph(len(kept), edges), relabel
+    adj = g.adjacency_masks
+    masks = []
+    for v in kept:
+        nb, mask = adj[v - 1], 0
+        while nb:
+            bit = nb & -nb
+            w = relabel.get(bit.bit_length())
+            if w:
+                mask |= 1 << (w - 1)
+            nb ^= bit
+        masks.append(mask)
+    return Graph._from_masks(masks), relabel
 
 
 def delete_vertices(g: Graph, victims: Iterable[int]) -> tuple[Graph, dict[int, int]]:
@@ -242,21 +299,15 @@ def components(g: Graph) -> list[tuple[Graph, dict[int, int]]]:
     """Connected components, each compacted with its old-to-new label map.
 
     Components are ordered by their smallest original vertex. Each part
-    reads its edges from its own vertices' masks, so no part scans the
-    whole edge list.
+    is built from its own vertices' masks, so no part scans the whole
+    graph.
     """
     if g.order < 1:
         raise ValueError("components needs a non-empty graph")
-    adj = g.adjacency_masks
-    parts = []
-    for comp in _component_masks(adj, (1 << g.order) - 1):
-        kept = sorted(_mask_to_set(comp))
-        relabel = {old: new for new, old in enumerate(kept, start=1)}
-        edges = frozenset(
-            (relabel[u], relabel[v]) for u in kept for v in _mask_to_set(adj[u - 1]) if u < v
-        )
-        parts.append((Graph(len(kept), edges), relabel))
-    return parts
+    return [
+        _kept_subgraph(g, sorted(_mask_to_set(comp)))
+        for comp in _component_masks(g.adjacency_masks, (1 << g.order) - 1)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -368,8 +368,10 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
     ``avoid`` names vertices the set must leave out (all of them: alpha
     0). ``budget_ms`` aborts the solve with ``SolveAborted`` once exceeded
     so callers can report a distinguishable aborted status; it must be
-    positive (a NaN deadline would never pass). Its clock starts before
-    the adjacency bitmasks are built, a step it cannot interrupt.
+    positive (a NaN deadline would never pass). A derived graph arrives
+    with its adjacency bitmasks; a graph built from an edge set builds
+    them on first read, after the clock starts and without a deadline
+    check.
     """
     if g.order < 1:
         raise ValueError("alpha needs a non-empty graph")

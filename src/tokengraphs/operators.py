@@ -158,17 +158,16 @@ def k_token(g: Graph, k: int) -> DerivedGraph:
     # a k-subset is indexed by its bitmask, bit x-1 standing for vertex x,
     # so a move x -> y is two ORs and a lookup
     bits = [1 << x for x in range(g.order)]
-    index = {sum(combo): i for i, combo in enumerate(combinations(bits, k), start=1)}
-    edges = []
+    index = {sum(combo): i for i, combo in enumerate(combinations(bits, k))}
+    masks = [0] * len(index)
     for x, y in g.edges:
         bx, by = bits[x - 1], bits[y - 1]
         movable = [b for b in bits if b != bx and b != by]
-        # with x < y, stay + {x} comes before stay + {y} in the label order
-        edges += [
-            (index[stay | bx], index[stay | by])
-            for stay in map(sum, combinations(movable, k - 1))
-        ]
-    return DerivedGraph(Graph(len(index), frozenset(edges)), SUBSET, k, g.order)
+        for stay in map(sum, combinations(movable, k - 1)):
+            i, j = index[stay | bx], index[stay | by]
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    return DerivedGraph(Graph._from_masks(masks), SUBSET, k, g.order)
 
 
 def pair_graph(g: Graph) -> DerivedGraph:
@@ -177,17 +176,19 @@ def pair_graph(g: Graph) -> DerivedGraph:
     if g.order < 2:
         raise ValueError(f"pair graph needs base order >= 2, got {g.order}")
     n = g.order
-    # {a, b} with a <= b is label start[a] + b: the (a - 1)(2n + 2 - a) / 2
-    # labels {a', .} with a' < a come first, then {a, a} .. {a, b}
-    start = [(a - 1) * (2 * n - a) // 2 for a in range(n + 1)]
-    edges = []
+    # {a, b} with a <= b is vertex start[a] + b (0-based): the
+    # (a - 1)(2n + 2 - a) / 2 multisets {a', .} with a' < a come first,
+    # then {a, a} .. {a, b}; ranks[x - 1] lists the vertices {s, x}, s = 1..n
+    start = [(a - 1) * (2 * n - a) // 2 - 1 for a in range(n + 1)]
+    ranks = [[start[s] + x for s in range(1, x + 1)] + [start[x] + s for s in range(x + 1, n + 1)]
+             for x in g.vertices]
+    masks = [0] * (n * (n + 1) // 2)
     for x, y in g.edges:
-        # {s, x} ~ {s, y} for every shared s; with x < y the first is the
-        # lower index, whichever side of x and y s falls on
-        edges += [(start[s] + x, start[s] + y) for s in range(1, x + 1)]
-        edges += [(start[x] + s, start[s] + y) for s in range(x + 1, y + 1)]
-        edges += [(start[x] + s, start[y] + s) for s in range(y + 1, n + 1)]
-    return DerivedGraph(Graph(n * (n + 1) // 2, frozenset(edges)), MULTISET, 2, n)
+        # {s, x} ~ {s, y} for every shared s
+        for i, j in zip(ranks[x - 1], ranks[y - 1]):
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    return DerivedGraph(Graph._from_masks(masks), MULTISET, 2, n)
 
 
 def subset_restriction(dg: DerivedGraph):

@@ -113,7 +113,7 @@ class RunConfig:
     budget_ms: float | None = None
 
     def __post_init__(self) -> None:
-        unknown = [f for f in self.families if f not in FAMILIES]
+        unknown = dict.fromkeys(f for f in self.families if f not in FAMILIES)
         if unknown:
             raise ValueError(f"unknown families: {', '.join(unknown)}")
         repeated = sorted({f for f in self.families if self.families.count(f) > 1})

@@ -240,6 +240,13 @@ def test_cli_verify_unknown_family(capsys):
     assert main(["verify", "--families", "dv_moebius"]) == 64
 
 
+def test_cli_verify_families_skips_empty_entries(capsys):
+    assert main(["verify", "--families", "dv_path,", "--m", "3..5", "--format", "csv"]) == 0
+    trailing = capsys.readouterr()
+    assert main(["verify", "--families", "dv_path", "--m", "3..5", "--format", "csv"]) == 0
+    assert capsys.readouterr() == trailing and trailing.out.count("\n") == 4
+
+
 def test_cli_verify_budget_abort(capsys):
     code = main([
         "verify", "--families", "dv_fan", "--m", "12..12",
@@ -374,6 +381,9 @@ def test_cli_usage_error_exit_code():
     (["props", "--trials", "0"], 64, "error: trials must be >= 1"),
     (["verify", "--families", "dv_path,dv_path", "--m", "3..3", "--format", "csv"], 64,
      "error: duplicate families: dv_path"),
+    (["verify", "--families", ""], 64, "error: no families selected"),
+    (["verify", "--families", ","], 64, "error: no families selected"),
+    (["verify", "--families", "x,x,dv_path,y"], 64, "error: unknown families: x, y"),
 ])
 def test_cli_rejected_arguments_name_the_problem(capsys, argv, code, line):
     assert main(argv) == code
