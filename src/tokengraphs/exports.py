@@ -16,14 +16,14 @@ from .operators import DerivedGraph
 
 
 def graph_to_json(g: Graph) -> str:
-    return json.dumps({"order": g.order, "edges": [list(e) for e in g.sorted_edges()]})
+    return json.dumps({"order": g.order, "edges": [list(e) for e in sorted(g.edges)]})
 
 
 def derived_to_json(dg: DerivedGraph) -> str:
     return json.dumps(
         {
             "order": dg.graph.order,
-            "edges": [list(e) for e in dg.graph.sorted_edges()],
+            "edges": [list(e) for e in sorted(dg.graph.edges)],
             "kind": dg.kind,
             "labels": [list(tok.elements) for tok in dg.labels],
         }
@@ -37,7 +37,7 @@ def graph_to_dot(g: Graph, labels: dict[int, str] | None = None) -> str:
     for v in g.vertices:
         suffix = f' [label="{labels[v]}"]' if labels and v in labels else ""
         lines.append(f"  {v}{suffix};")
-    for u, v in g.sorted_edges():
+    for u, v in sorted(g.edges):
         lines.append(f"  {u} -- {v};")
     lines.append("}")
     return "\n".join(lines) + "\n"

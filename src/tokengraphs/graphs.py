@@ -5,10 +5,11 @@ Graphs are immutable values: every operation returns a new ``Graph``.
 Operations that relabel vertices (deletion, induced subgraphs, component
 splitting) compact labels to 1..k and return the old-to-new label map so
 vertex sets can be translated back afterwards. A graph is stored in one
-form, per-vertex neighbor bitmasks (``Graph.adjacency_masks``); its edge
-set is a view built on first read. Derived graphs and the parts of a
-dissection are built straight into masks, and ``components`` and the
-solver in ``mis`` share one flood fill over them.
+form, per-vertex neighbor bitmasks (``Graph.adjacency_masks``), filled
+when the graph is made; its edge set is a view built on first read, for
+output. Every builder, operator and dissection walks the masks and
+builds straight into masks, and ``components`` and the solver in
+``mis`` share one flood fill over them.
 """
 
 from __future__ import annotations
@@ -18,24 +19,6 @@ from itertools import combinations
 from typing import Iterable
 
 Edge = tuple[int, int]
-
-
-def _normalize_edge(u: int, v: int) -> Edge:
-    if u == v:
-        raise ValueError(f"loop edge ({u}, {v}) is not allowed")
-    return (u, v) if u < v else (v, u)
-
-
-def _is_normalized(edges: frozenset, order: int) -> bool:
-    """True iff every edge is a 2-tuple (u, v) with 1 <= u < v <= order,
-    the form ``Graph`` stores."""
-    for e in edges:
-        if type(e) is not tuple or len(e) != 2:
-            return False
-        u, v = e
-        if not 0 < u < v <= order:
-            return False
-    return True
 
 
 def _require(name: str, m: int, least: int) -> None:
@@ -55,37 +38,57 @@ def _mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(members)
 
 
+def _edge_pairs(adj: tuple[int, ...]):
+    """Yield each edge (u, v), u < v, that the neighbour bitmasks ``adj``
+    hold, in lexicographic order."""
+    for u, nb in enumerate(adj, start=1):
+        nb >>= u
+        while nb:
+            bit = nb & -nb
+            yield u, u + bit.bit_length()
+            nb ^= bit
+
+
 def _edges_of(adj: tuple[int, ...]) -> frozenset[Edge]:
     """The edges (u, v), u < v, that the neighbour bitmasks ``adj`` hold."""
-    return frozenset(
-        (u, v) for u, nb in enumerate(adj, start=1) for v in _mask_to_set(nb >> u << u)
-    )
+    return frozenset(_edge_pairs(adj))
 
 
 class Graph:
     """Simple undirected graph: ``order`` vertices labeled 1..order and a
     set of unordered edges with distinct in-range endpoints.
 
-    The per-vertex neighbour bitmasks ``adjacency_masks`` are the store:
-    equality, hashing, ``size`` and every query read them. The operators
-    and the dissections build graphs straight into masks, and ``edges`` is
-    a view built from the masks the first time it is read.
-    ``Graph(order, edges)`` checks the edge set it is given and keeps it
-    as that view; its masks are built on first read. Graphs are
-    immutable; assigning an attribute raises.
+    The per-vertex neighbour bitmasks ``adjacency_masks`` (bit i stands
+    for vertex i+1) are the only store, filled when the graph is made:
+    equality, hashing, ``size`` and every query read them.
+    ``Graph(order, edges)`` checks the edges it is given and ORs each into
+    the masks in the same pass; the operators, builders and dissections
+    build straight into masks. ``edges`` is a view built from the masks
+    the first time it is read, for output. Graphs are immutable;
+    assigning an attribute raises.
     """
 
     order: int
+    adjacency_masks: tuple[int, ...]
 
     def __init__(self, order: int, edges: Iterable[Edge] = frozenset()) -> None:
         if order < 0:
             raise ValueError(f"order must be non-negative, got {order}")
-        if not (type(edges) is frozenset and _is_normalized(edges, order)):
-            edges = frozenset(_normalize_edge(u, v) for u, v in edges)
-            for u, v in edges:
-                if not (1 <= u <= order and 1 <= v <= order):
-                    raise ValueError(f"edge ({u}, {v}) out of range 1..{order}")
-        self.__dict__.update(order=order, edges=edges)
+        masks = [0] * order
+        outside = None
+        for u, v in edges:
+            if u == v:
+                raise ValueError(f"loop edge ({u}, {v}) is not allowed")
+            if u > v:
+                u, v = v, u
+            if 1 <= u and v <= order:
+                masks[u - 1] |= 1 << (v - 1)
+                masks[v - 1] |= 1 << (u - 1)
+            elif outside is None:
+                outside = u, v
+        if outside is not None:
+            raise ValueError(f"edge ({outside[0]}, {outside[1]}) out of range 1..{order}")
+        self.__dict__.update(order=order, adjacency_masks=tuple(masks))
 
     @classmethod
     def _from_masks(cls, masks: list[int]) -> Graph:
@@ -109,15 +112,6 @@ class Graph:
 
     def __hash__(self) -> int:
         return hash(self.adjacency_masks)
-
-    @cached_property
-    def adjacency_masks(self) -> tuple[int, ...]:
-        """Per-vertex neighbor bitmasks; bit i stands for vertex i+1."""
-        masks = [0] * self.order
-        for u, v in self.edges:
-            masks[u - 1] |= 1 << (v - 1)
-            masks[v - 1] |= 1 << (u - 1)
-        return tuple(masks)
 
     @cached_property
     def edges(self) -> frozenset[Edge]:
@@ -150,16 +144,11 @@ class Graph:
     def has_triangle(self) -> bool:
         """True iff some edge's endpoints have a common neighbour."""
         adj = self.adjacency_masks
-        return any(
-            adj[v - 1] & nb for u, nb in enumerate(adj, start=1) for v in _mask_to_set(nb >> u << u)
-        )
+        return any(adj[u - 1] & adj[v - 1] for u, v in _edge_pairs(adj))
 
     def _check_vertex(self, v: int) -> None:
         if not (1 <= v <= self.order):
             raise ValueError(f"vertex {v} out of range 1..{self.order}")
-
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
 
     def __repr__(self) -> str:  # compact, deterministic
         return f"Graph(order={self.order}, size={self.size})"
@@ -172,20 +161,20 @@ class Graph:
 def path(m: int) -> Graph:
     """Path P_m: vertices 1..m, edges {i, i+1}."""
     _require("path", m, 1)
-    return Graph(m, frozenset((i, i + 1) for i in range(1, m)))
+    return Graph(m, [(i, i + 1) for i in range(1, m)])
 
 
 def cycle(m: int) -> Graph:
     """Cycle C_m: the path edges plus {1, m}; needs m >= 3."""
     _require("cycle", m, 3)
-    return Graph(m, frozenset((i, i + 1) for i in range(1, m)) | {(1, m)})
+    return Graph(m, [(i, i + 1) for i in range(1, m)] + [(1, m)])
 
 
 def complete(n: int) -> Graph:
     """Complete graph K_n."""
     if n < 1:
         raise ValueError(f"complete needs n >= 1, got {n}")
-    return Graph(n, frozenset(combinations(range(1, n + 1), 2)))
+    return Graph(n, combinations(range(1, n + 1), 2))
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -193,11 +182,11 @@ def join(g: Graph, h: Graph) -> Graph:
     edge between a g-vertex and an h-vertex."""
     if g.order < 1 or h.order < 1:
         raise ValueError("join needs two non-empty graphs")
-    shift = g.order
-    edges = set(g.edges)
-    edges.update((u + shift, v + shift) for u, v in h.edges)
-    edges.update((a, b + shift) for a in g.vertices for b in h.vertices)
-    return Graph(g.order + h.order, frozenset(edges))
+    n = g.order
+    left = (1 << n) - 1
+    right = ((1 << h.order) - 1) << n
+    return Graph._from_masks([nb | right for nb in g.adjacency_masks]
+                             + [nb << n | left for nb in h.adjacency_masks])
 
 
 def fan(m: int) -> Graph:
@@ -214,10 +203,8 @@ def wheel(m: int) -> Graph:
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Disjoint union, with h relabeled to g.order+1 .. g.order+h.order."""
-    shift = g.order
-    edges = set(g.edges)
-    edges.update((u + shift, v + shift) for u, v in h.edges)
-    return Graph(g.order + h.order, frozenset(edges))
+    n = g.order
+    return Graph._from_masks([*g.adjacency_masks, *(nb << n for nb in h.adjacency_masks)])
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
@@ -225,15 +212,14 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     (a, b) ~ (a', b') iff a = a' and b ~ b', or b = b' and a ~ a'."""
     if g.order < 1 or h.order < 1:
         raise ValueError("cartesian product needs two non-empty graphs")
-    edges: set[Edge] = set()
-    for a in g.vertices:
-        base = (a - 1) * h.order
-        for u, v in h.edges:
-            edges.add((base + u, base + v))
-    for u, v in g.edges:
-        for b in h.vertices:
-            edges.add(((u - 1) * h.order + b, (v - 1) * h.order + b))
-    return Graph(g.order * h.order, frozenset(edges))
+    n = h.order
+    masks: list[int] = []
+    for nb in g.adjacency_masks:
+        # column << b holds the vertices (a', b) with a' ~ a
+        column = sum(1 << (a - 1) * n for a in _mask_to_set(nb))
+        shift = len(masks)
+        masks += [hb << shift | column << b for b, hb in enumerate(h.adjacency_masks)]
+    return Graph._from_masks(masks)
 
 
 # ---------------------------------------------------------------------------

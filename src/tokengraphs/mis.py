@@ -30,7 +30,8 @@ Two independent routes are provided on purpose:
 
 Both are exact and deterministic: repeated runs return the same size and
 the same witness. All bookkeeping is done on Python-int bitmasks, bit i
-standing for vertex i+1.
+standing for vertex i+1, starting from ``Graph.adjacency_masks``, which
+every graph carries from the moment it is made.
 """
 
 from __future__ import annotations
@@ -368,10 +369,9 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
     ``avoid`` names vertices the set must leave out (all of them: alpha
     0). ``budget_ms`` aborts the solve with ``SolveAborted`` once exceeded
     so callers can report a distinguishable aborted status; it must be
-    positive (a NaN deadline would never pass). A derived graph arrives
-    with its adjacency bitmasks; a graph built from an edge set builds
-    them on first read, after the clock starts and without a deadline
-    check.
+    positive (a NaN deadline would never pass). Every graph arrives with
+    the adjacency bitmasks the solve reads, so the clock covers the solve
+    alone.
     """
     if g.order < 1:
         raise ValueError("alpha needs a non-empty graph")

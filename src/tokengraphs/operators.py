@@ -28,7 +28,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 from operator import ge, gt
 
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph, _edge_pairs, induced_subgraph
 
 SUBSET = "subset"
 MULTISET = "multiset"
@@ -160,7 +160,7 @@ def k_token(g: Graph, k: int) -> DerivedGraph:
     bits = [1 << x for x in range(g.order)]
     index = {sum(combo): i for i, combo in enumerate(combinations(bits, k))}
     masks = [0] * len(index)
-    for x, y in g.edges:
+    for x, y in _edge_pairs(g.adjacency_masks):
         bx, by = bits[x - 1], bits[y - 1]
         movable = [b for b in bits if b != bx and b != by]
         for stay in map(sum, combinations(movable, k - 1)):
@@ -183,7 +183,7 @@ def pair_graph(g: Graph) -> DerivedGraph:
     ranks = [[start[s] + x for s in range(1, x + 1)] + [start[x] + s for s in range(x + 1, n + 1)]
              for x in g.vertices]
     masks = [0] * (n * (n + 1) // 2)
-    for x, y in g.edges:
+    for x, y in _edge_pairs(g.adjacency_masks):
         # {s, x} ~ {s, y} for every shared s
         for i, j in zip(ranks[x - 1], ranks[y - 1]):
             masks[i] |= 1 << j

@@ -66,6 +66,7 @@ def test_graph_keeps_a_normalized_frozenset():
     (frozenset({(1, 2), (1,)}), r"^not enough values to unpack \(expected 2, got 1\)$"),
     (frozenset({(1, 2), (2, 2)}), r"^loop edge \(2, 2\) is not allowed$"),
     ([(1, 2), (3, 3)], r"^loop edge \(3, 3\) is not allowed$"),
+    ([(1, 9), (2, 2)], r"^loop edge \(2, 2\) is not allowed$"),  # a loop outranks range
     (frozenset({(1, 2), (2, 5)}), r"^edge \(2, 5\) out of range 1..4$"),
     (frozenset({(0, 1), (1, 2)}), r"^edge \(0, 1\) out of range 1..4$"),
     (frozenset({(5, 2)}), r"^edge \(2, 5\) out of range 1..4$"),

@@ -1,21 +1,25 @@
-"""Derived graphs and the parts of a dissection are built straight into
-neighbour bitmasks, with no edge set and no validation on the way. These
-tests hold every such graph to the first-principles edge sets in
-``oracles`` and to its twin built from edges by the public constructor."""
+"""Derived graphs, joins, unions, products and the parts of a dissection
+are built straight into neighbour bitmasks, with no edge set and no
+validation on the way. These tests hold every such graph to a
+first-principles edge set and to its twin built from edges by the
+public constructor, and check that no operator reads its base's edges."""
 
 import random
 
 import pytest
 
-from tokengraphs import graphs
+from tokengraphs import graphs, verify
 from tokengraphs.graphs import (
     Graph,
+    cartesian_product,
     complete,
     components,
     cycle,
     delete_vertices,
+    disjoint_union,
     fan,
     induced_subgraph,
+    join,
     path,
     wheel,
 )
@@ -126,3 +130,67 @@ def test_paper_rows_never_round_trip_through_edges(monkeypatch):
         assert verify_one(fam, m).status == STATUS_OK
     assert views == []
     assert orders and max(orders) <= m + 1
+
+
+def _pairs_where(order: int, adjacent) -> frozenset:
+    """Every (u, v), 1 <= u < v <= order, that ``adjacent`` accepts."""
+    return frozenset(
+        (u, v) for u in range(1, order + 1) for v in range(u + 1, order + 1) if adjacent(u, v)
+    )
+
+
+def _adjacent_in(g: Graph):
+    return lambda u, v: (min(u, v), max(u, v)) in g.edges
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_mask_built_builders_match_their_definitions(seed):
+    rng = random.Random(seed)
+    g, h = random_graph(rng, rng.randint(1, 6)), random_graph(rng, rng.randint(1, 6))
+    n = g.order
+    in_g, in_h = _adjacent_in(g), _adjacent_in(h)
+
+    def same_side(u, v):
+        # both in g, or both in h (labels n+1 .. n+h.order)
+        return in_g(u, v) if v <= n else u > n and in_h(u - n, v - n)
+
+    union = disjoint_union(g, h)
+    assert union.edges == _pairs_where(n + h.order, same_side)
+    joined = join(g, h)
+    assert joined.edges == _pairs_where(n + h.order, lambda u, v: same_side(u, v) or u <= n < v)
+
+    def pair(x):  # product label x is the pair (a, b)
+        return (x - 1) // h.order + 1, (x - 1) % h.order + 1
+
+    def product_adjacent(x, y):
+        (a, b), (c, d) = pair(x), pair(y)
+        return (a == c and in_h(b, d)) or (b == d and in_g(a, c))
+
+    product = cartesian_product(g, h)
+    assert product.edges == _pairs_where(n * h.order, product_adjacent)
+    for built in (union, joined, product):
+        _assert_matches_edge_twin(built)
+
+
+def test_operators_and_builders_never_read_edge_views(monkeypatch):
+    # operators and builders walk their inputs' masks: neither a
+    # mask-built base (a deletion's result) nor the token-deletion suite,
+    # which derives from such bases, builds an edge view
+    views = []
+    edges_of = graphs._edges_of
+
+    def counting_edges_of(adj):
+        views.append(len(adj))
+        return edges_of(adj)
+
+    monkeypatch.setattr(graphs, "_edges_of", counting_edges_of)
+    for base in BASES:
+        if base.order >= 3:
+            reduced, _ = delete_vertices(base, [1])
+            k_token(reduced, 2)
+            pair_graph(reduced)
+            join(reduced, reduced)
+            disjoint_union(reduced, reduced)
+            cartesian_product(reduced, reduced)
+    assert verify._suite_token_deletion(random.Random(0), (5, 6, 7, 8), 40).ok
+    assert views == []

@@ -225,8 +225,10 @@ def test_cli_verify_paper_range_csv_matches_golden(capsys):
     (["build", "cycle", "5", "--op", "pair", "--format", "json"], "build_cycle5_pair.json"),
     (["build", "fan", "4", "--op", "dv", "--format", "dot"], "build_fan4_dv.dot"),
     (["build", "cycle", "6", "--op", "token:3", "--format", "json"], "build_cycle6_token3.json"),
+    (["build", "wheel", "6", "--format", "dot"], "build_wheel6.dot"),
+    (["build", "fan", "5", "--format", "json"], "build_fan5.json"),
 ])
-def test_cli_build_derived_export_matches_golden(capsys, argv, name):
+def test_cli_build_export_matches_golden(capsys, argv, name):
     golden = Path(__file__).parent / "golden" / name
     assert main(argv) == 0
     assert capsys.readouterr().out == golden.read_text()
