@@ -132,14 +132,6 @@ class Graph:
             return False
         return self.adjacency_masks[u - 1] >> (v - 1) & 1 == 1
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        self._check_vertex(v)
-        return _mask_to_set(self.adjacency_masks[v - 1])
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.adjacency_masks[v - 1].bit_count()
-
     @cached_property
     def has_triangle(self) -> bool:
         """True iff some edge's endpoints have a common neighbour."""

@@ -43,6 +43,7 @@ from typing import Iterable
 from .graphs import Graph, _component_masks, _mask_to_set
 
 BRUTE_FORCE_CAP = 26
+_BLOCK = 1024  # vertices between two deadline checks in the solver's set-up
 
 
 class SolveAborted(RuntimeError):
@@ -125,6 +126,16 @@ def brute_force_alpha(g: Graph, cap: int = BRUTE_FORCE_CAP) -> MisResult:
     return MisResult(best, IndependentSet(g.order, _mask_to_set(best_mask)), nodes, elapsed)
 
 
+def _block_starts(n: int, deadline: float | None):
+    """Yield 0, _BLOCK, 2 * _BLOCK, ... below n for a loop over n vertices
+    that feeds the greedy incumbent, raising ``SolveAborted`` before a
+    block once ``perf_counter()`` has passed ``deadline``."""
+    for lo in range(0, n, _BLOCK):
+        if deadline is not None and time.perf_counter() > deadline:
+            raise SolveAborted("budget exceeded while setting up the greedy incumbent")
+        yield lo
+
+
 def _greedy_incumbent(
     adj: tuple[int, ...], mask: int, deg: list[int], deadline: float | None
 ) -> int:
@@ -137,9 +148,10 @@ def _greedy_incumbent(
     bitmask updates. Raises ``SolveAborted`` once ``perf_counter()``
     passes ``deadline``."""
     buckets = [0] * (max(deg) + 1)
-    for v, d in enumerate(deg):
-        if d >= 0:
-            buckets[d] |= 1 << v
+    for lo in _block_starts(len(deg), deadline):
+        for v, d in enumerate(deg[lo:lo + _BLOCK], start=lo):
+            if d >= 0:
+                buckets[d] |= 1 << v
     chosen = 0
     rem = mask
     low = 0
@@ -371,7 +383,10 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
     so callers can report a distinguishable aborted status; it must be
     positive (a NaN deadline would never pass). Every graph arrives with
     the adjacency bitmasks the solve reads, so the clock covers the solve
-    alone.
+    alone, and the solve checks it throughout: once per block of
+    ``_BLOCK`` vertices in the set-up (the degree table and the greedy
+    incumbent's buckets), once per vertex the incumbent takes, and once
+    per search node and augmenting search.
     """
     if g.order < 1:
         raise ValueError("alpha needs a non-empty graph")
@@ -487,7 +502,9 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
         return best_mask
 
     mask = ((1 << n) - 1) ^ avoid_mask
-    deg = [(nb & mask).bit_count() for nb in adj]
+    deg = []
+    for lo in _block_starts(n, deadline):
+        deg += [(nb & mask).bit_count() for nb in adj[lo:lo + _BLOCK]]
     for v in _mask_to_set(avoid_mask):
         deg[v - 1] = -1
     no_arcs = [-1] * n

@@ -28,7 +28,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 from operator import ge, gt
 
-from .graphs import Graph, _edge_pairs, induced_subgraph
+from .graphs import Graph, _edge_pairs
 
 SUBSET = "subset"
 MULTISET = "multiset"
@@ -189,11 +189,3 @@ def pair_graph(g: Graph) -> DerivedGraph:
             masks[i] |= 1 << j
             masks[j] |= 1 << i
     return DerivedGraph(Graph._from_masks(masks), MULTISET, 2, n)
-
-
-def subset_restriction(dg: DerivedGraph):
-    """Induced subgraph of a multiset-kind derived graph on its 2-subset
-    vertices, as (graph, old-to-new map). Used to compare a pair graph
-    against the double vertex graph of the same base."""
-    keep = [i for i, tok in enumerate(dg.labels, start=1) if tok.elements[0] != tok.elements[-1]]
-    return induced_subgraph(dg.graph, keep)

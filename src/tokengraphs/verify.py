@@ -31,7 +31,7 @@ from .graphs import (
     wheel,
 )
 from .mis import SolveAborted, alpha, brute_force_alpha, is_independent
-from .operators import DerivedGraph, double_vertex, index_of, indices_of, k_token, multiset_token, pair_graph
+from .operators import DerivedGraph, double_vertex, indices_of, k_token, multiset_token, pair_graph
 
 STATUS_OK = "ok"
 STATUS_MISMATCH = "mismatch"
@@ -362,8 +362,8 @@ def _suite_corner_avoidance(n_values: Iterable[int]) -> SuiteResult:
     def cases():
         for n in n_values:
             dg = pair_graph(cycle(n))
-            corner = index_of(dg, multiset_token(1, n))
-            yield f"n={n}", alpha(dg.graph, avoid=(corner,)).alpha == formulas.pair_cycle(n)
+            corner = (multiset_token(1, n),)
+            yield f"n={n}", alpha_after_deleting_tokens(dg, corner) == formulas.pair_cycle(n)
     return _run_suite("alpha_unchanged_avoiding_corner_token", cases())
 
 
@@ -371,7 +371,7 @@ def _suite_dv_slice_deletion(m_range: Iterable[int]) -> SuiteResult:
     def cases():
         for m in m_range:
             dg = double_vertex(path(m))
-            expect = (m - 1) ** 2 // 4
+            expect = formulas.dv_path(m - 1)
             for i in range(1, m + 1):
                 yield f"m={m} i={i}", alpha_after_deleting_tokens(dg, witnesses.r_set_dv(m, i)) == expect
     return _run_suite("dv_path_token_slice_deletion_alpha", cases())
@@ -381,7 +381,7 @@ def _suite_dv_double_deletion(m_range: Iterable[int]) -> SuiteResult:
     def cases():
         for m in m_range:
             dg = double_vertex(path(m))
-            expect = (m - 1) ** 2 // 4
+            expect = formulas.dv_path(m - 1)
             for i in range(1, m + 1):
                 for j in range(i + 2, m + 1):
                     tokens = witnesses.r_set_dv(m, i) + witnesses.r_set_dv(m, j)
@@ -393,7 +393,7 @@ def _suite_pair_slice_deletion(m_range: Iterable[int]) -> SuiteResult:
     def cases():
         for m in m_range:
             dg = pair_graph(path(m))
-            bound = m * m // 4 + 1
+            bound = formulas.dv_path(m) + 1
             for i in range(1, m + 1):
                 yield f"m={m} i={i}", alpha_after_deleting_tokens(dg, witnesses.r_set_pair(m, i)) <= bound
     return _run_suite("pair_path_token_slice_deletion_bound", cases())

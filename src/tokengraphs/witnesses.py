@@ -8,9 +8,8 @@ The building blocks:
   are independent.
 * ``r_set_dv`` / ``r_set_pair``: all tokens containing a fixed base
   vertex; deleting such a slice realizes base-vertex deletion at the
-  token level.
-* ``b_set_dv`` / ``b_set_pair``: the tokens containing the apex of a fan
-  or wheel.
+  token level. The apex tokens of a fan or wheel on m base vertices are
+  the slice through its apex, ``r_set_*(m + 1, m + 1)``.
 * parity witnesses: odd-coordinate-sum token sets for path double vertex
   graphs, unions of alternating l_set slices for cycle pair graphs, and
   their apex-augmented fan/wheel variants.
@@ -25,14 +24,12 @@ the derived graph and sized exactly at the closed form. Only
 ``dv_wheel_witness_tokens`` is not a pure construction: from m = 4 it
 reads the tokens of ``dv_wheel_witness``, the solver's ``IndependentSet``
 of the apex-free part of the graph, found by ``mis.alpha`` with the apex
-tokens ``b_set_dv`` avoided.
+tokens ``r_set_dv(m + 1, m + 1)`` avoided.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from .graphs import Graph, _require, cycle, path, wheel
+from .graphs import _edge_pairs, _require, cycle, path, wheel
 from .mis import IndependentSet, alpha
 from .operators import (
     MULTISET,
@@ -88,32 +85,8 @@ def r_set_pair(m: int, i: int) -> tuple[TokenVertex, ...]:
     return tuple(multiset_token(i, j) for j in range(1, m + 1))
 
 
-def b_set_dv(m: int) -> tuple[TokenVertex, ...]:
-    """The apex tokens {a, m+1} of the double vertex graph of a fan or
-    wheel on base vertices 1..m with apex m+1."""
-    _require("b_set_dv", m, 1)
-    return tuple(subset_token(a, m + 1) for a in range(1, m + 1))
-
-
-def b_set_pair(m: int) -> tuple[TokenVertex, ...]:
-    """The apex tokens {i, m+1}, i = 1..m+1, of the pair graph of a fan
-    or wheel (the apex diagonal {m+1, m+1} included)."""
-    _require("b_set_pair", m, 1)
-    return tuple(multiset_token(i, m + 1) for i in range(1, m + 2))
-
-
 # ---------------------------------------------------------------------------
 # linking
-
-
-def linked(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
-    """True iff some edge of g joins a vertex of a to a vertex of b."""
-    set_a = set(a)
-    set_b = set(b)
-    return any(
-        (u in set_a and v in set_b) or (u in set_b and v in set_a)
-        for u, v in g.edges
-    )
 
 
 def linking_profile(m: int) -> frozenset[tuple[int, int]]:
@@ -126,7 +99,7 @@ def linking_profile(m: int) -> frozenset[tuple[int, int]]:
         for tok in l_set(m, q):
             slice_of[index_of(dg, tok)] = q
     pairs = set()
-    for u, v in dg.graph.edges:
+    for u, v in _edge_pairs(dg.graph.adjacency_masks):
         i, j = slice_of[u], slice_of[v]
         pairs.add((i, j) if i <= j else (j, i))
     return frozenset(pairs)
@@ -213,9 +186,10 @@ def pair_wheel_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
 
 def dv_wheel_witness(m: int) -> IndependentSet:
     """Solver-extracted maximum independent set of the apex-free part of
-    the wheel double vertex graph: ``alpha`` avoiding every apex token
-    of ``b_set_dv(m)``, in the labels of the whole graph (no closed-form
-    construction is available for cycle double vertex graphs here).
+    the wheel double vertex graph: ``alpha`` avoiding the apex tokens
+    ``r_set_dv(m + 1, m + 1)``, in the labels of the whole graph (no
+    closed-form construction is available for cycle double vertex graphs
+    here).
 
     For m >= 4 its size equals the wheel closed form. For m = 3 the
     apex-free part is a triangle, so the witness has size 1 while the
@@ -223,7 +197,7 @@ def dv_wheel_witness(m: int) -> IndependentSet:
     """
     _require("dv_wheel_witness", m, 3)
     dg = double_vertex(wheel(m))
-    return alpha(dg.graph, avoid=indices_of(dg, b_set_dv(m))).witness
+    return alpha(dg.graph, avoid=indices_of(dg, r_set_dv(m + 1, m + 1))).witness
 
 
 def dv_wheel_witness_tokens(m: int) -> tuple[TokenVertex, ...]:

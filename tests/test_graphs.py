@@ -105,7 +105,7 @@ def test_path_2_single_edge():
 def test_cycle_counts_and_regularity(m):
     g = cycle(m)
     assert g.order == m and g.size == m
-    assert all(g.degree(v) == 2 for v in g.vertices)
+    assert all(nb.bit_count() == 2 for nb in g.adjacency_masks)
 
 
 def test_cycle_4_edges():
@@ -141,14 +141,14 @@ def test_fan_is_path_plus_apex():
     g = fan(4)
     assert g.order == 5 and g.size == 7
     # apex m+1 is adjacent to everything
-    assert g.neighbors(5) == frozenset({1, 2, 3, 4})
+    assert all(g.has_edge(5, v) for v in range(1, 5))
     assert is_isomorphic(fan(1), complete(2))
 
 
 def test_wheel_is_cycle_plus_apex():
     g = wheel(4)
     assert g.order == 5 and g.size == 8
-    assert g.neighbors(5) == frozenset({1, 2, 3, 4})
+    assert all(g.has_edge(5, v) for v in range(1, 5))
     assert is_isomorphic(wheel(3), complete(4))
 
 

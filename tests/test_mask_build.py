@@ -174,8 +174,9 @@ def test_mask_built_builders_match_their_definitions(seed):
 
 def test_operators_and_builders_never_read_edge_views(monkeypatch):
     # operators and builders walk their inputs' masks: neither a
-    # mask-built base (a deletion's result) nor the token-deletion suite,
-    # which derives from such bases, builds an edge view
+    # mask-built base (a deletion's result) nor a run of every property
+    # suite (the token-deletion suite derives from such bases, and the
+    # linking profile walks a pair graph's edges) builds an edge view
     views = []
     edges_of = graphs._edges_of
 
@@ -192,5 +193,5 @@ def test_operators_and_builders_never_read_edge_views(monkeypatch):
             join(reduced, reduced)
             disjoint_union(reduced, reduced)
             cartesian_product(reduced, reduced)
-    assert verify._suite_token_deletion(random.Random(0), (5, 6, 7, 8), 40).ok
+    assert all(s.ok for s in verify.run_property_suites(0, sizes=(5, 6, 7, 8), trials=40))
     assert views == []

@@ -20,7 +20,7 @@ from tokengraphs.mis import (
 )
 from tokengraphs.operators import double_vertex, index_of, indices_of, k_token, multiset_token, pair_graph
 from tokengraphs.verify import FAMILIES, random_graph
-from tokengraphs.witnesses import b_set_dv, dv_wheel_witness
+from tokengraphs.witnesses import dv_wheel_witness, r_set_dv
 
 from .oracles import exhaustive_alpha
 
@@ -161,7 +161,7 @@ def test_alpha_avoiding_corner_token_keeps_value():
 @pytest.mark.parametrize("m", range(4, 10))
 def test_alpha_avoiding_apex_tokens_is_the_dv_wheel_witness(m):
     dg = double_vertex(wheel(m))
-    apex = indices_of(dg, b_set_dv(m))
+    apex = indices_of(dg, r_set_dv(m + 1, m + 1))
     result = alpha(dg.graph, avoid=apex)
     witness = dv_wheel_witness(m)
     assert result.witness == witness
@@ -205,6 +205,17 @@ def test_alpha_budget_bounds_the_greedy_incumbent():
     with pytest.raises(SolveAborted, match="greedy incumbent"):
         alpha(g, budget_ms=2)
     assert time.perf_counter() - start < 0.5
+
+
+def test_alpha_budget_bounds_the_solver_set_up():
+    # 20100 vertices: the degree table and the incumbent's bucket fill take
+    # tens of ms between them, so a 1 ms budget can only be honoured by
+    # deadline checks inside those set-up loops
+    g = pair_graph(cycle(200)).graph
+    start = time.perf_counter()
+    with pytest.raises(SolveAborted, match="greedy incumbent"):
+        alpha(g, budget_ms=1)
+    assert time.perf_counter() - start < 0.015
 
 
 def test_graph_from_edges_arrives_with_its_masks():

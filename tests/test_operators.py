@@ -1,7 +1,9 @@
 import pytest
 
 from tokengraphs.formulas import pair_cycle
-from tokengraphs.graphs import complete, cycle, delete_vertices, disjoint_union, fan, is_isomorphic, path
+from tokengraphs.graphs import (
+    complete, cycle, delete_vertices, disjoint_union, fan, induced_subgraph, is_isomorphic, path,
+)
 from tokengraphs.operators import (
     MULTISET,
     SUBSET,
@@ -13,7 +15,6 @@ from tokengraphs.operators import (
     k_token,
     multiset_token,
     pair_graph,
-    subset_restriction,
     subset_token,
     token_label_of,
 )
@@ -160,7 +161,10 @@ def test_pair_graph_matches_shared_element_formulation(base):
 
 @pytest.mark.parametrize("base", [path(4), cycle(5), complete(4)])
 def test_pair_graph_contains_double_vertex_as_subset_restriction(base):
-    restricted, _ = subset_restriction(pair_graph(base))
+    dg = pair_graph(base)
+    # the 2-subsets {a, b}, a < b, are the labels off the diagonal
+    off_diagonal = [i for i, tok in enumerate(dg.labels, start=1) if tok.elements[0] < tok.elements[1]]
+    restricted, _ = induced_subgraph(dg.graph, off_diagonal)
     assert restricted == double_vertex(base).graph
 
 

@@ -221,6 +221,14 @@ def test_cli_verify_paper_range_csv_matches_golden(capsys):
     assert capsys.readouterr().out == golden.read_text()
 
 
+def test_cli_props_bench_config_matches_golden(capsys):
+    # the property_suites benchmark's configuration: the golden pins every
+    # suite name, its case count and its verdict
+    golden = Path(__file__).parent / "golden" / "props_bench.txt"
+    assert main(["props", "--seed", "0", "--sizes", "5,6,7,8", "--trials", "40"]) == 0
+    assert capsys.readouterr().out == golden.read_text()
+
+
 @pytest.mark.parametrize("argv, name", [
     (["build", "cycle", "5", "--op", "pair", "--format", "json"], "build_cycle5_pair.json"),
     (["build", "fan", "4", "--op", "dv", "--format", "dot"], "build_fan4_dv.dot"),

@@ -77,22 +77,11 @@ def test_l_is_independent_expected_pattern():
 
 
 def test_linked_consecutive_slices():
-    dg = pair_graph(cycle(5))
-    a = indices_of(dg, W.l_set(5, 2))
-    b = indices_of(dg, W.l_set(5, 3))
-    assert W.linked(dg.graph, a, b)
+    assert (2, 3) in W.linking_profile(5)
 
 
 def test_not_linked_distant_slices():
-    dg = pair_graph(cycle(6))
-    a = indices_of(dg, W.l_set(6, 1))
-    b = indices_of(dg, W.l_set(6, 3))
-    assert not W.linked(dg.graph, a, b)
-
-
-def test_linked_self_of_independent_set_is_false():
-    g = path(4)
-    assert not W.linked(g, {1, 3}, {1, 3})
+    assert (1, 3) not in W.linking_profile(6)
 
 
 def test_linking_profile_m4():
@@ -135,9 +124,11 @@ def test_r_set_sizes():
             assert len(W.r_set_pair(m, q)) == m
 
 
-def test_b_sets():
-    assert tokens_of(W.b_set_dv(4)) == [(1, 5), (2, 5), (3, 5), (4, 5)]
-    assert tokens_of(W.b_set_pair(3)) == [(1, 4), (2, 4), (3, 4), (4, 4)]
+def test_apex_slices():
+    # the apex tokens of a fan or wheel on m base vertices: the slice
+    # through the apex m+1
+    assert tokens_of(W.r_set_dv(5, 5)) == [(1, 5), (2, 5), (3, 5), (4, 5)]
+    assert tokens_of(W.r_set_pair(4, 4)) == [(1, 4), (2, 4), (3, 4), (4, 4)]
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +218,7 @@ def test_dv_wheel_witness(m):
     assert is_independent(dg.graph, w.members)
     assert len(w) == F.dv_wheel(m)
     # solver-backed witness avoids the apex tokens by construction
-    apex = indices_of(dg, W.b_set_dv(m))
+    apex = indices_of(dg, W.r_set_dv(m + 1, m + 1))
     assert not (w.members & apex)
 
 
