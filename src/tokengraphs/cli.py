@@ -212,7 +212,9 @@ def make_parser() -> _Parser:
                           help="comma-separated family names, or 'all'")
     p_verify.add_argument("--m", default=None, help="range A..B (default: per-family)")
     p_verify.add_argument("--method", default="auto", choices=("auto", "brute", "bnb"))
-    p_verify.add_argument("--budget-ms", type=float, default=None, dest="budget_ms")
+    p_verify.add_argument("--budget-ms", type=float, default=None, dest="budget_ms", metavar="N",
+                          help="abort a branch-and-bound solve after N ms (exit 2); "
+                               "brute-forced rows ignore it")
     p_verify.add_argument("--format", default="table", choices=("table", "csv", "json"))
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(handler=cmd_verify)

@@ -9,7 +9,10 @@ form, per-vertex neighbor bitmasks (``Graph.adjacency_masks``), filled
 when the graph is made; its edge set is a view built on first read, for
 output. Every builder, operator and dissection walks the masks and
 builds straight into masks, and ``components`` and the solver in
-``mis`` share one flood fill over them.
+``mis`` share one flood fill over them. A caller's vertex set becomes a
+mask in one place, ``Graph._vertex_mask``, which also range-checks it,
+and a mask becomes vertices again in one place, ``_mask_to_set``; the
+dissections all cut the graph by a mask of the vertices they keep.
 """
 
 from __future__ import annotations
@@ -29,13 +32,12 @@ def _require(name: str, m: int, least: int) -> None:
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:
-    """The vertices of a bitmask; bit i stands for vertex i+1."""
-    members = set()
-    while mask:
-        bit = mask & -mask
-        members.add(bit.bit_length())
-        mask ^= bit
-    return frozenset(members)
+    """The vertices of a bitmask; bit i stands for vertex i+1. One walk
+    over its binary digits from the lowest member up, so the cost is
+    linear in the span of the members whatever their number."""
+    skip = max((mask & -mask).bit_length() - 1, 0)
+    digits = bin(mask >> skip)[:1:-1]
+    return frozenset([v for v, digit in enumerate(digits, start=skip + 1) if digit == "1"])
 
 
 def _edge_pairs(adj: tuple[int, ...]):
@@ -138,9 +140,17 @@ class Graph:
         adj = self.adjacency_masks
         return any(adj[u - 1] & adj[v - 1] for u, v in _edge_pairs(adj))
 
-    def _check_vertex(self, v: int) -> None:
-        if not (1 <= v <= self.order):
-            raise ValueError(f"vertex {v} out of range 1..{self.order}")
+    def _vertex_mask(self, vertices: Iterable[int]) -> int:
+        """The bitmask of ``vertices`` (bit i stands for vertex i+1), read
+        in one pass that rejects the first vertex outside 1..order: the
+        one reader of a caller's vertex set."""
+        order = self.order
+        mask = 0
+        for v in vertices:
+            if not 1 <= v <= order:
+                raise ValueError(f"vertex {v} out of range 1..{order}")
+            mask |= 1 << (v - 1)
+        return mask
 
     def __repr__(self) -> str:  # compact, deterministic
         return f"Graph(order={self.order}, size={self.size})"
@@ -218,20 +228,18 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 # dissection
 
 
-def _kept_subgraph(g: Graph, kept: list[int]) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph on the ascending in-range list ``kept``, compacted
-    to 1..k, and the old-to-new label map; each kept vertex's mask is
-    read off its mask in g, bit by bit."""
-    relabel = {old: new for new, old in enumerate(kept, start=1)}
+def _kept_subgraph(g: Graph, kept: int) -> tuple[Graph, dict[int, int]]:
+    """Induced subgraph on the vertices of the mask ``kept``, compacted
+    to 1..k in ascending order, and the old-to-new label map; each kept
+    vertex's mask is read off its neighbours in ``kept``, bit by bit."""
+    relabel = {old: new for new, old in enumerate(sorted(_mask_to_set(kept)), start=1)}
     adj = g.adjacency_masks
     masks = []
-    for v in kept:
-        nb, mask = adj[v - 1], 0
+    for v in relabel:
+        nb, mask = adj[v - 1] & kept, 0
         while nb:
             bit = nb & -nb
-            w = relabel.get(bit.bit_length())
-            if w:
-                mask |= 1 << (w - 1)
+            mask |= 1 << (relabel[bit.bit_length()] - 1)
             nb ^= bit
         masks.append(mask)
     return Graph._from_masks(masks), relabel
@@ -244,18 +252,12 @@ def delete_vertices(g: Graph, victims: Iterable[int]) -> tuple[Graph, dict[int, 
     Returns the new graph and the old-to-new label map (invert it to
     translate results back to the original labels).
     """
-    victim_set = set(victims)
-    for v in victim_set:
-        g._check_vertex(v)
-    return _kept_subgraph(g, [v for v in g.vertices if v not in victim_set])
+    return _kept_subgraph(g, ((1 << g.order) - 1) ^ g._vertex_mask(victims))
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Induced subgraph on ``keep``, compacted like ``delete_vertices``."""
-    keep_set = set(keep)
-    for v in keep_set:
-        g._check_vertex(v)
-    return _kept_subgraph(g, sorted(keep_set))
+    return _kept_subgraph(g, g._vertex_mask(keep))
 
 
 def _component_masks(adj: tuple[int, ...], mask: int):
@@ -276,16 +278,14 @@ def _component_masks(adj: tuple[int, ...], mask: int):
 def components(g: Graph) -> list[tuple[Graph, dict[int, int]]]:
     """Connected components, each compacted with its old-to-new label map.
 
-    Components are ordered by their smallest original vertex. Each part
-    is built from its own vertices' masks, so no part scans the whole
-    graph.
+    Components are ordered by their smallest original vertex, and each
+    part is built from its flood-fill mask and its own vertices'
+    neighbour masks.
     """
     if g.order < 1:
         raise ValueError("components needs a non-empty graph")
-    return [
-        _kept_subgraph(g, sorted(_mask_to_set(comp)))
-        for comp in _component_masks(g.adjacency_masks, (1 << g.order) - 1)
-    ]
+    comps = _component_masks(g.adjacency_masks, (1 << g.order) - 1)
+    return [_kept_subgraph(g, comp) for comp in comps]
 
 
 # ---------------------------------------------------------------------------

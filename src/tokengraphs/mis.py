@@ -25,8 +25,9 @@ Two independent routes are provided on purpose:
   Each node inherits its vertex degrees from its parent, so the
   reductions revisit only the vertices whose degree dropped, and the
   search runs on an explicit stack, not on interpreter frames.
-  ``alpha(g, avoid=...)`` searches from a vertex mask without the given
-  vertices, so no smaller graph is built and the witness keeps g's labels.
+  ``alpha(g, avoid=...)`` reads the given vertices into a mask, a block
+  at a time under the budget, and searches from the mask without them,
+  so no smaller graph is built and the witness keeps g's labels.
 
 Both are exact and deterministic: repeated runs return the same size and
 the same witness. All bookkeeping is done on Python-int bitmasks, bit i
@@ -82,11 +83,7 @@ class MisResult:
 def is_independent(g: Graph, members) -> bool:
     """True iff no edge of g has both endpoints in ``members``."""
     member_set = set(members)
-    mask = 0
-    for v in member_set:
-        if not (1 <= v <= g.order):
-            raise ValueError(f"vertex {v} out of range 1..{g.order}")
-        mask |= 1 << (v - 1)
+    mask = g._vertex_mask(member_set)
     adj = g.adjacency_masks
     return not any(adj[v - 1] & mask for v in member_set)
 
@@ -126,13 +123,13 @@ def brute_force_alpha(g: Graph, cap: int = BRUTE_FORCE_CAP) -> MisResult:
     return MisResult(best, IndependentSet(g.order, _mask_to_set(best_mask)), nodes, elapsed)
 
 
-def _block_starts(n: int, deadline: float | None):
-    """Yield 0, _BLOCK, 2 * _BLOCK, ... below n for a loop over n vertices
-    that feeds the greedy incumbent, raising ``SolveAborted`` before a
-    block once ``perf_counter()`` has passed ``deadline``."""
+def _block_starts(n: int, deadline: float | None, task: str = "setting up the greedy incumbent"):
+    """Yield 0, _BLOCK, 2 * _BLOCK, ... below n for a set-up loop over n
+    vertices, raising ``SolveAborted`` that names ``task`` before a block
+    once ``perf_counter()`` has passed ``deadline``."""
     for lo in range(0, n, _BLOCK):
         if deadline is not None and time.perf_counter() > deadline:
-            raise SolveAborted("budget exceeded while setting up the greedy incumbent")
+            raise SolveAborted(f"budget exceeded while {task}")
         yield lo
 
 
@@ -379,12 +376,13 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
     """Exact alpha by branch and bound; no size limit, no default timeout.
 
     ``avoid`` names vertices the set must leave out (all of them: alpha
-    0). ``budget_ms`` aborts the solve with ``SolveAborted`` once exceeded
-    so callers can report a distinguishable aborted status; it must be
-    positive (a NaN deadline would never pass). Every graph arrives with
-    the adjacency bitmasks the solve reads, so the clock covers the solve
-    alone, and the solve checks it throughout: once per block of
-    ``_BLOCK`` vertices in the set-up (the degree table and the greedy
+    0); it is read once, through ``Graph._vertex_mask``. ``budget_ms``
+    aborts the solve with ``SolveAborted`` once exceeded so callers can
+    report a distinguishable aborted status; it must be positive (a NaN
+    deadline would never pass). Every graph arrives with the adjacency
+    bitmasks the solve reads, so the clock covers the solve alone, and the
+    solve checks it throughout: once per block of ``_BLOCK`` vertices in
+    the set-up (reading ``avoid``, the degree table and the greedy
     incumbent's buckets), once per vertex the incumbent takes, and once
     per search node and augmenting search.
     """
@@ -394,10 +392,10 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
         raise ValueError(f"budget must be positive, got {budget_ms}")
     start = time.perf_counter()
     deadline = None if budget_ms is None else start + budget_ms / 1000.0
+    avoid = tuple(avoid)
     avoid_mask = 0
-    for v in avoid:
-        g._check_vertex(v)
-        avoid_mask |= 1 << (v - 1)
+    for lo in _block_starts(len(avoid), deadline, "reading the avoided vertices"):
+        avoid_mask |= g._vertex_mask(avoid[lo:lo + _BLOCK])
     adj = g.adjacency_masks
     n = g.order
 
@@ -505,8 +503,9 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
     deg = []
     for lo in _block_starts(n, deadline):
         deg += [(nb & mask).bit_count() for nb in adj[lo:lo + _BLOCK]]
-    for v in _mask_to_set(avoid_mask):
-        deg[v - 1] = -1
+    for lo in _block_starts(len(avoid), deadline):
+        for v in avoid[lo:lo + _BLOCK]:
+            deg[v - 1] = -1
     no_arcs = [-1] * n
     incumbent = _greedy_incumbent(adj, mask, deg[:], deadline)
     best_mask = search(mask, deg, incumbent, (no_arcs, no_arcs, 0, 0))

@@ -100,10 +100,6 @@ class DerivedGraph:
             for combo in choose(range(1, self.base_order + 1), self.k)
         )
 
-    @property
-    def order(self) -> int:
-        return self.graph.order
-
     def __repr__(self) -> str:
         return f"DerivedGraph(order={self.graph.order}, base_order={self.base_order}, kind={self.kind})"
 

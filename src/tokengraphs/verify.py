@@ -130,7 +130,11 @@ class RunConfig:
 
 
 def solve_exact(g: Graph, method: str = "auto", budget_ms: float | None = None):
-    """Dispatch to the brute-force oracle or the branch-and-bound solver."""
+    """Dispatch to the brute-force oracle or the branch-and-bound solver.
+
+    ``budget_ms`` bounds branch-and-bound solves only: the brute-force
+    oracle, which ``method="brute"`` and ``"auto"`` at AUTO_BRUTE_LIMIT
+    vertices or fewer pick, ignores it."""
     if method == "brute" or (method == "auto" and g.order <= AUTO_BRUTE_LIMIT):
         return brute_force_alpha(g)
     return alpha(g, budget_ms=budget_ms)

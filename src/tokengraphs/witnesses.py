@@ -121,21 +121,15 @@ def predicted_linking_profile(m: int) -> frozenset[tuple[int, int]]:
 
 def pair_cycle_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
     """Union of alternating l_set slices achieving alpha on the cycle
-    pair graph. Even m uses every even slice. Odd m = 2k+1 skips the
-    dependent middle slice: for odd k the union is slices 2, 4, ..,
-    k-1, k+2, k+4, .., 2k+1; for even k it is 2, 4, .., k, k+3, .., 2k+1;
-    and m = 3 degenerates to the diagonal slice alone."""
+    pair graph: the even slices for even m; for odd m = 2k+1, the even
+    slices up to k and the odd ones from k+2, which skips the dependent
+    middle slice k+1."""
     _require("pair_cycle_witness", m, 3)
-    if m == 3:
-        picks = [3]
-    elif m % 2 == 0:
-        picks = list(range(2, m + 1, 2))
+    if m % 2 == 0:
+        picks = range(2, m + 1, 2)
     else:
         k = m // 2
-        if k % 2 == 1:
-            picks = list(range(2, k, 2)) + list(range(k + 2, m + 1, 2))
-        else:
-            picks = list(range(2, k + 1, 2)) + list(range(k + 3, m + 1, 2))
+        picks = [*range(2, k + 1, 2), *(q for q in range(k + 2, m + 1) if q % 2)]
     tokens: list[TokenVertex] = []
     for q in picks:
         tokens.extend(l_set(m, q))

@@ -6,6 +6,7 @@ import pytest
 
 from tokengraphs.graphs import (
     Graph,
+    _mask_to_set,
     cartesian_product,
     complete,
     components,
@@ -20,6 +21,7 @@ from tokengraphs.graphs import (
     wheel,
 )
 
+from tokengraphs.mis import alpha, is_independent
 from tokengraphs.operators import k_token
 from tokengraphs.verify import random_graph
 
@@ -230,6 +232,28 @@ def test_delete_all_vertices_gives_empty_graph():
 def test_delete_vertices_out_of_range():
     with pytest.raises(ValueError):
         delete_vertices(path(3), {4})
+
+
+@pytest.mark.parametrize("read", [
+    delete_vertices,
+    induced_subgraph,
+    lambda g, vertices: alpha(g, avoid=vertices),
+    is_independent,
+], ids=["delete_vertices", "induced_subgraph", "alpha_avoid", "is_independent"])
+@pytest.mark.parametrize("bad", [0, 5])
+def test_vertex_set_readers_share_one_range_check(read, bad):
+    with pytest.raises(ValueError, match=rf"^vertex {bad} out of range 1\.\.4$"):
+        read(path(4), [1, bad])
+
+
+@pytest.mark.parametrize("order", [1, 64, 3240, 20100])
+def test_mask_to_set_round_trips_a_vertex_set(order):
+    rng = random.Random(order)
+    g = Graph(order)
+    for members in (set(), {1}, {order}, set(rng.sample(g.vertices, order // 2)), set(g.vertices)):
+        mask = g._vertex_mask(members)
+        assert mask == sum(1 << (v - 1) for v in members)
+        assert _mask_to_set(mask) == members
 
 
 def test_induced_subgraph_complements_delete():

@@ -2,6 +2,8 @@ import random
 import sys
 import time
 from dataclasses import replace
+from itertools import chain, repeat
+from types import SimpleNamespace
 
 import pytest
 
@@ -35,6 +37,11 @@ def test_is_independent_range_check():
     for bad in (0, 5):
         with pytest.raises(ValueError, match="out of range 1..4"):
             is_independent(path(4), {1, bad})
+
+
+def test_is_independent_reads_a_one_shot_iterator_with_duplicates():
+    assert is_independent(path(4), iter([1, 3, 1, 3]))
+    assert not is_independent(path(4), iter([2, 1, 2]))
 
 
 def test_is_independent_on_pair_cycle_slice_union():
@@ -215,6 +222,25 @@ def test_alpha_budget_bounds_the_solver_set_up():
     start = time.perf_counter()
     with pytest.raises(SolveAborted, match="greedy incumbent"):
         alpha(g, budget_ms=1)
+    assert time.perf_counter() - start < 0.015
+
+
+def test_alpha_budget_covers_the_avoid_read(monkeypatch):
+    # the clock reads 0.0 at the start and 1.0 ever after, so the first
+    # deadline check must come before any avoided vertex is read
+    clock = chain([0.0], repeat(1.0))
+    monkeypatch.setattr(mis, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    with pytest.raises(SolveAborted, match="^budget exceeded while reading the avoided vertices$"):
+        alpha(path(3), budget_ms=1, avoid=[2])
+
+
+def test_alpha_budget_bounds_the_avoid_read():
+    # 20100 vertices: reading all of them into a mask takes about 10 ms,
+    # so a 1 ms budget can only be honoured by checks inside that read
+    g = pair_graph(cycle(200)).graph
+    start = time.perf_counter()
+    with pytest.raises(SolveAborted, match="reading the avoided vertices"):
+        alpha(g, budget_ms=1, avoid=g.vertices)
     assert time.perf_counter() - start < 0.015
 
 
