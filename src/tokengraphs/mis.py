@@ -18,10 +18,14 @@ Two independent routes are provided on purpose:
   cover of the rest, started from the node's own matching. The cycle
   cover is exact on bipartite graphs, the clique cover is the tighter one
   on cliques, and the triangle cover closes the odd wheels' double vertex
-  and pair graphs at the root. The triangle cover runs only when g has a
-  triangle (``Graph.has_triangle``, cached on the graph): a triangle-free
-  g has none in any vertex subset, and a k-token graph has one only when
-  its base does, so on F_k(C_m), m >= 4, it never runs.
+  and pair graphs at the root. The clique cover runs below the root, and
+  the triangle cover at all, only when g has a triangle
+  (``Graph.has_triangle``, cached on the graph): a triangle-free g has
+  none in any vertex subset, so its clique cover counts n - |M| for a
+  matching M of the n vertices left, and the cycle cover, at most that
+  from a maximum matching, closes every node it would. A k-token graph
+  has a triangle only when its base does, so on F_k(C_m), m >= 4, neither
+  runs below the root.
   Each node inherits its vertex degrees from its parent, so the
   reductions revisit only the vertices whose degree dropped, and the
   search runs on an explicit stack, not on interpreter frames.
@@ -73,7 +77,7 @@ class MisResult:
     witness: IndependentSet
     nodes: int
     elapsed: float  # seconds
-    clique_prunes: int = 0  # nodes closed by the clique-cover bound
+    clique_prunes: int = 0  # nodes closed by the clique-cover bound (roots only if triangle-free)
     cover_prunes: int = 0  # nodes closed by the cycle-cover bound
     triangle_prunes: int = 0  # nodes closed by the triangle-cover bound
     reductions: int = 0  # vertices taken by the isolated/pendant rule
@@ -246,10 +250,12 @@ def _cycle_cover_bound(
             out[u], inn[v] = v, u
             tails |= ubit
             free_heads ^= vbit
-    # ``dead`` holds the heads that failed searches reached. Their mates see
-    # only dead heads, so an alternating path that enters them never gets
-    # out to a free head, before or after later augmentations.
-    dead = 0
+    # ``live`` holds the heads that no failed search reached. The mates of
+    # the heads a failed search reached see only such heads, so an
+    # alternating path that enters them never gets out to a free head,
+    # before or after later augmentations. Each search clears the heads it
+    # reaches from ``avail``, a copy of ``live``; a failed one keeps it.
+    live = mask
     pending = mask & ~tails
     while pending:
         if deadline is not None and time.perf_counter() > deadline:
@@ -257,11 +263,11 @@ def _cycle_cover_bound(
         ubit = pending & -pending
         pending ^= ubit
         u = ubit.bit_length() - 1
-        seen = dead
+        avail = live
         stack = [u]
         while stack:
             x = stack[-1]
-            cand = adj[x] & mask & ~seen
+            cand = adj[x] & avail
             hit = cand & free_heads
             if hit:
                 vbit = hit & -hit
@@ -273,12 +279,12 @@ def _cycle_cover_bound(
                 break
             if cand:
                 vbit = cand & -cand
-                seen |= vbit
+                avail ^= vbit
                 stack.append(inn[vbit.bit_length() - 1])
             else:
                 stack.pop()
         if not tails & ubit:
-            dead = seen
+            live = avail
     heads = mask & ~free_heads
 
     bound = 0
@@ -456,7 +462,10 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
                 if size > best:
                     best, best_mask = size, chosen
                 continue
-            if size + _clique_cover_bound(adj, mask) <= best:
+            # below the root of a triangle-free g every clique of the greedy
+            # cover is an edge or a vertex, so the cycle cover is at least
+            # as tight
+            if (depth == 0 or g.has_triangle) and size + _clique_cover_bound(adj, mask) <= best:
                 clique_prunes += 1
                 continue
             # the children start from this node's matching

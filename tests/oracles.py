@@ -112,3 +112,28 @@ def naive_pair_graph_edges(g: Graph) -> set[frozenset]:
         for t1, t2 in combinations(tokens, 2)
         if naive_pair_adjacent(g, t1, t2)
     }
+
+
+def double_cover_matching_size(g: Graph, keep) -> int:
+    """Size of a maximum matching of the bipartite double cover of the
+    subgraph induced by ``keep``: a left copy u' and a right copy v'' of
+    each kept vertex, with u' joined to v'' and v' to u'' for each edge uv.
+    Plain augmenting paths from each left vertex in turn (Kuhn)."""
+    kept = set(keep)
+    nbrs: dict[int, list[int]] = {v: [] for v in kept}
+    for u, v in g.edges:
+        if u in kept and v in kept:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    mate: dict[int, int] = {}  # right copy -> left copy
+
+    def augment(u: int, visited: set[int]) -> bool:
+        for v in nbrs[u]:
+            if v not in visited:
+                visited.add(v)
+                if v not in mate or augment(mate[v], visited):
+                    mate[v] = u
+                    return True
+        return False
+
+    return sum(augment(u, set()) for u in sorted(kept))

@@ -13,6 +13,7 @@ from tokengraphs.graphs import (
 )
 from tokengraphs.mis import (
     SolveAborted,
+    _clique_cover_bound,
     _cycle_cover_bound,
     _greedy_incumbent,
     _triangle_cover_bound,
@@ -24,7 +25,7 @@ from tokengraphs.operators import double_vertex, index_of, indices_of, k_token, 
 from tokengraphs.verify import FAMILIES, random_graph
 from tokengraphs.witnesses import dv_wheel_witness, r_set_dv
 
-from .oracles import exhaustive_alpha
+from .oracles import double_cover_matching_size, exhaustive_alpha
 
 
 def test_is_independent_basic():
@@ -322,6 +323,83 @@ def test_triangle_cover_bound_is_an_upper_bound():
             assert _triangle_cover_bound(adj, mask, deg, start, None) >= expected
 
 
+def _random_bipartite(rng, n):
+    left = {v for v in range(1, n + 1) if rng.random() < 0.5}
+    p = rng.uniform(0.2, 0.8)
+    return Graph(n, frozenset(
+        (u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+        if (u in left) != (v in left) and rng.random() < p
+    ))
+
+
+def _subset_and_starts(rng, g):
+    """A random vertex subset of g, its mask, and two matchings to start the
+    cycle cover from: none, and the whole graph's, as a search node starts
+    from its parent's."""
+    keep = [v for v in g.vertices if rng.random() < 0.8] or [1]
+    no_arcs = [-1] * g.order
+    cold = (no_arcs, no_arcs, 0, 0)
+    _, warm = _cycle_cover_bound(g.adjacency_masks, (1 << g.order) - 1, cold, None)
+    return keep, sum(1 << (v - 1) for v in keep), (cold, warm)
+
+
+def test_cycle_cover_matching_is_maximum():
+    # the bound, and the clique cover's skip below the root, need a maximum
+    # matching of the double cover, and every arc must be an edge inside mask
+    rng = random.Random(23)
+    for i in range(300):
+        n = rng.randint(1, 14)
+        g = _random_bipartite(rng, n) if i % 2 else random_graph(rng, n)
+        adj = g.adjacency_masks
+        keep, mask, starts = _subset_and_starts(rng, g)
+        expected = double_cover_matching_size(g, keep)
+        for start in starts:
+            _, (out, inn, tails, heads) = _cycle_cover_bound(adj, mask, start, None)
+            assert heads.bit_count() == tails.bit_count() == expected
+            assert not (tails | heads) & ~mask
+            for u in range(g.order):
+                if tails >> u & 1:
+                    v = out[u]
+                    assert heads >> v & 1 and adj[u] >> v & 1 and inn[v] == u
+
+
+def test_cycle_cover_bound_is_at_most_the_clique_cover_on_triangle_free_graphs():
+    # why alpha runs the clique cover only at the root of a triangle-free g:
+    # its cliques are edges and vertices, a matching that the double cover's
+    # maximum matching at least doubles, so the cycle cover is never looser
+    rng = random.Random(29)
+    tried = 0
+    while tried < 300:
+        g = (_random_bipartite(rng, rng.randint(1, 24)) if tried % 2
+             else random_graph(rng, rng.randint(1, 12)))
+        if g.has_triangle:
+            continue
+        tried += 1
+        adj = g.adjacency_masks
+        _, mask, starts = _subset_and_starts(rng, g)
+        for start in starts:
+            assert _cycle_cover_bound(adj, mask, start, None)[0] <= _clique_cover_bound(adj, mask)
+
+
+@pytest.mark.parametrize("build, calls", [
+    (lambda: k_token(cycle(11), 3).graph, 1),  # triangle-free: the root only
+    (lambda: disjoint_union(*[k_token(cycle(9), 3).graph] * 2), 3),  # and each component's
+    (lambda: k_token(wheel(9), 3).graph, 7149),  # every node the reductions leave non-empty
+], ids=["F3(C11)", "2xF3(C9)", "F3(W9)"])
+def test_alpha_runs_the_clique_cover_below_the_root_only_with_triangles(monkeypatch, build,
+                                                                         calls):
+    counted = []
+    clique_cover = mis._clique_cover_bound
+
+    def counting(*args):
+        counted.append(args)
+        return clique_cover(*args)
+
+    monkeypatch.setattr(mis, "_clique_cover_bound", counting)
+    alpha(build())
+    assert len(counted) == calls
+
+
 def test_alpha_budget_holds_inside_the_triangle_cover():
     # about 1.5 s unbudgeted, with the triangle cover at most open nodes
     g = k_token(wheel(9), 3).graph
@@ -333,8 +411,9 @@ def test_alpha_budget_holds_inside_the_triangle_cover():
 
 @pytest.mark.slow
 def test_alpha_solves_f3_c15():
-    # the standing gate for the exact search: about 8 s on a 2-vCPU Xeon
-    assert alpha(k_token(cycle(15), 3).graph, budget_ms=120_000).alpha == 213
+    # the standing gate for the exact search: about 3.5 s on a 2-vCPU Xeon
+    result = alpha(k_token(cycle(15), 3).graph, budget_ms=120_000)
+    assert (result.alpha, result.nodes) == (213, 10785)
 
 
 @pytest.mark.parametrize("budget", [float("nan"), 0, -5.0])
