@@ -81,8 +81,6 @@ def _parse_m_range(text: str) -> tuple[int, int]:
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
         raise ValueError(f"bad --m value {text!r}; expected A..B") from None
-    if lo > hi:
-        raise ValueError(f"empty m range {text!r}")
     return lo, hi
 
 
@@ -213,8 +211,7 @@ def make_parser() -> _Parser:
     p_verify.add_argument("--m", default=None, help="range A..B (default: per-family)")
     p_verify.add_argument("--method", default="auto", choices=("auto", "brute", "bnb"))
     p_verify.add_argument("--budget-ms", type=float, default=None, dest="budget_ms", metavar="N",
-                          help="abort a branch-and-bound solve after N ms (exit 2); "
-                               "brute-forced rows ignore it")
+                          help="abort a solve after N ms (exit 2); --method brute ignores it")
     p_verify.add_argument("--format", default="table", choices=("table", "csv", "json"))
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(handler=cmd_verify)

@@ -41,7 +41,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1  # a mismatch row or a failed check
 EXIT_ABORTED = 2  # a solve ran out of budget
 
-AUTO_BRUTE_LIMIT = 20  # auto method: brute force at or below, branch and bound above
 
 @dataclass(frozen=True)
 class VerificationRow:
@@ -109,7 +108,7 @@ FAMILIES: dict[str, FamilySpec] = {
 class RunConfig:
     families: tuple[str, ...]
     m_range: tuple[int, int] | None  # None: per-family default ranges
-    method: str = "auto"  # auto | brute | bnb
+    method: str = "auto"  # auto | bnb (the same solver) | brute
     budget_ms: float | None = None
 
     def __post_init__(self) -> None:
@@ -122,7 +121,7 @@ class RunConfig:
         if not self.families:
             raise ValueError("no families selected")
         if self.m_range is not None and self.m_range[0] > self.m_range[1]:
-            raise ValueError(f"empty m range {self.m_range[0]}..{self.m_range[1]}")
+            raise ValueError(f"empty m range '{self.m_range[0]}..{self.m_range[1]}'")
         if self.budget_ms is not None and not self.budget_ms > 0:  # NaN included
             raise ValueError("budget must be positive")
         if self.method not in ("auto", "brute", "bnb"):
@@ -130,12 +129,11 @@ class RunConfig:
 
 
 def solve_exact(g: Graph, method: str = "auto", budget_ms: float | None = None):
-    """Dispatch to the brute-force oracle or the branch-and-bound solver.
-
-    ``budget_ms`` bounds branch-and-bound solves only: the brute-force
-    oracle, which ``method="brute"`` and ``"auto"`` at AUTO_BRUTE_LIMIT
-    vertices or fewer pick, ignores it."""
-    if method == "brute" or (method == "auto" and g.order <= AUTO_BRUTE_LIMIT):
+    """Solve with the brute-force oracle under ``method="brute"``, else
+    with the branch and bound (``"auto"`` and ``"bnb"`` alike, at every
+    order). ``budget_ms`` bounds the branch and bound; the oracle
+    ignores it."""
+    if method == "brute":
         return brute_force_alpha(g)
     return alpha(g, budget_ms=budget_ms)
 

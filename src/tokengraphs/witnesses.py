@@ -198,6 +198,7 @@ def dv_wheel_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
     """A maximum independent set of the wheel double vertex graph, sized
     at ``formulas.dv_wheel(m)`` for every m >= 3: {1,2}, {3,4} at m = 3,
     the tokens of ``dv_wheel_witness`` from m = 4."""
+    _require("dv_wheel_witness", m, 3)
     if m == 3:
         # F2(W_3) = F2(K_4), where two disjoint 2-subsets are non-adjacent
         return (subset_token(1, 2), subset_token(3, 4))

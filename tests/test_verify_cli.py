@@ -73,6 +73,17 @@ def test_budget_abort_row_and_exit_code():
     assert rows_to_csv(rows).split("\n")[1] == "dv_fan,double_vertex,12,78,36,,,aborted,0"
 
 
+def test_default_method_budget_bounds_small_rows():
+    rows = run_sweep(RunConfig(families=("dv_path",), m_range=(3, 6), budget_ms=1e-7))
+    assert rows_to_csv(rows).split("\n")[1:-1] == [
+        "dv_path,double_vertex,3,3,2,,,aborted,0",
+        "dv_path,double_vertex,4,6,4,,,aborted,0",
+        "dv_path,double_vertex,5,10,6,,,aborted,0",
+        "dv_path,double_vertex,6,15,9,,,aborted,0",
+    ]
+    assert sweep_exit_code(rows) == 2
+
+
 def test_csv_format_and_reproducibility():
     config = RunConfig(families=("pair_cycle",), m_range=(3, 5))
     first = rows_to_csv(run_sweep(config))
@@ -266,6 +277,28 @@ def test_cli_verify_budget_abort(capsys):
     assert "aborted" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("method_args, code, status", [
+    ([], 2, "aborted"),
+    (["--method", "bnb"], 2, "aborted"),
+    (["--method", "brute"], 0, "ok"),  # the oracle alone ignores the budget
+])
+def test_cli_verify_budget_on_small_rows(capsys, method_args, code, status):
+    assert main(["verify", "--families", "dv_path", "--m", "3..6", *method_args,
+                 "--budget-ms", "0.0001", "--format", "csv"]) == code
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 4 and all(row.endswith(f",{status},0") for row in rows)
+
+
+def test_cli_alpha_default_method_is_the_branch_and_bound(capsys):
+    def lines(method_args):
+        assert main(["alpha", "wheel", "5", "--op", "dv", *method_args]) == 0
+        return [line.split(" elapsed_ms=")[0] for line in capsys.readouterr().out.splitlines()]
+
+    default = lines([])
+    assert default == lines(["--method", "bnb"])
+    assert default[-1] == "vertices=15 nodes=5"
+
+
 def test_cli_verify_nan_budget_is_config_error(capsys):
     assert main(["verify", "--budget-ms", "nan"]) == 64
     assert "budget must be positive" in capsys.readouterr().err
@@ -385,6 +418,7 @@ def test_cli_usage_error_exit_code():
     (["witness", "cycle", "5", "--op", "dv"], 64,
      "error: no witness construction for family 'cycle' with --op 'dv'"),
     (["witness", "fan", "0", "--op", "dv"], 64, "error: dv_fan_witness needs m >= 1, got 0"),
+    (["witness", "wheel", "2", "--op", "dv"], 64, "error: dv_wheel_witness needs m >= 3, got 2"),
     (["props", "--sizes", "four"], 64, "error: bad --sizes value 'four'"),
     (["props", "--sizes", "17"], 64,
      "error: sizes above 16 are not supported by the randomized suites"),

@@ -238,12 +238,13 @@ def test_dv_wheel_witness_m3_special_case():
 CONSTRUCTED = [fam for fam in FAMILIES.values() if fam.witness_tokens is not None]
 
 
-def _rejects(fn, m):
+def _rejection(fn, m):
+    """The message of the ``ValueError`` that ``fn(m)`` raises, or None."""
     try:
         fn(m)
-    except ValueError:
-        return True
-    return False
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 @pytest.mark.parametrize("fam", CONSTRUCTED, ids=lambda fam: fam.name)
@@ -259,7 +260,10 @@ def test_construction_certifies_formula_on_every_swept_m(fam):
 @pytest.mark.parametrize("fam", CONSTRUCTED, ids=lambda fam: fam.name)
 def test_construction_rejects_exactly_where_formula_does(fam):
     for m in range(-2, 25):
-        assert _rejects(fam.witness_tokens, m) == _rejects(fam.formula, m), m
+        message = _rejection(fam.witness_tokens, m)
+        assert (message is not None) == (_rejection(fam.formula, m) is not None), m
+        if message is not None:
+            assert message.startswith(f"{fam.name}_witness needs m >= "), (m, message)
 
 
 # ---------------------------------------------------------------------------
