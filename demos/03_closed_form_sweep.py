@@ -9,7 +9,7 @@ Run:  python demos/03_closed_form_sweep.py
 
 from tokengraphs.verify import FAMILIES, RunConfig, run_sweep, rows_to_table, sweep_exit_code
 
-config = RunConfig(families=tuple(sorted(FAMILIES)), m_range=None)
+config = RunConfig(families=tuple(FAMILIES), m_range=None)
 rows = run_sweep(config)
 print(rows_to_table(rows), end="")
 

@@ -27,6 +27,7 @@ from .verify import (
     EXIT_MISMATCH,
     EXIT_OK,
     FAMILIES,
+    METHODS,
     RunConfig,
     rows_to_csv,
     rows_to_json,
@@ -48,6 +49,8 @@ BASE_BUILDERS = {
     "wheel": wheel,
 }
 
+NAMED_OPS = {"dv": (double_vertex, "double_vertex"), "pair": (pair_graph, "pair_graph")}
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse parser whose usage errors exit with the config code."""
@@ -62,10 +65,8 @@ def _parse_op(op: str | None):
     """Map an --op value to a deriving function, or None for the base graph."""
     if op is None:
         return None, "base"
-    if op == "dv":
-        return double_vertex, "double_vertex"
-    if op == "pair":
-        return pair_graph, "pair_graph"
+    if op in NAMED_OPS:
+        return NAMED_OPS[op]
     if op.startswith("token:"):
         try:
             k = int(op.split(":", 1)[1])
@@ -88,8 +89,11 @@ def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror}") from None
         print(f"wrote {out}")
 
 
@@ -116,19 +120,17 @@ def cmd_alpha(args) -> int:
     graph, derived, op_name = _build_instance(args.family, args.m, args.op)
     result = solve_exact(graph, method=args.method)
     shown = f"{op_name}({args.family}({args.m}))" if derived is not None else f"{args.family}({args.m})"
+    labels = derived.labels if derived is not None else graph.vertices
+    witness = " ".join(str(labels[v - 1]) for v in sorted(result.witness.members))
     print(f"alpha({shown}) = {result.alpha}")
-    if derived is not None:
-        tokens = " ".join(str(derived.labels[v - 1]) for v in sorted(result.witness.members))
-        print(f"witness ({result.alpha}): {tokens}")
-    else:
-        print(f"witness ({result.alpha}): {' '.join(map(str, sorted(result.witness.members)))}")
+    print(f"witness ({result.alpha}): {witness}")
     print(f"vertices={graph.order} nodes={result.nodes} elapsed_ms={result.elapsed * 1000:.1f}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     if args.families == "all":
-        names = tuple(sorted(FAMILIES))
+        names = tuple(FAMILIES)
     else:
         names = tuple(name for name in args.families.split(",") if name)
     m_range = _parse_m_range(args.m) if args.m is not None else None
@@ -202,14 +204,14 @@ def make_parser() -> _Parser:
     p_alpha.add_argument("family", choices=sorted(BASE_BUILDERS))
     p_alpha.add_argument("m", type=int)
     p_alpha.add_argument("--op", default=None, help="dv, pair or token:<k>")
-    p_alpha.add_argument("--method", default="auto", choices=("auto", "brute", "bnb"))
+    p_alpha.add_argument("--method", default="auto", choices=METHODS)
     p_alpha.set_defaults(handler=cmd_alpha)
 
     p_verify = sub.add_parser("verify", help="formula vs solver vs witness sweep")
     p_verify.add_argument("--families", default="all",
                           help="comma-separated family names, or 'all'")
     p_verify.add_argument("--m", default=None, help="range A..B (default: per-family)")
-    p_verify.add_argument("--method", default="auto", choices=("auto", "brute", "bnb"))
+    p_verify.add_argument("--method", default="auto", choices=METHODS)
     p_verify.add_argument("--budget-ms", type=float, default=None, dest="budget_ms", metavar="N",
                           help="abort a solve after N ms (exit 2); --method brute ignores it")
     p_verify.add_argument("--format", default="table", choices=("table", "csv", "json"))
@@ -219,7 +221,7 @@ def make_parser() -> _Parser:
     p_witness = sub.add_parser("witness", help="emit and certify an explicit witness")
     p_witness.add_argument("family", choices=("path", "cycle", "fan", "wheel"))
     p_witness.add_argument("m", type=int)
-    p_witness.add_argument("--op", required=True, choices=("dv", "pair"))
+    p_witness.add_argument("--op", required=True, choices=tuple(NAMED_OPS))
     p_witness.add_argument("--format", default="text", choices=("text", "json"))
     p_witness.add_argument("--out", default=None)
     p_witness.set_defaults(handler=cmd_witness)

@@ -17,6 +17,7 @@ dissections all cut the graph by a mask of the vertices they keep.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable
@@ -56,6 +57,7 @@ def _edges_of(adj: tuple[int, ...]) -> frozenset[Edge]:
     return frozenset(_edge_pairs(adj))
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class Graph:
     """Simple undirected graph: ``order`` vertices labeled 1..order and a
     set of unordered edges with distinct in-range endpoints.
@@ -66,8 +68,10 @@ class Graph:
     ``Graph(order, edges)`` checks the edges it is given and ORs each into
     the masks in the same pass; the operators, builders and dissections
     build straight into masks. ``edges`` is a view built from the masks
-    the first time it is read, for output. Graphs are immutable;
-    assigning an attribute raises.
+    the first time it is read, for output. Graphs are frozen: assigning
+    or deleting a field raises, so the two constructors fill ``__dict__``
+    directly, as ``cached_property`` does for ``edges`` and
+    ``has_triangle``.
     """
 
     order: int
@@ -100,20 +104,6 @@ class Graph:
         g = object.__new__(cls)
         g.__dict__.update(order=len(masks), adjacency_masks=tuple(masks))
         return g
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}: Graph is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}: Graph is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.adjacency_masks == other.adjacency_masks
-
-    def __hash__(self) -> int:
-        return hash(self.adjacency_masks)
 
     @cached_property
     def edges(self) -> frozenset[Edge]:

@@ -41,6 +41,8 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1  # a mismatch row or a failed check
 EXIT_ABORTED = 2  # a solve ran out of budget
 
+METHODS = ("auto", "brute", "bnb")  # auto and bnb name the same solver
+
 
 @dataclass(frozen=True)
 class VerificationRow:
@@ -108,7 +110,7 @@ FAMILIES: dict[str, FamilySpec] = {
 class RunConfig:
     families: tuple[str, ...]
     m_range: tuple[int, int] | None  # None: per-family default ranges
-    method: str = "auto"  # auto | bnb (the same solver) | brute
+    method: str = "auto"  # one of METHODS
     budget_ms: float | None = None
 
     def __post_init__(self) -> None:
@@ -120,11 +122,17 @@ class RunConfig:
             raise ValueError(f"duplicate families: {', '.join(repeated)}")
         if not self.families:
             raise ValueError("no families selected")
-        if self.m_range is not None and self.m_range[0] > self.m_range[1]:
-            raise ValueError(f"empty m range '{self.m_range[0]}..{self.m_range[1]}'")
+        if self.m_range is not None:
+            lo, hi = self.m_range
+            if lo > hi:
+                raise ValueError(f"empty m range '{lo}..{hi}'")
+            least = min(FAMILIES[f].min_m for f in self.families)
+            if hi < least:
+                raise ValueError(f"m range '{lo}..{hi}' is below every selected "
+                                 f"family's smallest m ({least})")
         if self.budget_ms is not None and not self.budget_ms > 0:  # NaN included
             raise ValueError("budget must be positive")
-        if self.method not in ("auto", "brute", "bnb"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
 
 
@@ -160,7 +168,6 @@ def verify_one(fam: FamilySpec, m: int, method: str = "auto",
             status = STATUS_MISMATCH
     except SolveAborted:
         solver_value = None
-        witness_size = None
         status = STATUS_ABORTED
     ms = (time.perf_counter() - started) * 1000.0
     return VerificationRow(
@@ -177,15 +184,14 @@ def verify_one(fam: FamilySpec, m: int, method: str = "auto",
 
 
 def run_sweep(config: RunConfig) -> list[VerificationRow]:
-    """All rows for the configuration, ordered by (family, operator, m)."""
+    """All rows for the configuration, ordered by (family, m)."""
     rows: list[VerificationRow] = []
-    for name in config.families:
+    for name in sorted(config.families):
         fam = FAMILIES[name]
         lo, hi = config.m_range if config.m_range is not None else fam.default_range
         lo = max(lo, fam.min_m)
         for m in range(lo, hi + 1):
             rows.append(verify_one(fam, m, method=config.method, budget_ms=config.budget_ms))
-    rows.sort(key=lambda r: (r.family, r.operator, r.m))
     return rows
 
 

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -365,6 +368,19 @@ def test_cli_witness_text_out_file(tmp_path, capsys):
     assert target.read_text() == text
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "path", "4"],
+    ["verify", "--families", "dv_path", "--m", "3..3"],
+    ["witness", "path", "4", "--op", "dv"],
+])
+def test_cli_unwritable_out_is_config_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x.out"
+    assert main(argv + ["--out", str(target)]) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
 def test_cli_witness_json_format(capsys):
     assert main(["witness", "cycle", "4", "--op", "pair", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -410,6 +426,10 @@ def test_cli_usage_error_exit_code():
     (["alpha", "path", "30", "--op", "dv", "--method", "brute"], 64,
      "error: order 435 exceeds the brute-force cap 26; use alpha() instead"),
     (["verify", "--m", "5..3"], 64, "error: empty m range '5..3'"),
+    (["verify", "--families", "dv_cycle", "--m", "1..2"], 64,
+     "error: m range '1..2' is below every selected family's smallest m (3)"),
+    (["verify", "--families", "dv_wheel,pair_cycle", "--m", "0..2"], 64,
+     "error: m range '0..2' is below every selected family's smallest m (3)"),
     (["verify", "--m", "x"], 64, "error: bad --m value 'x'; expected A..B"),
     (["verify", "--families", "dv_moebius"], 64, "error: unknown families: dv_moebius"),
     (["verify", "--budget-ms", "nan"], 64, "error: budget must be positive"),
@@ -434,3 +454,15 @@ def test_cli_rejected_arguments_name_the_problem(capsys, argv, code, line):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines()[-1] == line
+
+
+def test_module_entry_point_passes_exit_code_through():
+    # README documents `python -m tokengraphs.cli`; its `sys.exit(main())`
+    # must hand main's exit code and error line to the shell.
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-m", "tokengraphs.cli", "build", "wheel", "2"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 64
+    assert done.stdout == ""
+    assert done.stderr == "error: wheel needs m >= 3, got 2\n"
