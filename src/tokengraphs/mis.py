@@ -26,8 +26,9 @@ Two independent routes are provided on purpose:
   from a maximum matching, closes every node it would. A k-token graph
   has a triangle only when its base does, so on F_k(C_m), m >= 4, neither
   runs below the root.
-  Each node inherits its vertex degrees from its parent, so the
-  reductions revisit only the vertices whose degree dropped, and the
+  Each node inherits its vertex degrees from its parent, and its
+  reductions work through one worklist of the vertices whose degree
+  dropped, lowest index first, so they revisit no other vertex. The
   search runs on an explicit stack, not on interpreter frames.
   ``alpha(g, avoid=...)`` reads the given vertices into a mask, a block
   at a time under the budget, and searches from the mask without them,
@@ -41,6 +42,7 @@ every graph carries from the moment it is made.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Iterable
@@ -127,18 +129,18 @@ def brute_force_alpha(g: Graph, cap: int = BRUTE_FORCE_CAP) -> MisResult:
     return MisResult(best, IndependentSet(g.order, _mask_to_set(best_mask)), nodes, elapsed)
 
 
-def _block_starts(n: int, deadline: float | None, task: str = "setting up the greedy incumbent"):
+def _block_starts(n: int, deadline: float, task: str = "setting up the greedy incumbent"):
     """Yield 0, _BLOCK, 2 * _BLOCK, ... below n for a set-up loop over n
     vertices, raising ``SolveAborted`` that names ``task`` before a block
     once ``perf_counter()`` has passed ``deadline``."""
     for lo in range(0, n, _BLOCK):
-        if deadline is not None and time.perf_counter() > deadline:
+        if time.perf_counter() > deadline:
             raise SolveAborted(f"budget exceeded while {task}")
         yield lo
 
 
 def _greedy_incumbent(
-    adj: tuple[int, ...], mask: int, deg: list[int], deadline: float | None
+    adj: tuple[int, ...], mask: int, deg: list[int], deadline: float
 ) -> int:
     """Greedy independent set of the subgraph ``mask`` induces: repeatedly
     take a minimum-degree vertex, lowest index on ties, and delete its
@@ -157,7 +159,7 @@ def _greedy_incumbent(
     rem = mask
     low = 0
     while rem:
-        if deadline is not None and time.perf_counter() > deadline:
+        if time.perf_counter() > deadline:
             raise SolveAborted("budget exceeded while building the greedy incumbent")
         while not buckets[low]:
             low += 1
@@ -202,7 +204,7 @@ def _clique_cover_bound(adj: tuple[int, ...], mask: int) -> int:
 
 
 def _cycle_cover_bound(
-    adj: tuple[int, ...], mask: int, matching: tuple, deadline: float | None
+    adj: tuple[int, ...], mask: int, matching: tuple, deadline: float
 ) -> tuple[int, tuple]:
     """Upper bound on alpha of the subgraph induced by ``mask`` from a
     maximum matching of its bipartite double cover, where u' sees v'' for
@@ -258,7 +260,7 @@ def _cycle_cover_bound(
     live = mask
     pending = mask & ~tails
     while pending:
-        if deadline is not None and time.perf_counter() > deadline:
+        if time.perf_counter() > deadline:
             raise SolveAborted("budget exceeded while matching the cycle-cover bound")
         ubit = pending & -pending
         pending ^= ubit
@@ -314,7 +316,7 @@ def _cycle_cover_bound(
 
 
 def _triangle_cover_bound(
-    adj: tuple[int, ...], mask: int, deg: list[int], matching: tuple, deadline: float | None
+    adj: tuple[int, ...], mask: int, deg: list[int], matching: tuple, deadline: float
 ) -> int:
     """Upper bound on alpha of the subgraph induced by ``mask`` from
     vertex-disjoint triangles, each holding at most one independent vertex,
@@ -389,15 +391,16 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
     bitmasks the solve reads, so the clock covers the solve alone, and the
     solve checks it throughout: once per block of ``_BLOCK`` vertices in
     the set-up (reading ``avoid``, the degree table and the greedy
-    incumbent's buckets), once per vertex the incumbent takes, and once
-    per search node and augmenting search.
+    incumbent's buckets), once per vertex the incumbent takes, once per
+    search node before its reductions, and once per augmenting search.
+    Without a budget the deadline is ``math.inf``, which no clock passes.
     """
     if g.order < 1:
         raise ValueError("alpha needs a non-empty graph")
     if budget_ms is not None and not budget_ms > 0:  # NaN included
         raise ValueError(f"budget must be positive, got {budget_ms}")
     start = time.perf_counter()
-    deadline = None if budget_ms is None else start + budget_ms / 1000.0
+    deadline = math.inf if budget_ms is None else start + budget_ms / 1000.0
     avoid = tuple(avoid)
     avoid_mask = 0
     for lo in _block_starts(len(avoid), deadline, "reading the avoided vertices"):
@@ -419,44 +422,36 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
         # ``deg[v]`` is v's degree in the node's residual graph, -1 once v is
         # gone; ``dirty`` masks the vertices whose degree dropped since the
         # reductions last looked at them (all of them at the root).
-        # Frames are (mask, chosen, size, depth, deg, dirty, matching); the
-        # exclude child is pushed under the include child, so nodes are
-        # visited in the order a recursive search would visit them.
-        stack = [(mask, 0, 0, 0, deg, mask, matching)]
+        # Frames are (mask, chosen, depth, deg, dirty, matching); the exclude
+        # child is pushed under the include child, so nodes are visited in
+        # the order a recursive search would visit them.
+        stack = [(mask, 0, 0, deg, mask, matching)]
         while stack:
-            mask, chosen, size, depth, deg, dirty, matching = stack.pop()
+            mask, chosen, depth, deg, dirty, matching = stack.pop()
             nodes += 1
             if depth > max_depth:
                 max_depth = depth
+            if time.perf_counter() > deadline:
+                raise SolveAborted(f"budget {budget_ms} ms exceeded after {nodes} nodes")
 
-            # Isolated and pendant vertices can always be taken. Each pass
-            # visits the dirty vertices in index order, as a full pass over
-            # the residual graph would (the others still have degree >= 2):
-            # a vertex dirtied ahead of the cursor joins this pass, one
-            # dirtied behind it waits for the next.
-            while True:
-                if deadline is not None and time.perf_counter() > deadline:
-                    raise SolveAborted(f"budget {budget_ms} ms exceeded after {nodes} nodes")
-                scan, dirty = dirty & mask, 0
-                while scan:
-                    bit = scan & -scan
-                    scan ^= bit
-                    v = bit.bit_length() - 1
-                    d = deg[v]
-                    if d > 1 or d < 0:  # still of degree >= 2, or gone
-                        continue
-                    # take v; a pendant's one neighbour goes with it
-                    gone = (adj[v] & mask) | bit
-                    mask ^= gone
-                    chosen |= bit
-                    size += 1
-                    reductions += 1
-                    new = _drop(adj, deg, mask, gone)
-                    ahead = new & -(bit << 1)
-                    scan |= ahead
-                    dirty |= new ^ ahead
-                if not dirty:
-                    break
+            # Isolated and pendant vertices can always be taken. ``scan`` is
+            # the worklist of dirty vertices still in the graph (the others
+            # still have degree >= 2); each step looks at its lowest vertex,
+            # and a take adds the vertices whose degree it dropped.
+            scan = dirty & mask
+            while scan:
+                bit = scan & -scan
+                scan ^= bit
+                v = bit.bit_length() - 1
+                if deg[v] > 1:
+                    continue
+                # take v; a pendant's one neighbour goes with it
+                gone = (adj[v] & mask) | bit
+                mask ^= gone
+                chosen |= bit
+                reductions += 1
+                scan = (scan | _drop(adj, deg, mask, gone)) & mask
+            size = chosen.bit_count()
 
             if mask == 0:
                 if size > best:
@@ -503,9 +498,9 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
             include_deg = deg[:]
             include_dirty = _drop(adj, include_deg, mask & ~closed, closed)
             exclude_dirty = _drop(adj, deg, mask ^ vbit, vbit)
-            stack.append((mask ^ vbit, chosen, size, depth + 1, deg, exclude_dirty, matching))
-            stack.append((mask & ~closed, chosen | vbit, size + 1, depth + 1, include_deg,
-                          include_dirty, matching))
+            stack.append((mask ^ vbit, chosen, depth + 1, deg, exclude_dirty, matching))
+            stack.append((mask & ~closed, chosen | vbit, depth + 1, include_deg, include_dirty,
+                          matching))
         return best_mask
 
     mask = ((1 << n) - 1) ^ avoid_mask

@@ -143,6 +143,8 @@ def indices_of(dg: DerivedGraph, tokens) -> frozenset[int]:
 def double_vertex(g: Graph) -> DerivedGraph:
     """Graph on all 2-subsets of V(g); {x,y} ~ {u,v} iff the symmetric
     difference is an edge of g. Needs g.order >= 2."""
+    if g.order < 2:
+        raise ValueError(f"double vertex graph needs base order >= 2, got {g.order}")
     return k_token(g, 2)
 
 

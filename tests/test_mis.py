@@ -1,8 +1,10 @@
+import math
 import random
 import sys
 import time
 from dataclasses import replace
 from itertools import chain, repeat
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -279,7 +281,7 @@ def test_cycle_cover_bound_on_a_big_graph_does_not_recurse():
     g = pair_graph(cycle(80)).graph
     no_arcs = [-1] * g.order
     bound, _ = _cycle_cover_bound(g.adjacency_masks, (1 << g.order) - 1,
-                                  (no_arcs, no_arcs, 0, 0), None)
+                                  (no_arcs, no_arcs, 0, 0), math.inf)
     assert bound == 1640
 
 
@@ -318,9 +320,9 @@ def test_triangle_cover_bound_is_an_upper_bound():
         expected = brute_force_alpha(induced_subgraph(g, keep)[0]).alpha
         no_arcs = [-1] * g.order
         cold = (no_arcs, no_arcs, 0, 0)
-        _, warm = _cycle_cover_bound(adj, mask, cold, None)
+        _, warm = _cycle_cover_bound(adj, mask, cold, math.inf)
         for start in (cold, warm):
-            assert _triangle_cover_bound(adj, mask, deg, start, None) >= expected
+            assert _triangle_cover_bound(adj, mask, deg, start, math.inf) >= expected
 
 
 def _random_bipartite(rng, n):
@@ -339,7 +341,7 @@ def _subset_and_starts(rng, g):
     keep = [v for v in g.vertices if rng.random() < 0.8] or [1]
     no_arcs = [-1] * g.order
     cold = (no_arcs, no_arcs, 0, 0)
-    _, warm = _cycle_cover_bound(g.adjacency_masks, (1 << g.order) - 1, cold, None)
+    _, warm = _cycle_cover_bound(g.adjacency_masks, (1 << g.order) - 1, cold, math.inf)
     return keep, sum(1 << (v - 1) for v in keep), (cold, warm)
 
 
@@ -354,7 +356,7 @@ def test_cycle_cover_matching_is_maximum():
         keep, mask, starts = _subset_and_starts(rng, g)
         expected = double_cover_matching_size(g, keep)
         for start in starts:
-            _, (out, inn, tails, heads) = _cycle_cover_bound(adj, mask, start, None)
+            _, (out, inn, tails, heads) = _cycle_cover_bound(adj, mask, start, math.inf)
             assert heads.bit_count() == tails.bit_count() == expected
             assert not (tails | heads) & ~mask
             for u in range(g.order):
@@ -378,7 +380,8 @@ def test_cycle_cover_bound_is_at_most_the_clique_cover_on_triangle_free_graphs()
         adj = g.adjacency_masks
         _, mask, starts = _subset_and_starts(rng, g)
         for start in starts:
-            assert _cycle_cover_bound(adj, mask, start, None)[0] <= _clique_cover_bound(adj, mask)
+            bound, _ = _cycle_cover_bound(adj, mask, start, math.inf)
+            assert bound <= _clique_cover_bound(adj, mask)
 
 
 @pytest.mark.parametrize("build, calls", [
@@ -458,7 +461,8 @@ def test_greedy_incumbent_matches_quadratic_reference():
         adj = g.adjacency_masks
         for mask in ((1 << g.order) - 1, rng.getrandbits(g.order), 0):
             deg = [(nb & mask).bit_count() if mask >> v & 1 else -1 for v, nb in enumerate(adj)]
-            assert _greedy_incumbent(adj, mask, deg, None) == _quadratic_greedy_incumbent(adj, mask)
+            greedy = _greedy_incumbent(adj, mask, deg, math.inf)
+            assert greedy == _quadratic_greedy_incumbent(adj, mask)
 
 
 def _bridged_f3_c7_pair():
@@ -495,6 +499,43 @@ def test_alpha_search_is_pinned(build, expected):
     assert (g.order, result.alpha, result.nodes) == expected
 
 
+SOLVER_COUNTS = Path(__file__).parent / "golden" / "solver_counts.txt"
+
+
+def _solver_corpus():
+    """(label, graph) pairs: every family row at m = 3..24 (from its min_m
+    if larger), token graphs of odd cycles that branch, two F3(C9) copies,
+    and 100 random graphs of order 1..30 drawn from ``random.Random(0)``."""
+    for fam in FAMILIES.values():
+        for m in range(max(3, fam.min_m), 25):
+            yield f"{fam.name}({m})", fam.derive(fam.base(m)).graph
+    for k, m in ((3, 7), (3, 9), (3, 11), (4, 9)):
+        yield f"F{k}(C{m})", k_token(cycle(m), k).graph
+    yield "2F3(C9)", disjoint_union(*[k_token(cycle(9), 3).graph] * 2)
+    rng = random.Random(0)
+    for i in range(100):
+        g = random_graph(rng, rng.randint(1, 30))
+        yield f"random{i}(n={g.order})", g
+
+
+def _solver_count_lines():
+    """One line per corpus graph: its label, alpha and the solver's
+    counters. ``PYTHONPATH=src python -m tests.test_mis`` prints them all,
+    to regenerate the golden when a change moves the search tree."""
+    for label, g in _solver_corpus():
+        r = alpha(g)
+        yield (f"{label} {r.alpha} {r.nodes} {r.reductions} {r.max_depth} "
+               f"{r.clique_prunes} {r.cover_prunes} {r.triangle_prunes}\n")
+
+
+def test_solver_counts_match_golden():
+    # the search tree on 281 graphs: a change to the branching rule, the
+    # bounds, the reductions or their order moves some count here; the
+    # witness sets are left out, since no canonical output prints them
+    expected = SOLVER_COUNTS.read_text().splitlines(keepends=True)
+    assert list(_solver_count_lines()) == expected
+
+
 @pytest.mark.parametrize("build, expected", [
     (lambda: k_token(cycle(11), 3).graph, (414, 15)),
     (lambda: double_vertex(wheel(23)).graph, (0, 0)),  # the triangle cover closes the root
@@ -505,10 +546,11 @@ def test_alpha_counts_reductions_and_depth(build, expected):
     assert (result.reductions, result.max_depth) == expected
 
 
-def test_alpha_reductions_keep_the_full_pass_order():
-    # a vertex whose degree drops ahead of the reduction cursor is looked at
-    # in the same pass, as a rescan of every vertex would; deferring it to
-    # the next pass takes vertex 12 instead of 10 here
+def test_alpha_reductions_take_the_lowest_dirty_vertex():
+    # the reductions' worklist always looks at its lowest vertex, so one
+    # whose degree drops above the vertex just taken comes before the dirty
+    # vertices above it; looking at it only after them takes vertex 12
+    # instead of 10 here
     g = Graph(12, frozenset({(1, 5), (1, 8), (1, 9), (1, 11), (1, 12), (2, 4), (2, 9), (3, 7),
                              (3, 8), (4, 11), (5, 6), (6, 8), (6, 10), (8, 11), (10, 12)}))
     assert sorted(alpha(g).witness.members) == [4, 5, 7, 8, 9, 10]
@@ -540,3 +582,7 @@ def test_alpha_search_depth_needs_no_interpreter_frames():
 def test_alpha_single_vertex():
     result = alpha(path(1))
     assert result.alpha == 1 and result.witness.members == frozenset({1})
+
+
+if __name__ == "__main__":
+    sys.stdout.writelines(_solver_count_lines())

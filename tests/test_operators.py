@@ -65,7 +65,7 @@ def test_double_vertex_of_k2_is_single_vertex():
 
 
 def test_double_vertex_rejects_tiny_base():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="double vertex graph needs base order >= 2, got 1"):
         double_vertex(path(1))
 
 

@@ -5,7 +5,7 @@ import re
 from dataclasses import replace
 from functools import reduce
 from itertools import combinations, combinations_with_replacement
-from math import comb
+from math import comb, inf
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -35,6 +35,7 @@ from tokengraphs.operators import (
 from tokengraphs.verify import check_token_deletion_commutes
 
 from .oracles import (
+    double_cover_matching_size,
     exhaustive_alpha,
     naive_double_vertex_edges,
     naive_k_token_edges,
@@ -301,24 +302,6 @@ def test_alpha_avoiding_vertices_matches_solving_the_copy(g, data):
     assert replace(alpha(g, avoid=avoid), elapsed=0.0) == expected
 
 
-def _reference_matching_size(g, vertices):
-    """Maximum matching of the bipartite double cover of the subgraph of g
-    induced by ``vertices`` (u' sees v'' for each edge uv), by recursive
-    Kuhn augmentation over plain dicts."""
-    mate = {}
-
-    def augment(u, seen):
-        for v in vertices:
-            if v not in seen and g.has_edge(u, v):
-                seen.add(v)
-                if v not in mate or augment(mate[v], seen):
-                    mate[v] = u
-                    return True
-        return False
-
-    return sum(augment(u, set()) for u in vertices)
-
-
 def _random_matching(g, rng):
     """A random matching of g's double cover, not necessarily maximal or
     maximum, in the solver's ``(out, inn, tails, heads)`` form with
@@ -378,12 +361,12 @@ def test_cycle_cover_bound_from_cold_and_stale_matchings(g, data):
     ))
     mask = sum(1 << (v - 1) for v in keep)
     expected_alpha = exhaustive_alpha(induced_subgraph(g, keep)[0])
-    expected_size = _reference_matching_size(g, sorted(keep))
+    expected_size = double_cover_matching_size(g, keep)
     no_arcs = [-1] * g.order
     stale = _random_matching(g, data.draw(st.randoms(use_true_random=False)))
     for start in ((no_arcs, no_arcs, 0, 0), stale):
         kept = (start[0][:], start[1][:], start[2], start[3])
-        bound, matching = _cycle_cover_bound(g.adjacency_masks, mask, start, None)
+        bound, matching = _cycle_cover_bound(g.adjacency_masks, mask, start, inf)
         assert start == kept
         assert bound >= expected_alpha
         assert matching[2].bit_count() == expected_size

@@ -423,6 +423,10 @@ def test_cli_usage_error_exit_code():
     (["build", "path", "4", "--op", "token:x"], 64,
      "error: bad --op value 'token:x'; expected token:<k>"),
     (["build", "path", "4", "--op", "token:0"], 64, "error: k must satisfy 1 <= k <= 4, got 0"),
+    (["build", "path", "1", "--op", "dv"], 64,
+     "error: double vertex graph needs base order >= 2, got 1"),
+    (["alpha", "complete", "1", "--op", "dv"], 64,
+     "error: double vertex graph needs base order >= 2, got 1"),
     (["alpha", "path", "30", "--op", "dv", "--method", "brute"], 64,
      "error: order 435 exceeds the brute-force cap 26; use alpha() instead"),
     (["verify", "--m", "5..3"], 64, "error: empty m range '5..3'"),
