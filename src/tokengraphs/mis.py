@@ -7,7 +7,8 @@ Two independent routes are provided on purpose:
   It is the oracle; it stays simple so it can be trusted.
 * ``alpha``: branch and bound. Branches on a maximum-degree vertex
   (lowest index on ties), include branch first, a minimum-degree greedy
-  incumbent (bucket queue, lowest index on ties), isolated/pendant-vertex
+  incumbent (bucket queue, lowest index on ties) unless the caller
+  passes an independent set to start from, isolated/pendant-vertex
   reductions between branchings, and connected components of the
   residual graph solved separately at the root of each search. Three
   upper bounds, each tried only where the ones before it fail to prune: a
@@ -33,6 +34,8 @@ Two independent routes are provided on purpose:
   ``alpha(g, avoid=...)`` reads the given vertices into a mask, a block
   at a time under the budget, and searches from the mask without them,
   so no smaller graph is built and the witness keeps g's labels.
+  ``alpha(g, incumbent=...)`` reads its set the same way and checks it
+  independent; ``verify`` passes a row's certified witness there.
 
 Both are exact and deterministic: repeated runs return the same size and
 the same witness. All bookkeeping is done on Python-int bitmasks, bit i
@@ -129,7 +132,7 @@ def brute_force_alpha(g: Graph, cap: int = BRUTE_FORCE_CAP) -> MisResult:
     return MisResult(best, IndependentSet(g.order, _mask_to_set(best_mask)), nodes, elapsed)
 
 
-def _block_starts(n: int, deadline: float, task: str = "setting up the greedy incumbent"):
+def _block_starts(n: int, deadline: float, task: str):
     """Yield 0, _BLOCK, 2 * _BLOCK, ... below n for a set-up loop over n
     vertices, raising ``SolveAborted`` that names ``task`` before a block
     once ``perf_counter()`` has passed ``deadline``."""
@@ -151,7 +154,7 @@ def _greedy_incumbent(
     bitmask updates. Raises ``SolveAborted`` once ``perf_counter()``
     passes ``deadline``."""
     buckets = [0] * (max(deg) + 1)
-    for lo in _block_starts(len(deg), deadline):
+    for lo in _block_starts(len(deg), deadline, "filling the greedy incumbent's buckets"):
         for v, d in enumerate(deg[lo:lo + _BLOCK], start=lo):
             if d >= 0:
                 buckets[d] |= 1 << v
@@ -380,20 +383,30 @@ def _drop(adj: tuple[int, ...], deg: list[int], mask: int, gone: int) -> int:
     return dirty
 
 
-def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()) -> MisResult:
+def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = (),
+          incumbent: Iterable[int] | None = None) -> MisResult:
     """Exact alpha by branch and bound; no size limit, no default timeout.
 
     ``avoid`` names vertices the set must leave out (all of them: alpha
-    0); it is read once, through ``Graph._vertex_mask``. ``budget_ms``
-    aborts the solve with ``SolveAborted`` once exceeded so callers can
-    report a distinguishable aborted status; it must be positive (a NaN
-    deadline would never pass). Every graph arrives with the adjacency
-    bitmasks the solve reads, so the clock covers the solve alone, and the
-    solve checks it throughout: once per block of ``_BLOCK`` vertices in
-    the set-up (reading ``avoid``, the degree table and the greedy
-    incumbent's buckets), once per vertex the incumbent takes, once per
-    search node before its reductions, and once per augmenting search.
-    Without a budget the deadline is ``math.inf``, which no clock passes.
+    0). ``incumbent`` names an independent set of vertices outside
+    ``avoid`` for the search to beat; without it the search starts from
+    the greedy incumbent. A vertex of it out of range, in ``avoid`` or
+    with a neighbour in it raises ``ValueError``. It only starts the
+    search, which still closes a node only where a bound meets the best
+    set found, so a small or empty incumbent costs nodes, never
+    exactness. Both sets are read once, through ``Graph._vertex_mask``.
+
+    ``budget_ms`` aborts the solve with ``SolveAborted`` once exceeded so
+    callers can report a distinguishable aborted status; it must be
+    positive (a NaN deadline would never pass). Every graph arrives with
+    the adjacency bitmasks the solve reads, so the clock covers the solve
+    alone, and the solve checks it throughout: once per block of
+    ``_BLOCK`` vertices in the set-up (reading ``avoid``, reading and
+    checking ``incumbent``, the degree table and the greedy incumbent's
+    buckets; an abort there names its step), once per vertex the greedy
+    incumbent takes, once per search node before its reductions, and once
+    per augmenting search. Without a budget the deadline is ``math.inf``,
+    which no clock passes.
     """
     if g.order < 1:
         raise ValueError("alpha needs a non-empty graph")
@@ -401,12 +414,27 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
         raise ValueError(f"budget must be positive, got {budget_ms}")
     start = time.perf_counter()
     deadline = math.inf if budget_ms is None else start + budget_ms / 1000.0
-    avoid = tuple(avoid)
-    avoid_mask = 0
-    for lo in _block_starts(len(avoid), deadline, "reading the avoided vertices"):
-        avoid_mask |= g._vertex_mask(avoid[lo:lo + _BLOCK])
     adj = g.adjacency_masks
     n = g.order
+
+    def read(vertices: Iterable[int], task: str) -> tuple[tuple[int, ...], int]:
+        """The vertices as a tuple and as a mask, read a block at a time
+        under the budget."""
+        vertices = tuple(vertices)
+        mask = 0
+        for lo in _block_starts(len(vertices), deadline, task):
+            mask |= g._vertex_mask(vertices[lo:lo + _BLOCK])
+        return vertices, mask
+
+    avoid, avoid_mask = read(avoid, "reading the avoided vertices")
+    if incumbent is not None:
+        incumbent, seed = read(incumbent, "reading the incumbent")
+        if clash := seed & avoid_mask:
+            raise ValueError(f"incumbent vertex {(clash & -clash).bit_length()} is avoided")
+        for lo in _block_starts(len(incumbent), deadline, "reading the incumbent"):
+            for v in incumbent[lo:lo + _BLOCK]:
+                if adj[v - 1] & seed:
+                    raise ValueError(f"incumbent vertex {v} has a neighbour in the incumbent")
 
     nodes = clique_prunes = cover_prunes = triangle_prunes = reductions = max_depth = 0
 
@@ -505,14 +533,15 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
 
     mask = ((1 << n) - 1) ^ avoid_mask
     deg = []
-    for lo in _block_starts(n, deadline):
+    for lo in _block_starts(n, deadline, "building the degree table"):
         deg += [(nb & mask).bit_count() for nb in adj[lo:lo + _BLOCK]]
-    for lo in _block_starts(len(avoid), deadline):
+    for lo in _block_starts(len(avoid), deadline, "building the degree table"):
         for v in avoid[lo:lo + _BLOCK]:
             deg[v - 1] = -1
     no_arcs = [-1] * n
-    incumbent = _greedy_incumbent(adj, mask, deg[:], deadline)
-    best_mask = search(mask, deg, incumbent, (no_arcs, no_arcs, 0, 0))
+    if incumbent is None:
+        seed = _greedy_incumbent(adj, mask, deg[:], deadline)
+    best_mask = search(mask, deg, seed, (no_arcs, no_arcs, 0, 0))
     elapsed = time.perf_counter() - start
     return MisResult(
         best_mask.bit_count(), IndependentSet(n, _mask_to_set(best_mask)), nodes, elapsed,

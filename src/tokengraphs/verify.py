@@ -1,12 +1,12 @@
 """Verification sweeps and randomized property suites.
 
 A sweep builds, for each selected family and parameter, the derived
-graph, evaluates the closed form, runs the exact solver, generates the
-explicit witness where a construction exists, and emits one
-``VerificationRow``. Canonical CSV and JSON reports are byte-identical
-across runs for a given configuration: the elapsed-milliseconds column
-is zeroed there (wall-clock times are not reproducible) and is only
-shown in the human-readable table.
+graph, evaluates the closed form, generates and certifies the explicit
+witness where a construction exists, runs the exact solver seeded with
+that witness, and emits one ``VerificationRow``. Canonical CSV and JSON
+reports are byte-identical across runs for a given configuration: the
+elapsed-milliseconds column is zeroed there (wall-clock times are not
+reproducible) and is only shown in the human-readable table.
 """
 
 from __future__ import annotations
@@ -136,38 +136,45 @@ class RunConfig:
             raise ValueError(f"unknown method {self.method!r}")
 
 
-def solve_exact(g: Graph, method: str = "auto", budget_ms: float | None = None):
+def solve_exact(g: Graph, method: str = "auto", budget_ms: float | None = None,
+                incumbent: Iterable[int] | None = None):
     """Solve with the brute-force oracle under ``method="brute"``, else
     with the branch and bound (``"auto"`` and ``"bnb"`` alike, at every
-    order). ``budget_ms`` bounds the branch and bound; the oracle
-    ignores it."""
+    order). ``budget_ms`` bounds the branch and bound and ``incumbent``
+    seeds it (see ``alpha``); the oracle ignores both, so it stays
+    unseeded."""
     if method == "brute":
         return brute_force_alpha(g)
-    return alpha(g, budget_ms=budget_ms)
+    return alpha(g, budget_ms=budget_ms, incumbent=incumbent)
 
 
 def verify_one(fam: FamilySpec, m: int, method: str = "auto",
                budget_ms: float | None = None) -> VerificationRow:
-    """Build, evaluate, solve and certify a single (family, m) pair."""
+    """Build, evaluate, certify and solve a single (family, m) pair.
+
+    The witness is built and checked first; only an independent one seeds
+    the solve as its incumbent. A dependent one reports witness -1 and the
+    solve starts from the greedy incumbent. An aborted row reports neither
+    alpha nor witness."""
     derived = fam.derive(fam.base(m))
     formula_value = fam.formula(m)
     started = time.perf_counter()
     witness_size: int | None = None
+    seed = None
+    if fam.witness_tokens is not None:
+        members = indices_of(derived, fam.witness_tokens(m))
+        if is_independent(derived.graph, members):
+            witness_size, seed = len(members), members
+        else:
+            witness_size = -1  # dependent "witness": report as mismatch
     try:
-        result = solve_exact(derived.graph, method=method, budget_ms=budget_ms)
-        if fam.witness_tokens is not None:
-            tokens = fam.witness_tokens(m)
-            members = indices_of(derived, tokens)
-            if not is_independent(derived.graph, members):
-                witness_size = -1  # dependent "witness": report as mismatch
-            else:
-                witness_size = len(members)
+        result = solve_exact(derived.graph, method=method, budget_ms=budget_ms, incumbent=seed)
         solver_value: int | None = result.alpha
         status = STATUS_OK
         if formula_value != result.alpha or (witness_size is not None and witness_size != formula_value):
             status = STATUS_MISMATCH
     except SolveAborted:
-        solver_value = None
+        solver_value = witness_size = None
         status = STATUS_ABORTED
     ms = (time.perf_counter() - started) * 1000.0
     return VerificationRow(

@@ -25,7 +25,7 @@ from tokengraphs.mis import (
 )
 from tokengraphs.operators import double_vertex, index_of, indices_of, k_token, multiset_token, pair_graph
 from tokengraphs.verify import FAMILIES, random_graph
-from tokengraphs.witnesses import dv_wheel_witness, r_set_dv
+from tokengraphs.witnesses import dv_wheel_witness, pair_cycle_witness_tokens, r_set_dv
 
 from .oracles import double_cover_matching_size, exhaustive_alpha
 
@@ -223,7 +223,8 @@ def test_alpha_budget_bounds_the_solver_set_up():
     # deadline checks inside those set-up loops
     g = pair_graph(cycle(200)).graph
     start = time.perf_counter()
-    with pytest.raises(SolveAborted, match="greedy incumbent"):
+    with pytest.raises(SolveAborted, match="^budget exceeded while (building the degree table"
+                                           "|filling the greedy incumbent's buckets)$"):
         alpha(g, budget_ms=1)
     assert time.perf_counter() - start < 0.015
 
@@ -244,6 +245,51 @@ def test_alpha_budget_bounds_the_avoid_read():
     start = time.perf_counter()
     with pytest.raises(SolveAborted, match="reading the avoided vertices"):
         alpha(g, budget_ms=1, avoid=g.vertices)
+    assert time.perf_counter() - start < 0.015
+
+
+@pytest.mark.parametrize("avoid, seed, message", [
+    ((), [4, 1, 2], "^incumbent vertex 1 has a neighbour in the incumbent$"),
+    ((), [1, 6], "^vertex 6 out of range 1..5$"),
+    ((), [0], "^vertex 0 out of range 1..5$"),
+    ([3], [1, 3], "^incumbent vertex 3 is avoided$"),
+])
+def test_alpha_rejects_a_bad_incumbent(avoid, seed, message):
+    with pytest.raises(ValueError, match=message):
+        alpha(path(5), avoid=avoid, incumbent=seed)
+
+
+def test_alpha_from_an_empty_or_small_incumbent_is_exact():
+    rng = random.Random(90)
+    for _ in range(100):
+        g = random_graph(rng, rng.randint(1, 14))
+        want = brute_force_alpha(g)
+        # one vertex short of a maximum set, so the search must improve on it
+        short = sorted(want.witness.members)[1:]
+        for seed in ((), short):
+            result = alpha(g, incumbent=seed)
+            assert result.alpha == want.alpha
+            assert is_independent(g, result.witness.members)
+
+
+def test_alpha_budget_covers_the_incumbent_read(monkeypatch):
+    # as for the avoid read; vertex 9 is out of range, so reading it before
+    # the first deadline check would raise ValueError instead
+    clock = chain([0.0], repeat(1.0))
+    monkeypatch.setattr(mis, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    with pytest.raises(SolveAborted, match="^budget exceeded while reading the incumbent$"):
+        alpha(path(3), budget_ms=1, incumbent=[9])
+
+
+def test_alpha_budget_bounds_the_incumbent_read():
+    # 20100 vertices and a 10100-member seed: reading and checking it takes
+    # milliseconds, so a 1 ms budget can only be honoured by checks inside
+    dg = pair_graph(cycle(200))
+    seed = indices_of(dg, pair_cycle_witness_tokens(200))
+    assert len(seed) == 10100
+    start = time.perf_counter()
+    with pytest.raises(SolveAborted, match="^budget exceeded while reading the incumbent$"):
+        alpha(dg.graph, budget_ms=1, incumbent=seed)
     assert time.perf_counter() - start < 0.015
 
 

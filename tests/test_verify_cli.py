@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from tokengraphs import verify
 from tokengraphs.cli import main
+from tokengraphs.mis import alpha, brute_force_alpha
+from tokengraphs.operators import indices_of, token_label_of
 from tokengraphs.verify import (
     CSV_COLUMNS,
     FAMILIES,
@@ -137,6 +140,66 @@ def test_verify_one_detects_planted_mismatch():
     row = verify_one(broken, 5)
     assert row.status == "mismatch"
     assert sweep_exit_code([row]) == 1
+
+
+# every row with a witness construction, at m = 3..24 from each family's minimum
+PAPER_ROWS = [(name, m) for name, fam in FAMILIES.items() if fam.witness_tokens is not None
+              for m in range(max(3, fam.min_m), 25)]
+
+
+def test_witness_seed_changes_no_alpha_and_no_node_count():
+    # the seed replaces the greedy incumbent only; on every paper row it is
+    # as large as the greedy set was, so the search tree stays the same
+    for name, m in PAPER_ROWS:
+        fam = FAMILIES[name]
+        dg = fam.derive(fam.base(m))
+        seeded = alpha(dg.graph, incumbent=indices_of(dg, fam.witness_tokens(m)))
+        unseeded = alpha(dg.graph)
+        assert (seeded.alpha, seeded.nodes) == (unseeded.alpha, unseeded.nodes), (name, m)
+        assert seeded.alpha == fam.formula(m), (name, m)
+
+
+def test_verify_one_reports_a_short_witness_as_mismatch():
+    fam = FAMILIES["pair_cycle"]
+    short = dataclasses.replace(fam, witness_tokens=lambda m: fam.witness_tokens(m)[1:])
+    row = verify_one(short, 7)
+    assert (row.alpha, row.witness, row.status) == (row.formula, row.formula - 1, "mismatch")
+
+
+def test_verify_one_solves_a_dependent_witness_unseeded(monkeypatch):
+    fam = FAMILIES["pair_cycle"]
+    dg = fam.derive(fam.base(7))
+    first = min(indices_of(dg, fam.witness_tokens(7)))
+    neighbour = token_label_of(dg, dg.graph.adjacency_masks[first - 1].bit_length())
+    planted = dataclasses.replace(fam, witness_tokens=lambda m: (*fam.witness_tokens(m), neighbour))
+    seeds = []
+
+    def spy(g, *args, incumbent=None, **kwargs):
+        seeds.append(incumbent)
+        return alpha(g, *args, incumbent=incumbent, **kwargs)
+
+    monkeypatch.setattr(verify, "alpha", spy)
+    row = verify_one(planted, 7)
+    assert (row.alpha, row.witness, row.status) == (row.formula, -1, "mismatch")
+    assert seeds == [None]
+
+
+def test_brute_method_never_receives_a_seed(monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return brute_force_alpha(*args, **kwargs)
+
+    def no_bnb(*args, **kwargs):
+        raise AssertionError("--method brute ran the branch and bound")
+
+    monkeypatch.setattr(verify, "brute_force_alpha", spy)
+    monkeypatch.setattr(verify, "alpha", no_bnb)
+    names = tuple(dict.fromkeys(name for name, _ in PAPER_ROWS))
+    rows = run_sweep(RunConfig(families=names, m_range=(3, 5), method="brute"))
+    assert all(r.status == "ok" and r.witness == r.alpha for r in rows)
+    assert calls == [{}] * len(rows)
 
 
 def test_property_suites_pass_and_reproduce():
