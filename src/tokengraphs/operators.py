@@ -13,11 +13,19 @@ Three operators are provided:
   {x, x} ~ {x, y} exactly when xy is an edge, and two distinct diagonal
   vertices {x, x}, {y, y} are never adjacent.
 
+F2(g) is the pair graph of g without its diagonal tokens {x, x}, so
+``double_vertex`` and ``pair_graph`` are built by one rank-table
+builder, which lists for each base vertex x the ranks of its tokens
+{s, x} and joins the lists of x and y for each edge xy.
+``k_token(g, 2)`` builds the same graph as ``double_vertex(g)`` the
+general way.
+
 Vertex i of a derived graph is the i-th k-subset or k-multiset of
 1..n in lexicographic order, so a derived graph stores only its kind, k
-and n. ``index_of`` ranks a token arithmetically and the ``labels``
-tuple is built only when something iterates it; vertex sets move between
-the index and token views through these two.
+and n. ``indices_of`` ranks tokens arithmetically (``index_of`` is its
+one-token case) and the ``labels`` tuple is built only when something
+iterates it; vertex sets move between the index and token views
+through these.
 """
 
 from __future__ import annotations
@@ -114,26 +122,34 @@ def token_label_of(dg: DerivedGraph, index: int) -> TokenVertex:
 def index_of(dg: DerivedGraph, token: TokenVertex) -> int:
     """Vertex index (1-based) of a token label, its lexicographic rank;
     tokens that are not labels here are rejected."""
-    e = token.elements
-    n, k = dg.base_order, dg.k
-    if token.kind != dg.kind or len(e) != k or e[0] < 1 or e[-1] > n:
-        raise ValueError(f"token {token} ({token.kind}) is not a vertex label here")
-    # combinatorial number system: the k-subsets after e are those that
-    # first exceed it at some position i, comb(n - e_i, k - i) for each i.
-    # A k-multiset is the k-subset e_i + i of 1..n+k-1, so there the pool
-    # top n+k-1 and the shift i together shrink n - e_i by one per position.
-    shrink = dg.kind == MULTISET
-    n += shrink * (k - 1)
-    rank = comb(n, k)
-    for x in e:
-        rank -= comb(n - x, k)
-        n -= shrink
-        k -= 1
+    (rank,) = indices_of(dg, (token,))
     return rank
 
 
 def indices_of(dg: DerivedGraph, tokens) -> frozenset[int]:
-    return frozenset(index_of(dg, tok) for tok in tokens)
+    """Vertex indices (1-based) of the token labels in ``tokens``, each
+    ranked as ``index_of`` ranks it; a token that is not a label here is
+    rejected."""
+    n, k, kind = dg.base_order, dg.k, dg.kind
+    # combinatorial number system: the k-subsets after e are those that
+    # first exceed it at some position i, comb(n - e_i, k - i) for each i.
+    # A k-multiset is the k-subset e_i + i of 1..n+k-1, so there the pool
+    # top n+k-1 and the shift i together shrink n - e_i by one per position.
+    shrink = kind == MULTISET
+    top = n + shrink * (k - 1)
+    last = comb(top, k)
+    ranks = []
+    for token in tokens:
+        e = token.elements
+        if token.kind != kind or len(e) != k or e[0] < 1 or e[-1] > n:
+            raise ValueError(f"token {token} ({token.kind}) is not a vertex label here")
+        rank, pool, j = last, top, k
+        for x in e:
+            rank -= comb(pool - x, j)
+            pool -= shrink
+            j -= 1
+        ranks.append(rank)
+    return frozenset(ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +161,7 @@ def double_vertex(g: Graph) -> DerivedGraph:
     difference is an edge of g. Needs g.order >= 2."""
     if g.order < 2:
         raise ValueError(f"double vertex graph needs base order >= 2, got {g.order}")
-    return k_token(g, 2)
+    return _pair_tokens(g, SUBSET)
 
 
 def k_token(g: Graph, k: int) -> DerivedGraph:
@@ -173,17 +189,32 @@ def pair_graph(g: Graph) -> DerivedGraph:
     of g. Needs g.order >= 2."""
     if g.order < 2:
         raise ValueError(f"pair graph needs base order >= 2, got {g.order}")
+    return _pair_tokens(g, MULTISET)
+
+
+def _pair_tokens(g: Graph, kind: str) -> DerivedGraph:
+    """The graph on the 2-multisets (``MULTISET``) or 2-subsets
+    (``SUBSET``) of V(g) with {s,x} ~ {s,y} for each edge xy of g and
+    each shared s; subsets leave out the diagonal s = x or s = y."""
     n = g.order
-    # {a, b} with a <= b is vertex start[a] + b (0-based): the
+    diagonal = kind == MULTISET
+    # {a, b} with a <= b is multiset vertex start[a] + b (0-based): the
     # (a - 1)(2n + 2 - a) / 2 multisets {a', .} with a' < a come first,
-    # then {a, a} .. {a, b}; ranks[x - 1] lists the vertices {s, x}, s = 1..n
-    start = [(a - 1) * (2 * n - a) // 2 - 1 for a in range(n + 1)]
-    ranks = [[start[s] + x for s in range(1, x + 1)] + [start[x] + s for s in range(x + 1, n + 1)]
+    # then {a, a} .. {a, b}. As a subset (a < b) it loses the a diagonal
+    # vertices {1, 1} .. {a, a} before it: (a - 1)(2n - a) / 2 + b - a - 1.
+    start = [(a - 1) * (2 * n - a) // 2 - 1 - (0 if diagonal else a) for a in range(n + 1)]
+    # ranks[x - 1] lists the vertices {s, x} in order of s = 1..n, s = x
+    # only with the diagonal
+    ranks = [[start[s] + x for s in range(1, x + diagonal)] + [start[x] + s for s in range(x + 1, n + 1)]
              for x in g.vertices]
-    masks = [0] * (n * (n + 1) // 2)
+    masks = [0] * comb(n + diagonal, 2)
     for x, y in _edge_pairs(g.adjacency_masks):
+        ax, ay = ranks[x - 1], ranks[y - 1]
+        if not diagonal:
+            # x < y: x's list holds {x, y} at s = y, y's holds it at s = x
+            ax, ay = ax[:y - 2] + ax[y - 1:], ay[:x - 1] + ay[x:]
         # {s, x} ~ {s, y} for every shared s
-        for i, j in zip(ranks[x - 1], ranks[y - 1]):
+        for i, j in zip(ax, ay):
             masks[i] |= 1 << j
             masks[j] |= 1 << i
-    return DerivedGraph(Graph._from_masks(masks), MULTISET, 2, n)
+    return DerivedGraph(Graph._from_masks(masks), kind, 2, n)

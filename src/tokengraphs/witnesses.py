@@ -11,10 +11,13 @@ The building blocks:
   token level. The apex tokens of a fan or wheel on m base vertices are
   the slice through its apex, ``r_set_*(m + 1, m + 1)``.
 * parity witnesses: odd-coordinate-sum token sets for path double vertex
-  graphs, unions of alternating l_set slices for cycle pair graphs, and
-  their apex-augmented fan/wheel variants.
+  graphs, even-sum multiset sets for path pair graphs, unions of
+  alternating l_set slices for cycle pair graphs, and their
+  apex-augmented fan/wheel variants.
 * ``phi``: the index shift {i, j} -> {i, j+1} that carries the pair graph
-  of P_n onto the double vertex graph of P_{n+1}.
+  of P_n onto the double vertex graph of P_{n+1}. The path pair witness
+  is built directly; a test checks that it is the path double vertex
+  witness on m+1 vertices pulled back through ``phi_inverse``.
 
 Every set here is a plain ``tuple[TokenVertex, ...]``; ``indices_of``
 turns one into vertex indices of a derived graph. Each ``*_witness_tokens``
@@ -159,10 +162,12 @@ def dv_fan_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
 
 
 def pair_path_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
-    """The odd-sum witness of the path double vertex graph on m+1
-    vertices pulled back through phi_inverse."""
+    """All 2-multisets {i, j} of 1..m with i + j even, the image of the
+    odd-sum witness of the path double vertex graph on m+1 vertices
+    under phi_inverse, in the same order (a test checks the pull-back).
+    Moving one token along a path edge flips the parity of the sum."""
     _require("pair_path_witness", m, 1)
-    return tuple(phi_inverse(tok) for tok in dv_path_witness_tokens(m + 1))
+    return tuple(TokenVertex(MULTISET, (i, j)) for i in range(1, m + 1) for j in range(i, m + 1, 2))
 
 
 def pair_fan_witness_tokens(m: int) -> tuple[TokenVertex, ...]:

@@ -1,8 +1,12 @@
+import random
+import re
+
 import pytest
 
 from tokengraphs.formulas import pair_cycle
 from tokengraphs.graphs import (
-    complete, cycle, delete_vertices, disjoint_union, fan, induced_subgraph, is_isomorphic, path,
+    Graph, complete, cycle, delete_vertices, disjoint_union, fan, induced_subgraph, is_isomorphic,
+    path, wheel,
 )
 from tokengraphs.operators import (
     MULTISET,
@@ -18,6 +22,7 @@ from tokengraphs.operators import (
     subset_token,
     token_label_of,
 )
+from tokengraphs.verify import random_graph
 from tokengraphs.witnesses import pair_cycle_witness_tokens
 
 from .oracles import naive_double_vertex_edges, naive_pair_graph_edges
@@ -78,14 +83,17 @@ def test_double_vertex_fan4_has_apex_tokens():
     assert index_of(dg, subset_token(2, 5)) in indices
 
 
-@pytest.mark.parametrize("base", [path(4), cycle(5), fan(3), complete(4)])
-def test_double_vertex_matches_share_one_element_formulation(base):
-    dg = double_vertex(base)
-    got = {
+def _labelled_edges(dg):
+    return {
         frozenset((dg.labels[u - 1].elements, dg.labels[v - 1].elements))
         for u, v in dg.graph.edges
     }
-    assert got == naive_double_vertex_edges(base)
+
+
+@pytest.mark.parametrize("base", [path(4), cycle(5), fan(3), complete(4)])
+def test_double_vertex_matches_share_one_element_formulation(base):
+    dg = double_vertex(base)
+    assert _labelled_edges(dg) == naive_double_vertex_edges(base)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -97,9 +105,24 @@ def test_vertex_counts(n):
         assert k_token(g, 3).graph.order == n * (n - 1) * (n - 2) // 6
 
 
-def test_k_token_2_equals_double_vertex():
-    for g in (path(5), cycle(6), fan(4)):
-        assert k_token(g, 2) == double_vertex(g)
+def _rank_table_bases():
+    """Every family base at m <= 24 with at least two vertices, K_2, an
+    edgeless graph and 40 seeded random graphs of order 2..12."""
+    for build, least in ((path, 2), (cycle, 3), (fan, 1), (wheel, 3)):
+        for m in range(least, 25):
+            yield pytest.param(build(m), id=f"{build.__name__}{m}")
+    yield pytest.param(complete(2), id="K2")
+    yield pytest.param(Graph(5, frozenset()), id="edgeless5")
+    rng = random.Random(24)
+    for draw in range(40):
+        yield pytest.param(random_graph(rng, rng.randint(2, 12)), id=f"random{draw}")
+
+
+@pytest.mark.parametrize("base", _rank_table_bases())
+def test_rank_table_builds_agree_with_k_token_and_oracle(base):
+    assert double_vertex(base) == k_token(base, 2)
+    dg = pair_graph(base)
+    assert _labelled_edges(dg) == naive_pair_graph_edges(base)
 
 
 def test_k_token_1_is_base_graph():
@@ -152,11 +175,7 @@ def test_pair_graph_cycle4_diagonals_nonadjacent():
 @pytest.mark.parametrize("base", [path(4), cycle(5), complete(4), fan(3)])
 def test_pair_graph_matches_shared_element_formulation(base):
     dg = pair_graph(base)
-    got = {
-        frozenset((dg.labels[u - 1].elements, dg.labels[v - 1].elements))
-        for u, v in dg.graph.edges
-    }
-    assert got == naive_pair_graph_edges(base)
+    assert _labelled_edges(dg) == naive_pair_graph_edges(base)
 
 
 @pytest.mark.parametrize("base", [path(4), cycle(5), complete(4)])
@@ -172,6 +191,24 @@ def test_label_round_trip():
     dg = double_vertex(path(4))
     for i in range(1, dg.graph.order + 1):
         assert index_of(dg, token_label_of(dg, i)) == i
+
+
+@pytest.mark.parametrize("bad", [
+    multiset_token(1, 2),  # wrong kind
+    subset_token(1, 2, 3),  # wrong k
+    subset_token(2, 9),  # element out of range
+])
+def test_indices_of_rejects_a_later_token_by_name(bad):
+    dg = double_vertex(path(4))
+    good = [subset_token(1, 2), subset_token(3, 4), subset_token(1, 4)]
+    message = "^" + re.escape(f"token {bad} ({bad.kind}) is not a vertex label here") + "$"
+    with pytest.raises(ValueError, match=message):
+        indices_of(dg, good + [bad])
+    with pytest.raises(ValueError, match=message):
+        indices_of(dg, iter(good[:1] + [bad] + good[1:]))
+    with pytest.raises(ValueError, match=message):
+        index_of(dg, bad)
+    assert "labels" not in vars(dg)
 
 
 def test_unknown_label_rejected():

@@ -185,6 +185,12 @@ def test_pair_path_witness(m):
     assert len(members) == F.pair_path(m)
 
 
+def test_pair_path_witness_is_the_dv_path_witness_pulled_back():
+    for m in range(1, 31):
+        pulled = tuple(W.phi_inverse(t) for t in W.dv_path_witness_tokens(m + 1))
+        assert W.pair_path_witness_tokens(m) == pulled
+
+
 @pytest.mark.parametrize("m", range(2, 11))
 def test_pair_fan_witness(m):
     dg = pair_graph(fan(m))
