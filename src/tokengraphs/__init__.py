@@ -34,6 +34,7 @@ from .operators import (
     k_token,
     multiset_token,
     pair_graph,
+    pair_ranks,
     subset_token,
     token_label_of,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "token_label_of",
     "index_of",
     "indices_of",
+    "pair_ranks",
     "alpha",
     "brute_force_alpha",
     "is_independent",

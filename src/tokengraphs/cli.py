@@ -21,7 +21,7 @@ from typing import Sequence
 from .exports import derived_to_dot, derived_to_json, graph_to_dot, graph_to_json
 from .graphs import complete, cycle, fan, path, wheel
 from .mis import SolveAborted, is_independent
-from .operators import double_vertex, indices_of, k_token, pair_graph
+from .operators import TokenVertex, double_vertex, k_token, pair_graph, pair_ranks
 from .verify import (
     EXIT_ABORTED,
     EXIT_MISMATCH,
@@ -148,14 +148,14 @@ def cmd_verify(args) -> int:
 
 def cmd_witness(args) -> int:
     fam = FAMILIES[f"{args.op}_{args.family}"]
-    if fam.witness_tokens is None:
+    if fam.witness_pairs is None:
         raise ValueError(
             f"no witness construction for family {args.family!r} with --op {args.op!r}"
         )
-    tokens = fam.witness_tokens(args.m)
+    pairs = fam.witness_pairs(args.m)
     expected = fam.formula(args.m)
     derived = fam.derive(fam.base(args.m))
-    members = indices_of(derived, tokens)
+    members = pair_ranks(derived, pairs)
     independent = is_independent(derived.graph, members)
     matches = independent and len(members) == expected
     if args.format == "json":
@@ -165,14 +165,14 @@ def cmd_witness(args) -> int:
             "size": len(members),
             "formula": expected,
             "independent": independent,
-            "tokens": [list(t.elements) for t in tokens],
+            "tokens": [list(p) for p in pairs],
         }
         _write_output(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         lines = [
             f"witness {fam.name} m={args.m}: size {len(members)}, formula {expected}, "
             f"independent: {'yes' if independent else 'NO'}",
-            "tokens: " + " ".join(str(t) for t in tokens),
+            "tokens: " + " ".join(str(TokenVertex(derived.kind, p)) for p in pairs),
         ]
         _write_output("\n".join(lines) + "\n", args.out)
     return EXIT_OK if matches else EXIT_MISMATCH

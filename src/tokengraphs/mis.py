@@ -30,6 +30,11 @@ Two independent routes are provided on purpose:
   Each node inherits its vertex degrees from its parent, and its
   reductions work through one worklist of the vertices whose degree
   dropped, lowest index first, so they revisit no other vertex. The
+  root's worklist starts from the vertices of degree <= 1, read off the
+  degree table as it is built, and a component root's from none: the
+  root's reductions leave no vertex of degree <= 1 behind. Either way
+  the next take is the lowest vertex of degree <= 1, so the takes and
+  the search tree are those of a scan over every vertex. The
   search runs on an explicit stack, not on interpreter frames.
   ``alpha(g, avoid=...)`` reads the given vertices into a mask, a block
   at a time under the budget, and searches from the mask without them,
@@ -48,6 +53,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable
 
 from .graphs import Graph, _component_masks, _mask_to_set
@@ -438,10 +444,11 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
 
     nodes = clique_prunes = cover_prunes = triangle_prunes = reductions = max_depth = 0
 
-    def search(mask: int, deg: list[int], incumbent: int, matching: tuple) -> int:
+    def search(mask: int, deg: list[int], dirty: int, incumbent: int, matching: tuple) -> int:
         """Maximum independent set of the subgraph induced by ``mask``;
-        ``deg`` is its degree table (the search uses it up), ``incumbent``
-        an independent subset of ``mask`` to beat and ``matching`` a start
+        ``deg`` is its degree table (the search uses it up), ``dirty``
+        holds every vertex of degree <= 1 there, ``incumbent`` an
+        independent subset of ``mask`` to beat and ``matching`` a start
         for the cycle-cover bound."""
         nonlocal nodes, clique_prunes, cover_prunes, triangle_prunes, reductions, max_depth
         best_mask = incumbent
@@ -449,11 +456,11 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
 
         # ``deg[v]`` is v's degree in the node's residual graph, -1 once v is
         # gone; ``dirty`` masks the vertices whose degree dropped since the
-        # reductions last looked at them (all of them at the root).
+        # reductions last looked at them (at the root, those of degree <= 1).
         # Frames are (mask, chosen, depth, deg, dirty, matching); the exclude
         # child is pushed under the include child, so nodes are visited in
         # the order a recursive search would visit them.
-        stack = [(mask, 0, 0, deg, mask, matching)]
+        stack = [(mask, 0, 0, deg, dirty, matching)]
         while stack:
             mask, chosen, depth, deg, dirty, matching = stack.pop()
             nodes += 1
@@ -510,11 +517,12 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
                 comps = list(_component_masks(adj, mask))
                 if len(comps) > 1:
                     for comp in comps:
-                        # a component keeps its residual degrees
+                        # a component keeps its residual degrees, all >= 2
+                        # after the reductions, so its worklist starts empty
                         comp_deg = [-1] * n
                         for v in _mask_to_set(comp):
                             comp_deg[v - 1] = deg[v - 1]
-                        chosen |= search(comp, comp_deg, best_mask & comp, matching)
+                        chosen |= search(comp, comp_deg, 0, best_mask & comp, matching)
                     # optimal: the reductions are safe and each component
                     # search returns a maximum set of its component
                     return chosen
@@ -533,15 +541,19 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
 
     mask = ((1 << n) - 1) ^ avoid_mask
     deg = []
+    low = 0  # the vertices of degree <= 1, the root's reduction worklist
     for lo in _block_starts(n, deadline, "building the degree table"):
-        deg += [(nb & mask).bit_count() for nb in adj[lo:lo + _BLOCK]]
+        block = [(nb & mask).bit_count() for nb in adj[lo:lo + _BLOCK]]
+        deg += block
+        for v in compress(range(lo, lo + len(block)), map((2).__gt__, block)):
+            low |= 1 << v
     for lo in _block_starts(len(avoid), deadline, "building the degree table"):
         for v in avoid[lo:lo + _BLOCK]:
             deg[v - 1] = -1
     no_arcs = [-1] * n
     if incumbent is None:
         seed = _greedy_incumbent(adj, mask, deg[:], deadline)
-    best_mask = search(mask, deg, seed, (no_arcs, no_arcs, 0, 0))
+    best_mask = search(mask, deg, low & mask, seed, (no_arcs, no_arcs, 0, 0))
     elapsed = time.perf_counter() - start
     return MisResult(
         best_mask.bit_count(), IndependentSet(n, _mask_to_set(best_mask)), nodes, elapsed,

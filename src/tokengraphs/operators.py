@@ -25,7 +25,9 @@ Vertex i of a derived graph is the i-th k-subset or k-multiset of
 and n. ``indices_of`` ranks tokens arithmetically (``index_of`` is its
 one-token case) and the ``labels`` tuple is built only when something
 iterates it; vertex sets move between the index and token views
-through these.
+through these. ``pair_ranks`` ranks plain ``(a, b)`` pairs on a double
+vertex or pair graph from the rank table its builder uses, so a set of
+2-element tokens can be ranked without building a ``TokenVertex``.
 """
 
 from __future__ import annotations
@@ -152,6 +154,25 @@ def indices_of(dg: DerivedGraph, tokens) -> frozenset[int]:
     return frozenset(ranks)
 
 
+def pair_ranks(dg: DerivedGraph, pairs) -> frozenset[int]:
+    """Vertex indices (1-based) of the pairs ``(a, b)`` in ``pairs``, the
+    tokens {a, b} of a double vertex or pair graph, ranked as
+    ``indices_of`` ranks them, with no token built. A pair that is not a
+    label here, and any graph with k != 2, is rejected."""
+    if dg.k != 2:
+        raise ValueError(f"pair_ranks needs a graph on 2-element tokens, got k = {dg.k}")
+    n, kind = dg.base_order, dg.kind
+    diagonal = kind == MULTISET
+    start = _pair_starts(n, diagonal)
+    ranks = []
+    for a, b in pairs:
+        # 1 <= a < b <= n for a subset, 1 <= a <= b <= n for a multiset
+        if not 1 <= a < b + diagonal <= n + diagonal:
+            raise ValueError(f"pair {(a, b)} is not a {kind} vertex label here")
+        ranks.append(start[a] + b + 1)
+    return frozenset(ranks)
+
+
 # ---------------------------------------------------------------------------
 # constructions
 
@@ -192,17 +213,24 @@ def pair_graph(g: Graph) -> DerivedGraph:
     return _pair_tokens(g, MULTISET)
 
 
+def _pair_starts(n: int, diagonal: bool) -> list[int]:
+    """The rank table of the 2-multisets (``diagonal``) or 2-subsets of
+    1..n that ``_pair_tokens`` and ``pair_ranks`` share: {a, b} with
+    a <= b is vertex ``start[a] + b``, 0-based."""
+    # As a multiset, the (a - 1)(2n + 2 - a) / 2 multisets {a', .} with
+    # a' < a come first, then {a, a} .. {a, b}. As a subset (a < b) it
+    # loses the a diagonal vertices {1, 1} .. {a, a} before it:
+    # (a - 1)(2n - a) / 2 + b - a - 1.
+    return [(a - 1) * (2 * n - a) // 2 - 1 - (0 if diagonal else a) for a in range(n + 1)]
+
+
 def _pair_tokens(g: Graph, kind: str) -> DerivedGraph:
     """The graph on the 2-multisets (``MULTISET``) or 2-subsets
     (``SUBSET``) of V(g) with {s,x} ~ {s,y} for each edge xy of g and
     each shared s; subsets leave out the diagonal s = x or s = y."""
     n = g.order
     diagonal = kind == MULTISET
-    # {a, b} with a <= b is multiset vertex start[a] + b (0-based): the
-    # (a - 1)(2n + 2 - a) / 2 multisets {a', .} with a' < a come first,
-    # then {a, a} .. {a, b}. As a subset (a < b) it loses the a diagonal
-    # vertices {1, 1} .. {a, a} before it: (a - 1)(2n - a) / 2 + b - a - 1.
-    start = [(a - 1) * (2 * n - a) // 2 - 1 - (0 if diagonal else a) for a in range(n + 1)]
+    start = _pair_starts(n, diagonal)
     # ranks[x - 1] lists the vertices {s, x} in order of s = 1..n, s = x
     # only with the diagonal
     ranks = [[start[s] + x for s in range(1, x + diagonal)] + [start[x] + s for s in range(x + 1, n + 1)]

@@ -3,10 +3,14 @@
 A sweep builds, for each selected family and parameter, the derived
 graph, evaluates the closed form, generates and certifies the explicit
 witness where a construction exists, runs the exact solver seeded with
-that witness, and emits one ``VerificationRow``. Canonical CSV and JSON
-reports are byte-identical across runs for a given configuration: the
-elapsed-milliseconds column is zeroed there (wall-clock times are not
-reproducible) and is only shown in the human-readable table.
+that witness, and emits one ``VerificationRow``. A witness arrives as
+plain ``(a, b)`` pairs and ``operators.pair_ranks`` ranks them into
+vertex indices, so a row builds no ``TokenVertex`` (only the dv_wheel
+witness reads the solver's set off the graph's token labels). Canonical
+CSV and JSON reports are byte-identical across runs for a given
+configuration: the elapsed-milliseconds column is zeroed there
+(wall-clock times are not reproducible) and is only shown in the
+human-readable table.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .graphs import (
     wheel,
 )
 from .mis import SolveAborted, alpha, brute_force_alpha, is_independent
-from .operators import DerivedGraph, double_vertex, indices_of, k_token, multiset_token, pair_graph
+from .operators import DerivedGraph, double_vertex, k_token, pair_graph, pair_ranks
 
 STATUS_OK = "ok"
 STATUS_MISMATCH = "mismatch"
@@ -63,9 +67,10 @@ CSV_COLUMNS = tuple(f.name for f in fields(VerificationRow))
 @dataclass(frozen=True)
 class FamilySpec:
     """One closed form under test: how to build its derived graph, the
-    formula, and the explicit witness construction (``None`` when there
-    is none, as for ``dv_cycle``). A construction covers its formula's
-    whole domain, so every row it runs on reports a witness.
+    formula, and the explicit witness construction, which lists its
+    tokens {a, b} as ``(a, b)`` pairs (``None`` when there is none, as
+    for ``dv_cycle``). A construction covers its formula's whole domain,
+    so every row it runs on reports a witness.
 
     ``min_m`` is the smallest m the sweep runs, and it is not the
     smallest m the formula accepts: the formula may accept an m whose
@@ -78,7 +83,7 @@ class FamilySpec:
     base: Callable[[int], Graph]
     derive: Callable[[Graph], DerivedGraph]
     formula: Callable[[int], int]
-    witness_tokens: Callable[[int], tuple] | None
+    witness_pairs: Callable[[int], tuple] | None
     min_m: int
     default_range: tuple[int, int]
 
@@ -87,21 +92,21 @@ FAMILIES: dict[str, FamilySpec] = {
     fam.name: fam
     for fam in (
         FamilySpec("dv_path", "double_vertex", path, double_vertex,
-                   formulas.dv_path, witnesses.dv_path_witness_tokens, 2, (2, 12)),
+                   formulas.dv_path, witnesses.dv_path_witness_pairs, 2, (2, 12)),
         FamilySpec("dv_cycle", "double_vertex", cycle, double_vertex,
                    formulas.dv_cycle, None, 3, (3, 12)),
         FamilySpec("dv_fan", "double_vertex", fan, double_vertex,
-                   formulas.dv_fan, witnesses.dv_fan_witness_tokens, 1, (2, 12)),
+                   formulas.dv_fan, witnesses.dv_fan_witness_pairs, 1, (2, 12)),
         FamilySpec("dv_wheel", "double_vertex", wheel, double_vertex,
-                   formulas.dv_wheel, witnesses.dv_wheel_witness_tokens, 3, (3, 12)),
+                   formulas.dv_wheel, witnesses.dv_wheel_witness_pairs, 3, (3, 12)),
         FamilySpec("pair_path", "pair_graph", path, pair_graph,
-                   formulas.pair_path, witnesses.pair_path_witness_tokens, 2, (3, 10)),
+                   formulas.pair_path, witnesses.pair_path_witness_pairs, 2, (3, 10)),
         FamilySpec("pair_cycle", "pair_graph", cycle, pair_graph,
-                   formulas.pair_cycle, witnesses.pair_cycle_witness_tokens, 3, (3, 12)),
+                   formulas.pair_cycle, witnesses.pair_cycle_witness_pairs, 3, (3, 12)),
         FamilySpec("pair_fan", "pair_graph", fan, pair_graph,
-                   formulas.pair_fan, witnesses.pair_fan_witness_tokens, 1, (3, 10)),
+                   formulas.pair_fan, witnesses.pair_fan_witness_pairs, 1, (3, 10)),
         FamilySpec("pair_wheel", "pair_graph", wheel, pair_graph,
-                   formulas.pair_wheel, witnesses.pair_wheel_witness_tokens, 3, (3, 10)),
+                   formulas.pair_wheel, witnesses.pair_wheel_witness_pairs, 3, (3, 10)),
     )
 }
 
@@ -161,8 +166,8 @@ def verify_one(fam: FamilySpec, m: int, method: str = "auto",
     started = time.perf_counter()
     witness_size: int | None = None
     seed = None
-    if fam.witness_tokens is not None:
-        members = indices_of(derived, fam.witness_tokens(m))
+    if fam.witness_pairs is not None:
+        members = pair_ranks(derived, fam.witness_pairs(m))
         if is_independent(derived.graph, members):
             witness_size, seed = len(members), members
         else:
@@ -277,9 +282,10 @@ def _random_connected_graph(rng: random.Random, n: int) -> Graph:
             return g
 
 
-def alpha_after_deleting_tokens(dg: DerivedGraph, tokens) -> int:
-    """Exact alpha of the derived graph with the given tokens removed."""
-    return alpha(dg.graph, avoid=indices_of(dg, tokens)).alpha
+def alpha_after_deleting_tokens(dg: DerivedGraph, pairs) -> int:
+    """Exact alpha of the double vertex or pair graph with the tokens
+    {a, b} of the given ``(a, b)`` pairs removed."""
+    return alpha(dg.graph, avoid=pair_ranks(dg, pairs)).alpha
 
 
 def _run_suite(name: str, cases: Iterable[tuple[str, bool]]) -> SuiteResult:
@@ -361,7 +367,7 @@ def _suite_slice_dichotomy(m_range: Iterable[int]) -> SuiteResult:
         for m in m_range:
             dg = pair_graph(cycle(m))
             for q in range(1, m + 1):
-                actual = is_independent(dg.graph, indices_of(dg, witnesses.l_set(m, q)))
+                actual = is_independent(dg.graph, pair_ranks(dg, witnesses.l_set(m, q)))
                 yield f"m={m} q={q}", actual == witnesses.l_is_independent_expected(m, q)
     return _run_suite("l_set_independence_dichotomy", cases())
 
@@ -377,7 +383,7 @@ def _suite_corner_avoidance(n_values: Iterable[int]) -> SuiteResult:
     def cases():
         for n in n_values:
             dg = pair_graph(cycle(n))
-            corner = (multiset_token(1, n),)
+            corner = ((1, n),)
             yield f"n={n}", alpha_after_deleting_tokens(dg, corner) == formulas.pair_cycle(n)
     return _run_suite("alpha_unchanged_avoiding_corner_token", cases())
 
@@ -399,8 +405,8 @@ def _suite_dv_double_deletion(m_range: Iterable[int]) -> SuiteResult:
             expect = formulas.dv_path(m - 1)
             for i in range(1, m + 1):
                 for j in range(i + 2, m + 1):
-                    tokens = witnesses.r_set_dv(m, i) + witnesses.r_set_dv(m, j)
-                    yield f"m={m} S=({i},{j})", alpha_after_deleting_tokens(dg, set(tokens)) < expect
+                    pairs = witnesses.r_set_dv(m, i) + witnesses.r_set_dv(m, j)
+                    yield f"m={m} S=({i},{j})", alpha_after_deleting_tokens(dg, set(pairs)) < expect
     return _run_suite("dv_path_nonconsecutive_double_deletion_strict", cases())
 
 

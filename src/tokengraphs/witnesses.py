@@ -19,15 +19,17 @@ The building blocks:
   is built directly; a test checks that it is the path double vertex
   witness on m+1 vertices pulled back through ``phi_inverse``.
 
-Every set here is a plain ``tuple[TokenVertex, ...]``; ``indices_of``
-turns one into vertex indices of a derived graph. Each ``*_witness_tokens``
-function takes every m its family's formula accepts, raises ``ValueError``
-at exactly the m the formula rejects, and returns a set independent in
-the derived graph and sized exactly at the closed form. Only
-``dv_wheel_witness_tokens`` is not a pure construction: from m = 4 it
-reads the tokens of ``dv_wheel_witness``, the solver's ``IndependentSet``
-of the apex-free part of the graph, found by ``mis.alpha`` with the apex
-tokens ``r_set_dv(m + 1, m + 1)`` avoided.
+Every set here is a plain tuple of ``(a, b)`` int pairs with a <= b
+(a < b for 2-subsets), the token {a, b}; ``operators.pair_ranks`` turns
+one into vertex indices of a derived graph by arithmetic, and no
+``TokenVertex`` is built. Each ``*_witness_pairs`` function takes every
+m its family's formula accepts, raises ``ValueError`` at exactly the m
+the formula rejects, and returns a set independent in the derived graph
+and sized exactly at the closed form. Only ``dv_wheel_witness_pairs`` is
+not a pure construction: from m = 4 it reads the pairs of
+``dv_wheel_witness``, the solver's ``IndependentSet`` of the apex-free
+part of the graph, found by ``mis.alpha`` with the apex tokens
+``r_set_dv(m + 1, m + 1)`` avoided, off the graph's token labels.
 """
 
 from __future__ import annotations
@@ -40,11 +42,13 @@ from .operators import (
     TokenVertex,
     double_vertex,
     index_of,
-    indices_of,
     multiset_token,
     pair_graph,
+    pair_ranks,
     subset_token,
 )
+
+Pairs = tuple[tuple[int, int], ...]  # tokens {a, b} as (a, b), a <= b
 
 # ---------------------------------------------------------------------------
 # structured slices
@@ -56,12 +60,12 @@ def _check_l_args(m: int, q: int) -> None:
         raise ValueError(f"l_set needs 1 <= q <= {m}, got {q}")
 
 
-def l_set(m: int, q: int) -> tuple[TokenVertex, ...]:
+def l_set(m: int, q: int) -> Pairs:
     """Slice q of the cycle pair graph on base C_m: the multisets
     {j, m-(q-j)} for j = 1..q. Slice q has q members; the m slices
     partition all 2-multisets of 1..m."""
     _check_l_args(m, q)
-    return tuple(multiset_token(j, m - (q - j)) for j in range(1, q + 1))
+    return tuple((j, m - (q - j)) for j in range(1, q + 1))
 
 
 def l_is_independent_expected(m: int, q: int) -> bool:
@@ -71,21 +75,21 @@ def l_is_independent_expected(m: int, q: int) -> bool:
     return not (m == 2 * q - 1 and 2 <= q <= m - 1)
 
 
-def r_set_dv(m: int, q: int) -> tuple[TokenVertex, ...]:
+def r_set_dv(m: int, q: int) -> Pairs:
     """All 2-subsets of 1..m containing q (m-1 tokens). Deleting them
     from the double vertex graph of P_m realizes deleting q from P_m."""
     _require("r_set_dv", m, 2)
     if not (1 <= q <= m):
         raise ValueError(f"r_set_dv needs 1 <= q <= {m}, got {q}")
-    return tuple(subset_token(q, i) for i in range(1, m + 1) if i != q)
+    return (*((i, q) for i in range(1, q)), *((q, i) for i in range(q + 1, m + 1)))
 
 
-def r_set_pair(m: int, i: int) -> tuple[TokenVertex, ...]:
+def r_set_pair(m: int, i: int) -> Pairs:
     """All 2-multisets {i, j} with j = 1..m (m tokens, diagonal included)."""
     _require("r_set_pair", m, 1)
     if not (1 <= i <= m):
         raise ValueError(f"r_set_pair needs 1 <= i <= {m}, got {i}")
-    return tuple(multiset_token(i, j) for j in range(1, m + 1))
+    return (*((j, i) for j in range(1, i)), *((i, j) for j in range(i, m + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +103,8 @@ def linking_profile(m: int) -> frozenset[tuple[int, int]]:
     dg = pair_graph(cycle(m))
     slice_of = {}
     for q in range(1, m + 1):
-        for tok in l_set(m, q):
-            slice_of[index_of(dg, tok)] = q
+        for v in pair_ranks(dg, l_set(m, q)):
+            slice_of[v] = q
     pairs = set()
     for u, v in _edge_pairs(dg.graph.adjacency_masks):
         i, j = slice_of[u], slice_of[v]
@@ -122,7 +126,7 @@ def predicted_linking_profile(m: int) -> frozenset[tuple[int, int]]:
 # witness constructions
 
 
-def pair_cycle_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
+def pair_cycle_witness_pairs(m: int) -> Pairs:
     """Union of alternating l_set slices achieving alpha on the cycle
     pair graph: the even slices for even m; for odd m = 2k+1, the even
     slices up to k and the odd ones from k+2, which skips the dependent
@@ -133,54 +137,49 @@ def pair_cycle_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
     else:
         k = m // 2
         picks = [*range(2, k + 1, 2), *(q for q in range(k + 2, m + 1) if q % 2)]
-    tokens: list[TokenVertex] = []
+    pairs: list[tuple[int, int]] = []
     for q in picks:
-        tokens.extend(l_set(m, q))
-    return tuple(tokens)
+        pairs.extend(l_set(m, q))
+    return tuple(pairs)
 
 
-def dv_path_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
+def dv_path_witness_pairs(m: int) -> Pairs:
     """All 2-subsets {i, j} of 1..m with i + j odd. Moving one token
     along a path edge flips the parity of the sum, so the set is
     independent in the double vertex graph; its size is floor(m^2/4)."""
     _require("dv_path_witness", m, 2)
-    return tuple(
-        subset_token(i, j)
-        for i in range(1, m + 1)
-        for j in range(i + 1, m + 1)
-        if (i + j) % 2 == 1
-    )
+    return tuple((i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1, 2))
 
 
-def dv_fan_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
+def dv_fan_witness_pairs(m: int) -> Pairs:
     """Odd-sum 2-subsets of the base path inside the fan double vertex
     graph. The degenerate m = 1 fan is a single token {1, 2}."""
     _require("dv_fan_witness", m, 1)
     if m == 1:
-        return (subset_token(1, 2),)
-    return dv_path_witness_tokens(m)
+        return ((1, 2),)
+    return dv_path_witness_pairs(m)
 
 
-def pair_path_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
+def pair_path_witness_pairs(m: int) -> Pairs:
     """All 2-multisets {i, j} of 1..m with i + j even, the image of the
     odd-sum witness of the path double vertex graph on m+1 vertices
     under phi_inverse, in the same order (a test checks the pull-back).
     Moving one token along a path edge flips the parity of the sum."""
     _require("pair_path_witness", m, 1)
-    return tuple(TokenVertex(MULTISET, (i, j)) for i in range(1, m + 1) for j in range(i, m + 1, 2))
+    return tuple((i, j) for i in range(1, m + 1) for j in range(i, m + 1, 2))
 
 
-def pair_fan_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
+def pair_fan_witness_pairs(m: int) -> Pairs:
     """Path pair witness plus the apex diagonal {m+1, m+1}, which shares
     no element with any base-only token."""
     _require("pair_fan_witness", m, 1)
-    return pair_path_witness_tokens(m) + (multiset_token(m + 1, m + 1),)
+    return pair_path_witness_pairs(m) + ((m + 1, m + 1),)
 
 
-def pair_wheel_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
+def pair_wheel_witness_pairs(m: int) -> Pairs:
     """Cycle pair witness plus the apex diagonal {m+1, m+1}."""
     _require("pair_wheel_witness", m, 3)
-    return pair_cycle_witness_tokens(m) + (multiset_token(m + 1, m + 1),)
+    return pair_cycle_witness_pairs(m) + ((m + 1, m + 1),)
 
 
 def dv_wheel_witness(m: int) -> IndependentSet:
@@ -192,24 +191,24 @@ def dv_wheel_witness(m: int) -> IndependentSet:
 
     For m >= 4 its size equals the wheel closed form. For m = 3 the
     apex-free part is a triangle, so the witness has size 1 while the
-    full graph reaches 2; ``dv_wheel_witness_tokens`` covers that m.
+    full graph reaches 2; ``dv_wheel_witness_pairs`` covers that m.
     """
     _require("dv_wheel_witness", m, 3)
     dg = double_vertex(wheel(m))
-    return alpha(dg.graph, avoid=indices_of(dg, r_set_dv(m + 1, m + 1))).witness
+    return alpha(dg.graph, avoid=pair_ranks(dg, r_set_dv(m + 1, m + 1))).witness
 
 
-def dv_wheel_witness_tokens(m: int) -> tuple[TokenVertex, ...]:
+def dv_wheel_witness_pairs(m: int) -> Pairs:
     """A maximum independent set of the wheel double vertex graph, sized
     at ``formulas.dv_wheel(m)`` for every m >= 3: {1,2}, {3,4} at m = 3,
     the tokens of ``dv_wheel_witness`` from m = 4."""
     _require("dv_wheel_witness", m, 3)
     if m == 3:
         # F2(W_3) = F2(K_4), where two disjoint 2-subsets are non-adjacent
-        return (subset_token(1, 2), subset_token(3, 4))
+        return ((1, 2), (3, 4))
     dg = double_vertex(wheel(m))
     witness = dv_wheel_witness(m)
-    return tuple(dg.labels[v - 1] for v in sorted(witness.members))
+    return tuple(dg.labels[v - 1].elements for v in sorted(witness.members))
 
 
 # ---------------------------------------------------------------------------

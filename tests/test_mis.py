@@ -23,9 +23,9 @@ from tokengraphs.mis import (
     brute_force_alpha,
     is_independent,
 )
-from tokengraphs.operators import double_vertex, index_of, indices_of, k_token, multiset_token, pair_graph
+from tokengraphs.operators import double_vertex, index_of, k_token, multiset_token, pair_graph, pair_ranks
 from tokengraphs.verify import FAMILIES, random_graph
-from tokengraphs.witnesses import dv_wheel_witness, pair_cycle_witness_tokens, r_set_dv
+from tokengraphs.witnesses import dv_wheel_witness, pair_cycle_witness_pairs, r_set_dv
 
 from .oracles import double_cover_matching_size, exhaustive_alpha
 
@@ -48,11 +48,10 @@ def test_is_independent_reads_a_one_shot_iterator_with_duplicates():
 
 
 def test_is_independent_on_pair_cycle_slice_union():
-    from tokengraphs.operators import indices_of
     from tokengraphs.witnesses import l_set
 
     dg = pair_graph(cycle(4))
-    members = indices_of(dg, l_set(4, 2) + l_set(4, 4))
+    members = pair_ranks(dg, l_set(4, 2) + l_set(4, 4))
     assert is_independent(dg.graph, members)
     neighbour = dg.graph.adjacency_masks[min(members) - 1].bit_length()
     assert not is_independent(dg.graph, members | {neighbour})
@@ -171,7 +170,7 @@ def test_alpha_avoiding_corner_token_keeps_value():
 @pytest.mark.parametrize("m", range(4, 10))
 def test_alpha_avoiding_apex_tokens_is_the_dv_wheel_witness(m):
     dg = double_vertex(wheel(m))
-    apex = indices_of(dg, r_set_dv(m + 1, m + 1))
+    apex = pair_ranks(dg, r_set_dv(m + 1, m + 1))
     result = alpha(dg.graph, avoid=apex)
     witness = dv_wheel_witness(m)
     assert result.witness == witness
@@ -285,7 +284,7 @@ def test_alpha_budget_bounds_the_incumbent_read():
     # 20100 vertices and a 10100-member seed: reading and checking it takes
     # milliseconds, so a 1 ms budget can only be honoured by checks inside
     dg = pair_graph(cycle(200))
-    seed = indices_of(dg, pair_cycle_witness_tokens(200))
+    seed = pair_ranks(dg, pair_cycle_witness_pairs(200))
     assert len(seed) == 10100
     start = time.perf_counter()
     with pytest.raises(SolveAborted, match="^budget exceeded while reading the incumbent$"):

@@ -19,11 +19,12 @@ from tokengraphs.operators import (
     k_token,
     multiset_token,
     pair_graph,
+    pair_ranks,
     subset_token,
     token_label_of,
 )
 from tokengraphs.verify import random_graph
-from tokengraphs.witnesses import pair_cycle_witness_tokens
+from tokengraphs.witnesses import pair_cycle_witness_pairs
 
 from .oracles import naive_double_vertex_edges, naive_pair_graph_edges
 
@@ -211,6 +212,46 @@ def test_indices_of_rejects_a_later_token_by_name(bad):
     assert "labels" not in vars(dg)
 
 
+# every double vertex and pair graph of a path, cycle, fan or wheel base of order <= 12
+PAIR_GRAPHS = [pytest.param(derive(base(m)), id=f"{derive.__name__}({base.__name__}({m}))")
+               for derive in (double_vertex, pair_graph)
+               for base, first in ((path, 2), (cycle, 3), (fan, 1), (wheel, 3))
+               for m in range(first, 13) if base(m).order <= 12]
+
+
+@pytest.mark.parametrize("dg", PAIR_GRAPHS)
+def test_pair_ranks_equal_indices_of_on_every_pair(dg):
+    pairs = [t.elements for t in dg.labels]
+    assert [pair_ranks(dg, [p]) for p in pairs] == [
+        indices_of(dg, [TokenVertex(dg.kind, p)]) for p in pairs]
+    assert pair_ranks(dg, pairs) == frozenset(range(1, dg.graph.order + 1))
+
+
+@pytest.mark.parametrize("derive, bad", [
+    (double_vertex, (0, 2)),  # below range
+    (double_vertex, (2, 6)),  # above range
+    (double_vertex, (3, 2)),  # a > b
+    (double_vertex, (2, 2)),  # a == b, not a 2-subset
+    (pair_graph, (0, 0)),
+    (pair_graph, (1, 6)),
+    (pair_graph, (4, 3)),
+])
+def test_pair_ranks_reject_a_later_pair_by_name(derive, bad):
+    dg = derive(path(5))
+    good = [(1, 2), (3, 4), (1, 5)]
+    message = "^" + re.escape(f"pair {bad} is not a {dg.kind} vertex label here") + "$"
+    with pytest.raises(ValueError, match=message):
+        pair_ranks(dg, good + [bad])
+    with pytest.raises(ValueError, match=message):
+        pair_ranks(dg, iter(good[:1] + [bad] + good[1:]))
+
+
+def test_pair_ranks_reject_a_graph_of_k_other_than_2():
+    for k in (1, 3):
+        with pytest.raises(ValueError, match=f"^pair_ranks needs a graph on 2-element tokens, got k = {k}$"):
+            pair_ranks(k_token(path(5), k), [(1, 2)])
+
+
 def test_unknown_label_rejected():
     dg = double_vertex(path(4))
     with pytest.raises(ValueError):
@@ -260,5 +301,5 @@ def test_derived_graph_validation():
 
 def test_witness_lookup_leaves_labels_unbuilt():
     dg = pair_graph(cycle(40))
-    assert len(indices_of(dg, pair_cycle_witness_tokens(40))) == pair_cycle(40)
+    assert len(pair_ranks(dg, pair_cycle_witness_pairs(40))) == pair_cycle(40)
     assert "labels" not in vars(dg)

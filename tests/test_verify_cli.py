@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ import pytest
 from tokengraphs import verify
 from tokengraphs.cli import main
 from tokengraphs.mis import alpha, brute_force_alpha
-from tokengraphs.operators import indices_of, token_label_of
+from tokengraphs.operators import TokenVertex, pair_ranks, token_label_of
 from tokengraphs.verify import (
     CSV_COLUMNS,
     FAMILIES,
@@ -136,14 +138,14 @@ def test_table_contains_all_rows():
 
 def test_verify_one_detects_planted_mismatch():
     fam = FAMILIES["dv_path"]
-    broken = dataclasses.replace(fam, formula=lambda m: fam.formula(m) + 1, witness_tokens=None)
+    broken = dataclasses.replace(fam, formula=lambda m: fam.formula(m) + 1, witness_pairs=None)
     row = verify_one(broken, 5)
     assert row.status == "mismatch"
     assert sweep_exit_code([row]) == 1
 
 
 # every row with a witness construction, at m = 3..24 from each family's minimum
-PAPER_ROWS = [(name, m) for name, fam in FAMILIES.items() if fam.witness_tokens is not None
+PAPER_ROWS = [(name, m) for name, fam in FAMILIES.items() if fam.witness_pairs is not None
               for m in range(max(3, fam.min_m), 25)]
 
 
@@ -153,7 +155,7 @@ def test_witness_seed_changes_no_alpha_and_no_node_count():
     for name, m in PAPER_ROWS:
         fam = FAMILIES[name]
         dg = fam.derive(fam.base(m))
-        seeded = alpha(dg.graph, incumbent=indices_of(dg, fam.witness_tokens(m)))
+        seeded = alpha(dg.graph, incumbent=pair_ranks(dg, fam.witness_pairs(m)))
         unseeded = alpha(dg.graph)
         assert (seeded.alpha, seeded.nodes) == (unseeded.alpha, unseeded.nodes), (name, m)
         assert seeded.alpha == fam.formula(m), (name, m)
@@ -161,7 +163,7 @@ def test_witness_seed_changes_no_alpha_and_no_node_count():
 
 def test_verify_one_reports_a_short_witness_as_mismatch():
     fam = FAMILIES["pair_cycle"]
-    short = dataclasses.replace(fam, witness_tokens=lambda m: fam.witness_tokens(m)[1:])
+    short = dataclasses.replace(fam, witness_pairs=lambda m: fam.witness_pairs(m)[1:])
     row = verify_one(short, 7)
     assert (row.alpha, row.witness, row.status) == (row.formula, row.formula - 1, "mismatch")
 
@@ -169,9 +171,9 @@ def test_verify_one_reports_a_short_witness_as_mismatch():
 def test_verify_one_solves_a_dependent_witness_unseeded(monkeypatch):
     fam = FAMILIES["pair_cycle"]
     dg = fam.derive(fam.base(7))
-    first = min(indices_of(dg, fam.witness_tokens(7)))
-    neighbour = token_label_of(dg, dg.graph.adjacency_masks[first - 1].bit_length())
-    planted = dataclasses.replace(fam, witness_tokens=lambda m: (*fam.witness_tokens(m), neighbour))
+    first = min(pair_ranks(dg, fam.witness_pairs(7)))
+    neighbour = token_label_of(dg, dg.graph.adjacency_masks[first - 1].bit_length()).elements
+    planted = dataclasses.replace(fam, witness_pairs=lambda m: (*fam.witness_pairs(m), neighbour))
     seeds = []
 
     def spy(g, *args, incumbent=None, **kwargs):
@@ -182,6 +184,17 @@ def test_verify_one_solves_a_dependent_witness_unseeded(monkeypatch):
     row = verify_one(planted, 7)
     assert (row.alpha, row.witness, row.status) == (row.formula, -1, "mismatch")
     assert seeds == [None]
+
+
+def test_constructed_rows_build_no_token(monkeypatch):
+    # witnesses travel as (a, b) pairs and are ranked by arithmetic; only
+    # dv_wheel reads the solver's set off the graph's token labels
+    built = []
+    monkeypatch.setattr(TokenVertex, "__post_init__", lambda self: built.append(self))
+    rows = [verify_one(fam, m) for name, fam in FAMILIES.items()
+            if fam.witness_pairs is not None and name != "dv_wheel" for m in range(3, 13)]
+    assert len(rows) == 60 and all(r.status == "ok" for r in rows)
+    assert built == []
 
 
 def test_brute_method_never_receives_a_seed(monkeypatch):
@@ -304,6 +317,29 @@ def test_cli_props_bench_config_matches_golden(capsys):
     golden = Path(__file__).parent / "golden" / "props_bench.txt"
     assert main(["props", "--seed", "0", "--sizes", "5,6,7,8", "--trials", "40"]) == 0
     assert capsys.readouterr().out == golden.read_text()
+
+
+def witness_transcript() -> str:
+    """Every ``witness`` run of a constructed family at m = min_m..12, in
+    text and JSON: each run's command line, its output and its exit code."""
+    parts = []
+    for name, fam in FAMILIES.items():
+        if fam.witness_pairs is None:
+            continue
+        op, family = name.split("_", 1)
+        for m in range(fam.min_m, 13):
+            for fmt in ("text", "json"):
+                argv = ["witness", family, str(m), "--op", op, "--format", fmt]
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(argv)
+                parts.append(f"$ tokengraphs {' '.join(argv)}\n{out.getvalue()}exit {code}\n")
+    return "".join(parts)
+
+
+def test_cli_witness_matches_golden():
+    golden = Path(__file__).parent / "golden" / "witness_cli.txt"
+    assert witness_transcript() == golden.read_text()
 
 
 @pytest.mark.parametrize("argv, name", [

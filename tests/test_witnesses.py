@@ -6,16 +6,12 @@ from tokengraphs.graphs import cycle, fan, path, wheel
 from tokengraphs.mis import alpha, is_independent
 from tokengraphs.operators import (
     double_vertex,
-    indices_of,
     multiset_token,
     pair_graph,
+    pair_ranks,
     subset_token,
 )
 from tokengraphs.verify import FAMILIES, alpha_after_deleting_tokens
-
-
-def tokens_of(tokens):
-    return [t.elements for t in tokens]
 
 
 # ---------------------------------------------------------------------------
@@ -23,15 +19,15 @@ def tokens_of(tokens):
 
 
 def test_l_set_diagonal_slice():
-    assert tokens_of(W.l_set(4, 4)) == [(1, 1), (2, 2), (3, 3), (4, 4)]
+    assert W.l_set(4, 4) == ((1, 1), (2, 2), (3, 3), (4, 4))
 
 
 def test_l_set_middle_slice():
-    assert tokens_of(W.l_set(5, 3)) == [(1, 3), (2, 4), (3, 5)]
+    assert W.l_set(5, 3) == ((1, 3), (2, 4), (3, 5))
 
 
 def test_l_set_first_slice():
-    assert tokens_of(W.l_set(4, 1)) == [(1, 4)]
+    assert W.l_set(4, 1) == ((1, 4),)
 
 
 def test_l_set_sizes_and_domain():
@@ -53,14 +49,14 @@ def test_l_sets_partition_pair_cycle_vertices(m):
     for q in range(1, m + 1):
         seen.extend(W.l_set(m, q))
     assert len(seen) == len(set(seen)) == dg.graph.order
-    assert set(seen) == set(dg.labels)
+    assert set(seen) == {t.elements for t in dg.labels}
 
 
 @pytest.mark.parametrize("m", range(3, 16))
 def test_l_set_independence_dichotomy(m):
     dg = pair_graph(cycle(m))
     for q in range(1, m + 1):
-        actual = is_independent(dg.graph, indices_of(dg, W.l_set(m, q)))
+        actual = is_independent(dg.graph, pair_ranks(dg, W.l_set(m, q)))
         assert actual == W.l_is_independent_expected(m, q), (m, q)
 
 
@@ -110,11 +106,11 @@ def test_no_unexpected_distant_links():
 
 
 def test_r_set_dv_matches_listing():
-    assert tokens_of(W.r_set_dv(4, 2)) == [(1, 2), (2, 3), (2, 4)]
+    assert W.r_set_dv(4, 2) == ((1, 2), (2, 3), (2, 4))
 
 
 def test_r_set_pair_matches_listing():
-    assert tokens_of(W.r_set_pair(4, 2)) == [(1, 2), (2, 2), (2, 3), (2, 4)]
+    assert W.r_set_pair(4, 2) == ((1, 2), (2, 2), (2, 3), (2, 4))
 
 
 def test_r_set_sizes():
@@ -127,8 +123,8 @@ def test_r_set_sizes():
 def test_apex_slices():
     # the apex tokens of a fan or wheel on m base vertices: the slice
     # through the apex m+1
-    assert tokens_of(W.r_set_dv(5, 5)) == [(1, 5), (2, 5), (3, 5), (4, 5)]
-    assert tokens_of(W.r_set_pair(4, 4)) == [(1, 4), (2, 4), (3, 4), (4, 4)]
+    assert W.r_set_dv(5, 5) == ((1, 5), (2, 5), (3, 5), (4, 5))
+    assert W.r_set_pair(4, 4) == ((1, 4), (2, 4), (3, 4), (4, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -138,41 +134,41 @@ def test_apex_slices():
 @pytest.mark.parametrize("m", range(3, 13))
 def test_pair_cycle_witness(m):
     dg = pair_graph(cycle(m))
-    members = indices_of(dg, W.pair_cycle_witness_tokens(m))
+    members = pair_ranks(dg, W.pair_cycle_witness_pairs(m))
     assert is_independent(dg.graph, members)
     assert len(members) == F.pair_cycle(m)
 
 
 def test_pair_cycle_witness_slice_selection():
     # even: all even slices; odd k: skip the middle slice upward
-    assert len(W.pair_cycle_witness_tokens(4)) == 6  # slices 2 and 4
-    toks7 = W.pair_cycle_witness_tokens(7)  # k=3 odd: slices 2, 5, 7
-    assert len(toks7) == 2 + 5 + 7
-    toks9 = W.pair_cycle_witness_tokens(9)  # k=4 even: slices 2, 4, 7, 9
-    assert len(toks9) == 2 + 4 + 7 + 9
-    assert len(W.pair_cycle_witness_tokens(3)) == 3  # degenerate diagonal slice
+    assert len(W.pair_cycle_witness_pairs(4)) == 6  # slices 2 and 4
+    pairs7 = W.pair_cycle_witness_pairs(7)  # k=3 odd: slices 2, 5, 7
+    assert len(pairs7) == 2 + 5 + 7
+    pairs9 = W.pair_cycle_witness_pairs(9)  # k=4 even: slices 2, 4, 7, 9
+    assert len(pairs9) == 2 + 4 + 7 + 9
+    assert len(W.pair_cycle_witness_pairs(3)) == 3  # degenerate diagonal slice
 
 
 @pytest.mark.parametrize("m", range(2, 12))
 def test_dv_path_witness(m):
     dg = double_vertex(path(m))
-    members = indices_of(dg, W.dv_path_witness_tokens(m))
+    members = pair_ranks(dg, W.dv_path_witness_pairs(m))
     assert is_independent(dg.graph, members)
     assert len(members) == F.dv_path(m)
 
 
 def test_dv_path_witness_m4_listing():
-    assert [t.elements for t in W.dv_path_witness_tokens(4)] == [(1, 2), (1, 4), (2, 3), (3, 4)]
+    assert W.dv_path_witness_pairs(4) == ((1, 2), (1, 4), (2, 3), (3, 4))
 
 
 def test_dv_path_witness_m2():
-    assert [t.elements for t in W.dv_path_witness_tokens(2)] == [(1, 2)]
+    assert W.dv_path_witness_pairs(2) == ((1, 2),)
 
 
 @pytest.mark.parametrize("m", range(1, 12))
 def test_dv_fan_witness(m):
     dg = double_vertex(fan(m))
-    members = indices_of(dg, W.dv_fan_witness_tokens(m))
+    members = pair_ranks(dg, W.dv_fan_witness_pairs(m))
     assert is_independent(dg.graph, members)
     assert len(members) == F.dv_fan(m)
 
@@ -180,41 +176,42 @@ def test_dv_fan_witness(m):
 @pytest.mark.parametrize("m", range(2, 11))
 def test_pair_path_witness(m):
     dg = pair_graph(path(m))
-    members = indices_of(dg, W.pair_path_witness_tokens(m))
+    members = pair_ranks(dg, W.pair_path_witness_pairs(m))
     assert is_independent(dg.graph, members)
     assert len(members) == F.pair_path(m)
 
 
 def test_pair_path_witness_is_the_dv_path_witness_pulled_back():
     for m in range(1, 31):
-        pulled = tuple(W.phi_inverse(t) for t in W.dv_path_witness_tokens(m + 1))
-        assert W.pair_path_witness_tokens(m) == pulled
+        pulled = tuple(W.phi_inverse(subset_token(*p)).elements
+                       for p in W.dv_path_witness_pairs(m + 1))
+        assert W.pair_path_witness_pairs(m) == pulled
 
 
 @pytest.mark.parametrize("m", range(2, 11))
 def test_pair_fan_witness(m):
     dg = pair_graph(fan(m))
-    members = indices_of(dg, W.pair_fan_witness_tokens(m))
+    members = pair_ranks(dg, W.pair_fan_witness_pairs(m))
     assert is_independent(dg.graph, members)
     assert len(members) == F.pair_fan(m)
 
 
 def test_pair_fan_witness_contains_apex_diagonal():
-    assert multiset_token(4, 4) in W.pair_fan_witness_tokens(3)
+    assert (4, 4) in W.pair_fan_witness_pairs(3)
 
 
 @pytest.mark.parametrize("m", range(3, 11))
 def test_pair_wheel_witness(m):
     dg = pair_graph(wheel(m))
-    members = indices_of(dg, W.pair_wheel_witness_tokens(m))
+    members = pair_ranks(dg, W.pair_wheel_witness_pairs(m))
     assert is_independent(dg.graph, members)
     assert len(members) == F.pair_wheel(m)
 
 
 def test_pair_wheel_witness_m4_composition():
-    toks = W.pair_wheel_witness_tokens(4)
-    assert multiset_token(5, 5) in toks
-    assert len(toks) == 7
+    pairs = W.pair_wheel_witness_pairs(4)
+    assert (5, 5) in pairs
+    assert len(pairs) == 7
 
 
 @pytest.mark.parametrize("m", range(4, 11))
@@ -224,7 +221,7 @@ def test_dv_wheel_witness(m):
     assert is_independent(dg.graph, w.members)
     assert len(w) == F.dv_wheel(m)
     # solver-backed witness avoids the apex tokens by construction
-    apex = indices_of(dg, W.r_set_dv(m + 1, m + 1))
+    apex = pair_ranks(dg, W.r_set_dv(m + 1, m + 1))
     assert not (w.members & apex)
 
 
@@ -241,7 +238,7 @@ def test_dv_wheel_witness_m3_special_case():
 # ---------------------------------------------------------------------------
 # the witness contract: every construction covers its formula's domain
 
-CONSTRUCTED = [fam for fam in FAMILIES.values() if fam.witness_tokens is not None]
+CONSTRUCTED = [fam for fam in FAMILIES.values() if fam.witness_pairs is not None]
 
 
 def _rejection(fn, m):
@@ -257,16 +254,16 @@ def _rejection(fn, m):
 def test_construction_certifies_formula_on_every_swept_m(fam):
     for m in range(fam.min_m, 25):
         derived = fam.derive(fam.base(m))
-        tokens = fam.witness_tokens(m)
-        members = indices_of(derived, tokens)
-        assert len(members) == len(tokens) == fam.formula(m), m
+        pairs = fam.witness_pairs(m)
+        members = pair_ranks(derived, pairs)
+        assert len(members) == len(pairs) == fam.formula(m), m
         assert is_independent(derived.graph, members), m
 
 
 @pytest.mark.parametrize("fam", CONSTRUCTED, ids=lambda fam: fam.name)
 def test_construction_rejects_exactly_where_formula_does(fam):
     for m in range(-2, 25):
-        message = _rejection(fam.witness_tokens, m)
+        message = _rejection(fam.witness_pairs, m)
         assert (message is not None) == (_rejection(fam.formula, m) is not None), m
         if message is not None:
             assert message.startswith(f"{fam.name}_witness needs m >= "), (m, message)
@@ -317,8 +314,8 @@ def test_dv_double_slice_deletion_is_strict(m):
     dg = double_vertex(path(m))
     for i in range(1, m + 1):
         for j in range(i + 2, m + 1):
-            tokens = set(W.r_set_dv(m, i)) | set(W.r_set_dv(m, j))
-            assert alpha_after_deleting_tokens(dg, tokens) < (m - 1) ** 2 // 4
+            pairs = set(W.r_set_dv(m, i)) | set(W.r_set_dv(m, j))
+            assert alpha_after_deleting_tokens(dg, pairs) < (m - 1) ** 2 // 4
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])
