@@ -5,7 +5,8 @@ Two independent routes are provided on purpose:
 * ``brute_force_alpha``: plain recursive include/exclude enumeration in
   ascending vertex order with only the trivial remaining-vertices bound.
   It is the oracle; it stays simple so it can be trusted.
-* ``alpha``: branch and bound. Branches on a maximum-degree vertex
+* ``alpha``: branch and bound. Branches on a maximum-degree vertex,
+  among those the one with the most neighbours of that same degree
   (lowest index on ties), include branch first, a minimum-degree greedy
   incumbent (bucket queue, lowest index on ties) unless the caller
   passes an independent set to start from, isolated/pendant-vertex
@@ -369,6 +370,20 @@ def _lowest_degree_hub(adj: tuple[int, ...], deg: list[int], scan: int, within: 
     return best
 
 
+def _branch_vertex(adj: tuple[int, ...], deg: list[int]) -> int:
+    """The vertex to branch on: one of maximum ``deg``, and among those
+    the one with the most neighbours of that same degree, lowest index on
+    ties. Including it deletes a closed neighbourhood packed with
+    top-degree vertices, so the include child loses the most edges."""
+    top = max(deg)
+    if deg.count(top) == 1:
+        return deg.index(top)
+    ties = list(compress(range(len(deg)), map(top.__eq__, deg)))
+    ties_mask = sum(map((1).__lshift__, ties))  # distinct bits: the sum is their union
+    scores = list(map(int.bit_count, map(ties_mask.__and__, map(adj.__getitem__, ties))))
+    return ties[scores.index(max(scores))]
+
+
 def _drop(adj: tuple[int, ...], deg: list[int], mask: int, gone: int) -> int:
     """Take the vertices of ``gone`` out of the degree table ``deg`` of the
     subgraph that ``mask`` (already without them) induces: they get -1 and
@@ -527,8 +542,9 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
                     # search returns a maximum set of its component
                     return chosen
 
-            # branch on a maximum-degree vertex, lowest index on ties
-            v = deg.index(max(deg))
+            # branch on a maximum-degree vertex with the most neighbours of
+            # that degree, lowest index on ties
+            v = _branch_vertex(adj, deg)
             vbit = 1 << v
             closed = (adj[v] & mask) | vbit
             include_deg = deg[:]

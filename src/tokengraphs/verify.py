@@ -19,6 +19,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field, fields
+from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from . import formulas, witnesses
@@ -336,14 +337,16 @@ def check_token_deletion_commutes(g: Graph, victims: set[int], k: int) -> bool:
     """True iff F_k(g - victims) equals the subgraph of F_k(g) induced on
     the tokens that avoid the victims, as labelled graphs (it does when
     len(victims) <= g.order - k). Deletion keeps the surviving vertices in
-    order, so both sides list the surviving tokens in the same order."""
+    order, so both sides list the surviving tokens in the same order.
+    F_k(g)'s vertex i is the i-th k-subset of g's vertices in lexicographic
+    order (``DerivedGraph``), so the kept ones are read off that order
+    without building the token labels."""
     reduced, _ = delete_vertices(g, victims)
-    dg = k_token(g, k)
     keep = [
-        i for i, tok in enumerate(dg.labels, start=1)
-        if not victims.intersection(tok.elements)
+        i for i, combo in enumerate(combinations(g.vertices, k), start=1)
+        if victims.isdisjoint(combo)
     ]
-    induced, _ = induced_subgraph(dg.graph, keep)
+    induced, _ = induced_subgraph(k_token(g, k).graph, keep)
     return k_token(reduced, k).graph == induced
 
 

@@ -15,6 +15,7 @@ from tokengraphs.graphs import (
 )
 from tokengraphs.mis import (
     SolveAborted,
+    _branch_vertex,
     _clique_cover_bound,
     _cycle_cover_bound,
     _greedy_incumbent,
@@ -109,6 +110,44 @@ def test_alpha_witness_valid_and_deterministic():
     assert first.witness == second.witness
     assert is_independent(g, first.witness.members)
     assert len(first.witness.members) == first.alpha
+
+
+def test_branch_vertex_prefers_top_degree_neighbours():
+    # a star centred at 1 and a K4 on 5..8: every centre and K4 vertex has
+    # degree 3, but only the K4's see top-degree neighbours, so the lowest
+    # of them (vertex 5, index 4) wins over the lower-labelled centre
+    g = Graph(8, frozenset({(1, 2), (1, 3), (1, 4), (5, 6), (5, 7), (5, 8), (6, 7), (6, 8),
+                            (7, 8)}))
+    adj = g.adjacency_masks
+    assert _branch_vertex(adj, [3, 1, 1, 1, 3, 3, 3, 3]) == 4
+    # with vertex 5 gone the K4 is a triangle of degree 2 and the centre is
+    # the one top-degree vertex
+    assert _branch_vertex(adj, [3, 1, 1, 1, -1, 2, 2, 2]) == 0
+    # with the leaves gone the top degree is 2 and the triangle's vertices
+    # tie on their two top-degree neighbours: the lowest index wins
+    assert _branch_vertex(adj, [0, -1, -1, -1, -1, 2, 2, 2]) == 5
+
+
+@pytest.mark.parametrize("build", [
+    lambda: k_token(cycle(6), 2).graph,
+    lambda: k_token(cycle(7), 2).graph,
+    lambda: k_token(wheel(5), 2).graph,
+    lambda: k_token(cycle(6), 3).graph,
+    lambda: pair_graph(cycle(5)).graph,
+], ids=["F2(C6)", "F2(C7)", "F2(W5)", "F3(C6)", "C(C5)"])
+def test_alpha_matches_brute_force_on_relabelled_token_graphs(build):
+    # nearly regular graphs, so most branchings pick among tied top-degree
+    # vertices, and the relabellings move which one the rule takes; the
+    # empty incumbent makes the search branch more before it closes
+    g = build()
+    rng = random.Random(g.order)
+    for _ in range(10):
+        p = rng.sample(g.vertices, g.order)
+        h = Graph(g.order, frozenset((p[u - 1], p[v - 1]) for u, v in g.edges))
+        want = brute_force_alpha(h).alpha
+        for result in (alpha(h), alpha(h, incumbent=())):
+            assert result.alpha == want == len(result.witness)
+            assert is_independent(h, result.witness.members)
 
 
 def test_alpha_matches_brute_force_on_random_graphs():
@@ -432,7 +471,7 @@ def test_cycle_cover_bound_is_at_most_the_clique_cover_on_triangle_free_graphs()
 @pytest.mark.parametrize("build, calls", [
     (lambda: k_token(cycle(11), 3).graph, 1),  # triangle-free: the root only
     (lambda: disjoint_union(*[k_token(cycle(9), 3).graph] * 2), 3),  # and each component's
-    (lambda: k_token(wheel(9), 3).graph, 7149),  # every node the reductions leave non-empty
+    (lambda: k_token(wheel(9), 3).graph, 6670),  # every node the reductions leave non-empty
 ], ids=["F3(C11)", "2xF3(C9)", "F3(W9)"])
 def test_alpha_runs_the_clique_cover_below_the_root_only_with_triangles(monkeypatch, build,
                                                                          calls):
@@ -459,9 +498,9 @@ def test_alpha_budget_holds_inside_the_triangle_cover():
 
 @pytest.mark.slow
 def test_alpha_solves_f3_c15():
-    # the standing gate for the exact search: about 3.5 s on a 2-vCPU Xeon
+    # the standing gate for the exact search: about 2 s on a 2-vCPU Xeon
     result = alpha(k_token(cycle(15), 3).graph, budget_ms=120_000)
-    assert (result.alpha, result.nodes) == (213, 10785)
+    assert (result.alpha, result.nodes) == (213, 5731)
 
 
 @pytest.mark.parametrize("budget", [float("nan"), 0, -5.0])
@@ -519,18 +558,18 @@ def _bridged_f3_c7_pair():
 
 
 @pytest.mark.parametrize("build, expected", [
-    (lambda: k_token(cycle(9), 3).graph, (84, 38, 31)),
-    (lambda: k_token(cycle(9), 4).graph, (126, 56, 129)),
+    (lambda: k_token(cycle(9), 3).graph, (84, 38, 29)),
+    (lambda: k_token(cycle(9), 4).graph, (126, 56, 67)),
     (lambda: disjoint_union(*[k_token(cycle(7), 3).graph] * 2), (70, 30, 15)),
-    (lambda: disjoint_union(*[k_token(cycle(9), 3).graph] * 2), (168, 76, 63)),
+    (lambda: disjoint_union(*[k_token(cycle(9), 3).graph] * 2), (168, 76, 59)),
     (_bridged_f3_c7_pair, (72, 31, 15)),
     (lambda: double_vertex(wheel(9)).graph, (45, 18, 1)),
     (lambda: pair_graph(cycle(11)).graph, (66, 33, 1)),
-    (lambda: k_token(cycle(13), 3).graph, (286, 132, 1597)),
+    (lambda: k_token(cycle(13), 3).graph, (286, 132, 781)),
     (lambda: double_vertex(wheel(23)).graph, (276, 126, 1)),
     (lambda: pair_graph(wheel(23)).graph, (300, 139, 1)),
     (lambda: double_vertex(path(40)).graph, (780, 400, 1)),
-    (lambda: k_token(wheel(9), 3).graph, (120, 38, 7155)),
+    (lambda: k_token(wheel(9), 3).graph, (120, 38, 6679)),
 ], ids=["F3(C9)", "F4(C9)", "2xF3(C7)", "2xF3(C9)", "bridge", "F2(W9)",
         "C(C11)", "F3(C13)", "F2(W23)", "C(W23)", "F2(P40)", "F3(W9)"])
 def test_alpha_search_is_pinned(build, expected):
@@ -582,7 +621,7 @@ def test_solver_counts_match_golden():
 
 
 @pytest.mark.parametrize("build, expected", [
-    (lambda: k_token(cycle(11), 3).graph, (414, 15)),
+    (lambda: k_token(cycle(11), 3).graph, (126, 13)),
     (lambda: double_vertex(wheel(23)).graph, (0, 0)),  # the triangle cover closes the root
     (lambda: double_vertex(path(40)).graph, (400, 0)),  # the pendant rule takes all
 ], ids=["F3(C11)", "F2(W23)", "F2(P40)"])
@@ -610,7 +649,7 @@ def _frame_depth() -> int:
 
 
 def test_alpha_search_depth_needs_no_interpreter_frames():
-    # the search runs 18 branchings deep; with a frame per branching it
+    # the search runs 16 branchings deep; with a frame per branching it
     # would overrun a recursion limit 15 frames above the caller
     g = k_token(wheel(7), 3).graph
     g.adjacency_masks
@@ -620,7 +659,7 @@ def test_alpha_search_depth_needs_no_interpreter_frames():
         result = alpha(g)
     finally:
         sys.setrecursionlimit(limit)
-    assert (result.alpha, result.nodes) == (17, 135)
+    assert (result.alpha, result.nodes) == (17, 141)
     assert result.max_depth > 15
 
 
