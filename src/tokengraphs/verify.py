@@ -2,11 +2,10 @@
 
 A sweep builds, for each selected family and parameter, the derived
 graph, evaluates the closed form, generates and certifies the explicit
-witness where a construction exists, runs the exact solver seeded with
+witness of its family's construction, runs the exact solver seeded with
 that witness, and emits one ``VerificationRow``. A witness arrives as
 plain ``(a, b)`` pairs and ``operators.pair_ranks`` ranks them into
-vertex indices, so a row builds no ``TokenVertex`` (only the dv_wheel
-witness reads the solver's set off the graph's token labels). Canonical
+vertex indices, so a row builds no ``TokenVertex``. Canonical
 CSV and JSON reports are byte-identical across runs for a given
 configuration: the elapsed-milliseconds column is zeroed there
 (wall-clock times are not reproducible) and is only shown in the
@@ -69,9 +68,9 @@ CSV_COLUMNS = tuple(f.name for f in fields(VerificationRow))
 class FamilySpec:
     """One closed form under test: how to build its derived graph, the
     formula, and the explicit witness construction, which lists its
-    tokens {a, b} as ``(a, b)`` pairs (``None`` when there is none, as
-    for ``dv_cycle``). A construction covers its formula's whole domain,
-    so every row it runs on reports a witness.
+    tokens {a, b} as ``(a, b)`` pairs. A construction covers its
+    formula's whole domain, so every row that is not aborted reports a
+    witness.
 
     ``min_m`` is the smallest m the sweep runs, and it is not the
     smallest m the formula accepts: the formula may accept an m whose
@@ -84,7 +83,7 @@ class FamilySpec:
     base: Callable[[int], Graph]
     derive: Callable[[Graph], DerivedGraph]
     formula: Callable[[int], int]
-    witness_pairs: Callable[[int], tuple] | None
+    witness_pairs: Callable[[int], tuple]
     min_m: int
     default_range: tuple[int, int]
 
@@ -95,7 +94,7 @@ FAMILIES: dict[str, FamilySpec] = {
         FamilySpec("dv_path", "double_vertex", path, double_vertex,
                    formulas.dv_path, witnesses.dv_path_witness_pairs, 2, (2, 12)),
         FamilySpec("dv_cycle", "double_vertex", cycle, double_vertex,
-                   formulas.dv_cycle, None, 3, (3, 12)),
+                   formulas.dv_cycle, witnesses.dv_cycle_witness_pairs, 3, (3, 12)),
         FamilySpec("dv_fan", "double_vertex", fan, double_vertex,
                    formulas.dv_fan, witnesses.dv_fan_witness_pairs, 1, (2, 12)),
         FamilySpec("dv_wheel", "double_vertex", wheel, double_vertex,
@@ -165,19 +164,16 @@ def verify_one(fam: FamilySpec, m: int, method: str = "auto",
     derived = fam.derive(fam.base(m))
     formula_value = fam.formula(m)
     started = time.perf_counter()
-    witness_size: int | None = None
-    seed = None
-    if fam.witness_pairs is not None:
-        members = pair_ranks(derived, fam.witness_pairs(m))
-        if is_independent(derived.graph, members):
-            witness_size, seed = len(members), members
-        else:
-            witness_size = -1  # dependent "witness": report as mismatch
+    members = pair_ranks(derived, fam.witness_pairs(m))
+    if is_independent(derived.graph, members):
+        witness_size, seed = len(members), members
+    else:
+        witness_size, seed = -1, None  # dependent "witness": report as mismatch
     try:
         result = solve_exact(derived.graph, method=method, budget_ms=budget_ms, incumbent=seed)
         solver_value: int | None = result.alpha
         status = STATUS_OK
-        if formula_value != result.alpha or (witness_size is not None and witness_size != formula_value):
+        if formula_value != result.alpha or witness_size != formula_value:
             status = STATUS_MISMATCH
     except SolveAborted:
         solver_value = witness_size = None

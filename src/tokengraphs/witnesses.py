@@ -14,6 +14,9 @@ The building blocks:
   graphs, even-sum multiset sets for path pair graphs, unions of
   alternating l_set slices for cycle pair graphs, and their
   apex-augmented fan/wheel variants.
+* the cycle double vertex witness: the tokens at odd cyclic distance
+  below floor(m/2), plus half of the top distance class when floor(m/2)
+  is odd. It uses no apex token, so it serves the wheel too.
 * ``phi``: the index shift {i, j} -> {i, j+1} that carries the pair graph
   of P_n onto the double vertex graph of P_{n+1}. The path pair witness
   is built directly; a test checks that it is the path double vertex
@@ -25,11 +28,12 @@ one into vertex indices of a derived graph by arithmetic, and no
 ``TokenVertex`` is built. Each ``*_witness_pairs`` function takes every
 m its family's formula accepts, raises ``ValueError`` at exactly the m
 the formula rejects, and returns a set independent in the derived graph
-and sized exactly at the closed form. Only ``dv_wheel_witness_pairs`` is
-not a pure construction: from m = 4 it reads the pairs of
-``dv_wheel_witness``, the solver's ``IndependentSet`` of the apex-free
-part of the graph, found by ``mis.alpha`` with the apex tokens
-``r_set_dv(m + 1, m + 1)`` avoided, off the graph's token labels.
+and sized exactly at the closed form. Only ``dv_wheel_witness_pairs``
+calls the solver: from m = 4 it returns ``dv_wheel_witness``, the
+maximum independent set that ``mis.alpha`` finds in the apex-free part
+of the graph, with the apex tokens ``r_set_dv(m + 1, m + 1)`` avoided
+and the cycle witness as its incumbent, turned back into pairs by
+``operators.pairs_of``.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .operators import (
     multiset_token,
     pair_graph,
     pair_ranks,
+    pairs_of,
     subset_token,
 )
 
@@ -182,12 +187,33 @@ def pair_wheel_witness_pairs(m: int) -> Pairs:
     return pair_cycle_witness_pairs(m) + ((m + 1, m + 1),)
 
 
+def dv_cycle_witness_pairs(m: int) -> Pairs:
+    """Every 2-subset {a, b} of 1..m at odd cyclic distance d < j, with
+    j = floor(m/2), plus the j tokens {a, a + j}, a = 1..j, when j is
+    odd; its size is floor(m * j / 2). Moving one token of a pair at
+    distance d < j along a cycle edge changes d by exactly one, so two
+    chosen pairs can be adjacent only if both lie at distance j. Those
+    are m/2 disjoint pairs for even m; for odd m = 2j + 1 they form an
+    m-cycle, and the j chosen ones are disjoint. The set uses no apex
+    token, so it is independent in the wheel double vertex graph too,
+    at size ``formulas.dv_wheel(m)`` from m = 4."""
+    _require("dv_cycle_witness", m, 3)
+    j = m // 2
+    pairs: list[tuple[int, int]] = []
+    for a in range(1, m + 1):
+        for b in range(a + 1, m + 1):
+            d = min(b - a, m - b + a)
+            if (d % 2 and d < j) or (j % 2 and b - a == j and a <= j):
+                pairs.append((a, b))
+    return tuple(pairs)
+
+
 def dv_wheel_witness(m: int) -> IndependentSet:
-    """Solver-extracted maximum independent set of the apex-free part of
-    the wheel double vertex graph: ``alpha`` avoiding the apex tokens
-    ``r_set_dv(m + 1, m + 1)``, in the labels of the whole graph (no
-    closed-form construction is available for cycle double vertex graphs
-    here).
+    """Maximum independent set of the apex-free part of the wheel double
+    vertex graph: ``alpha`` avoiding the apex tokens
+    ``r_set_dv(m + 1, m + 1)``, started from ``dv_cycle_witness_pairs(m)``
+    as its incumbent, so its root closes at once, in the vertex indices
+    of the whole graph.
 
     For m >= 4 its size equals the wheel closed form. For m = 3 the
     apex-free part is a triangle, so the witness has size 1 while the
@@ -195,20 +221,20 @@ def dv_wheel_witness(m: int) -> IndependentSet:
     """
     _require("dv_wheel_witness", m, 3)
     dg = double_vertex(wheel(m))
-    return alpha(dg.graph, avoid=pair_ranks(dg, r_set_dv(m + 1, m + 1))).witness
+    return alpha(dg.graph, avoid=pair_ranks(dg, r_set_dv(m + 1, m + 1)),
+                 incumbent=pair_ranks(dg, dv_cycle_witness_pairs(m))).witness
 
 
 def dv_wheel_witness_pairs(m: int) -> Pairs:
     """A maximum independent set of the wheel double vertex graph, sized
     at ``formulas.dv_wheel(m)`` for every m >= 3: {1,2}, {3,4} at m = 3,
-    the tokens of ``dv_wheel_witness`` from m = 4."""
+    the pairs of ``dv_wheel_witness`` from m = 4."""
     _require("dv_wheel_witness", m, 3)
     if m == 3:
         # F2(W_3) = F2(K_4), where two disjoint 2-subsets are non-adjacent
         return ((1, 2), (3, 4))
     dg = double_vertex(wheel(m))
-    witness = dv_wheel_witness(m)
-    return tuple(dg.labels[v - 1].elements for v in sorted(witness.members))
+    return pairs_of(dg, dv_wheel_witness(m).members)
 
 
 # ---------------------------------------------------------------------------

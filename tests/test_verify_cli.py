@@ -138,15 +138,14 @@ def test_table_contains_all_rows():
 
 def test_verify_one_detects_planted_mismatch():
     fam = FAMILIES["dv_path"]
-    broken = dataclasses.replace(fam, formula=lambda m: fam.formula(m) + 1, witness_pairs=None)
+    broken = dataclasses.replace(fam, formula=lambda m: fam.formula(m) + 1)
     row = verify_one(broken, 5)
-    assert row.status == "mismatch"
+    assert (row.alpha, row.witness, row.formula, row.status) == (6, 6, 7, "mismatch")
     assert sweep_exit_code([row]) == 1
 
 
-# every row with a witness construction, at m = 3..24 from each family's minimum
-PAPER_ROWS = [(name, m) for name, fam in FAMILIES.items() if fam.witness_pairs is not None
-              for m in range(max(3, fam.min_m), 25)]
+# every row of `verify --families all --m 3..24`
+PAPER_ROWS = [(name, m) for name, fam in FAMILIES.items() for m in range(max(3, fam.min_m), 25)]
 
 
 def test_witness_seed_changes_no_alpha_and_no_node_count():
@@ -187,13 +186,12 @@ def test_verify_one_solves_a_dependent_witness_unseeded(monkeypatch):
 
 
 def test_constructed_rows_build_no_token(monkeypatch):
-    # witnesses travel as (a, b) pairs and are ranked by arithmetic; only
-    # dv_wheel reads the solver's set off the graph's token labels
+    # witnesses travel as (a, b) pairs and are ranked by arithmetic; the
+    # dv_wheel witness turns the solver's ranks back into pairs the same way
     built = []
     monkeypatch.setattr(TokenVertex, "__post_init__", lambda self: built.append(self))
-    rows = [verify_one(fam, m) for name, fam in FAMILIES.items()
-            if fam.witness_pairs is not None and name != "dv_wheel" for m in range(3, 13)]
-    assert len(rows) == 60 and all(r.status == "ok" for r in rows)
+    rows = [verify_one(fam, m) for fam in FAMILIES.values() for m in range(3, 13)]
+    assert len(rows) == 80 and all(r.status == "ok" and r.witness == r.alpha for r in rows)
     assert built == []
 
 
@@ -320,12 +318,12 @@ def test_cli_props_bench_config_matches_golden(capsys):
 
 
 def witness_transcript() -> str:
-    """Every ``witness`` run of a constructed family at m = min_m..12, in
-    text and JSON: each run's command line, its output and its exit code."""
+    """Every ``witness`` run of each family at m = min_m..12, in text and
+    JSON: each run's command line, its output and its exit code.
+    ``PYTHONPATH=src python -m tests.test_verify_cli`` prints it, to
+    regenerate the golden when a construction changes."""
     parts = []
     for name, fam in FAMILIES.items():
-        if fam.witness_pairs is None:
-            continue
         op, family = name.split("_", 1)
         for m in range(fam.min_m, 13):
             for fmt in ("text", "json"):
@@ -439,22 +437,21 @@ def test_cli_witness_note_only_below_witness_min_m(capsys):
         assert "note:" not in capsys.readouterr().out
 
 
-def test_cli_witness_no_construction(capsys):
-    assert main(["witness", "cycle", "5", "--op", "dv"]) == 64
-    assert main(["witness", "cycle", "4", "--op", "dv"]) == 64
+def test_cli_witness_dv_cycle5(capsys):
+    assert main(["witness", "cycle", "5", "--op", "dv"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "witness dv_cycle m=5: size 5, formula 5, independent: yes",
+        "tokens: {1,2} {1,5} {2,3} {3,4} {4,5}",
+    ]
 
 
 @pytest.mark.parametrize("family, op, size", [
-    ("path", "dv", 9), ("cycle", "dv", None), ("fan", "dv", 9), ("wheel", "dv", 9),
+    ("path", "dv", 9), ("cycle", "dv", 9), ("fan", "dv", 9), ("wheel", "dv", 9),
     ("path", "pair", 12), ("cycle", "pair", 12), ("fan", "pair", 13), ("wheel", "pair", 13),
 ])
 def test_cli_witness_every_family_at_m6(capsys, family, op, size):
-    code = main(["witness", family, "6", "--op", op])
-    if size is None:
-        assert code == 64
-    else:
-        assert code == 0
-        assert f"size {size}, formula {size}, independent: yes" in capsys.readouterr().out
+    assert main(["witness", family, "6", "--op", op]) == 0
+    assert f"size {size}, formula {size}, independent: yes" in capsys.readouterr().out
 
 
 def test_cli_witness_text_out_file(tmp_path, capsys):
@@ -538,8 +535,7 @@ def test_cli_usage_error_exit_code():
     (["verify", "--budget-ms", "nan"], 64, "error: budget must be positive"),
     (["verify", "--families", "dv_fan", "--m", "12..12", "--method", "brute"], 64,
      "error: order 78 exceeds the brute-force cap 26; use alpha() instead"),
-    (["witness", "cycle", "5", "--op", "dv"], 64,
-     "error: no witness construction for family 'cycle' with --op 'dv'"),
+    (["witness", "cycle", "2", "--op", "dv"], 64, "error: dv_cycle_witness needs m >= 3, got 2"),
     (["witness", "fan", "0", "--op", "dv"], 64, "error: dv_fan_witness needs m >= 1, got 0"),
     (["witness", "wheel", "2", "--op", "dv"], 64, "error: dv_wheel_witness needs m >= 3, got 2"),
     (["props", "--sizes", "four"], 64, "error: bad --sizes value 'four'"),
@@ -569,3 +565,7 @@ def test_module_entry_point_passes_exit_code_through():
     assert done.returncode == 64
     assert done.stdout == ""
     assert done.stderr == "error: wheel needs m >= 3, got 2\n"
+
+
+if __name__ == "__main__":
+    sys.stdout.write(witness_transcript())

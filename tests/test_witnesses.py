@@ -3,7 +3,7 @@ import pytest
 from tokengraphs import formulas as F
 from tokengraphs import witnesses as W
 from tokengraphs.graphs import cycle, fan, path, wheel
-from tokengraphs.mis import alpha, is_independent
+from tokengraphs.mis import BRUTE_FORCE_CAP, alpha, brute_force_alpha, is_independent
 from tokengraphs.operators import (
     double_vertex,
     multiset_token,
@@ -214,6 +214,44 @@ def test_pair_wheel_witness_m4_composition():
     assert len(pairs) == 7
 
 
+@pytest.mark.parametrize("base, formula, first", [
+    (cycle, F.dv_cycle, 3), (wheel, F.dv_wheel, 4),
+], ids=["cycle", "wheel"])
+def test_dv_cycle_witness(base, formula, first):
+    for m in range(first, 41):
+        pairs = W.dv_cycle_witness_pairs(m)
+        dg = double_vertex(base(m))
+        members = pair_ranks(dg, pairs)
+        assert len(set(pairs)) == len(members) == formula(m), m
+        assert is_independent(dg.graph, members), m
+        if dg.graph.order <= BRUTE_FORCE_CAP:  # m <= 7 on the cycle, m <= 6 on the wheel
+            assert brute_force_alpha(dg.graph).alpha == len(pairs), m
+
+
+def test_dv_cycle_witness_listings():
+    # j = 1: the one token {1, 2}; j = 2: distance 1 only; j = 3: three tokens at distance 3 too
+    assert W.dv_cycle_witness_pairs(3) == ((1, 2),)
+    assert W.dv_cycle_witness_pairs(4) == ((1, 2), (1, 4), (2, 3), (3, 4))
+    assert W.dv_cycle_witness_pairs(7) == (
+        (1, 2), (1, 4), (1, 7), (2, 3), (2, 5), (3, 4), (3, 6), (4, 5), (5, 6), (6, 7))
+
+
+def test_dv_wheel_witness_starts_from_the_construction(monkeypatch):
+    calls = []
+
+    def spy(g, **kwargs):
+        result = alpha(g, **kwargs)
+        calls.append((kwargs.get("incumbent"), result.nodes))
+        return result
+
+    monkeypatch.setattr(W, "alpha", spy)
+    for m in range(3, 25):
+        W.dv_wheel_witness(m)
+        dg = double_vertex(wheel(m))
+        assert len(calls) == m - 2, m
+        assert calls[-1] == (pair_ranks(dg, W.dv_cycle_witness_pairs(m)), 1), m
+
+
 @pytest.mark.parametrize("m", range(4, 11))
 def test_dv_wheel_witness(m):
     w = W.dv_wheel_witness(m)
@@ -238,7 +276,7 @@ def test_dv_wheel_witness_m3_special_case():
 # ---------------------------------------------------------------------------
 # the witness contract: every construction covers its formula's domain
 
-CONSTRUCTED = [fam for fam in FAMILIES.values() if fam.witness_pairs is not None]
+CONSTRUCTED = list(FAMILIES.values())
 
 
 def _rejection(fn, m):
