@@ -33,18 +33,9 @@ def _require(name: str, m: int, least: int) -> None:
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:
-    """The vertices of a bitmask; bit i stands for vertex i+1, listed from
-    the lowest member up. A sparse mask, under one member per 32 bits of
-    its span, is walked member by member; any other is one walk over its
-    binary digits, linear in the span of the members whatever their
-    number."""
-    if mask.bit_count() * 32 < mask.bit_length():
-        members = []
-        while mask:
-            bit = mask & -mask
-            members.append(bit.bit_length())
-            mask ^= bit
-        return frozenset(members)
+    """The vertices of a bitmask; bit i stands for vertex i+1. One walk
+    over its binary digits from the lowest member up, so the cost is
+    linear in the span of the members whatever their number."""
     skip = max((mask & -mask).bit_length() - 1, 0)
     digits = bin(mask >> skip)[:1:-1]
     return frozenset([v for v, digit in enumerate(digits, start=skip + 1) if digit == "1"])

@@ -26,15 +26,12 @@ and n. ``indices_of`` ranks tokens arithmetically (``index_of`` is its
 one-token case) and the ``labels`` tuple is built only when something
 iterates it; vertex sets move between the index and token views
 through these. ``pair_ranks`` ranks plain ``(a, b)`` pairs on a double
-vertex or pair graph from the rank table its builder uses, and
-``pairs_of`` turns ranks back into pairs from the same table, so a set
-of 2-element tokens moves between the two views without building a
-``TokenVertex``.
+vertex or pair graph from the rank table its builder uses, so a set of
+2-element tokens can be ranked without building a ``TokenVertex``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
@@ -174,27 +171,6 @@ def pair_ranks(dg: DerivedGraph, pairs) -> frozenset[int]:
             raise ValueError(f"pair {(a, b)} is not a {kind} vertex label here")
         ranks.append(start[a] + b + 1)
     return frozenset(ranks)
-
-
-def pairs_of(dg: DerivedGraph, ranks) -> tuple[tuple[int, int], ...]:
-    """The pairs ``(a, b)`` of the vertex indices (1-based) in ``ranks``,
-    in increasing rank: the inverse of ``pair_ranks``, read off the same
-    rank table with no token built. An index out of range, and any graph
-    with k != 2, is rejected."""
-    if dg.k != 2:
-        raise ValueError(f"pairs_of needs a graph on 2-element tokens, got k = {dg.k}")
-    n, order = dg.base_order, dg.graph.order
-    diagonal = dg.kind == MULTISET
-    start = _pair_starts(n, diagonal)
-    # row a opens with {a, a} (multiset) or {a, a + 1} (subset)
-    firsts = [start[a] + a + 2 - diagonal for a in range(1, n + 1)]
-    pairs = []
-    for rank in sorted(ranks):
-        if not 1 <= rank <= order:
-            raise ValueError(f"vertex index {rank} out of range 1..{order}")
-        a = bisect_right(firsts, rank)
-        pairs.append((a, rank - 1 - start[a]))
-    return tuple(pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -250,7 +250,7 @@ def test_vertex_set_readers_share_one_range_check(read, bad):
 def test_mask_to_set_round_trips_a_vertex_set(order):
     rng = random.Random(order)
     g = Graph(order)
-    # an empty, a one-member, a sparse (under one member per 32 bits) and a dense mask
+    # an empty, a one-member, a top-bit, a sparse, a dense and a full mask
     for members in (set(), {1}, {order}, set(rng.sample(g.vertices, order // 64)),
                     set(rng.sample(g.vertices, order // 2)), set(g.vertices)):
         mask = g._vertex_mask(members)

@@ -20,7 +20,6 @@ from tokengraphs.operators import (
     multiset_token,
     pair_graph,
     pair_ranks,
-    pairs_of,
     subset_token,
     token_label_of,
 )
@@ -251,25 +250,6 @@ def test_pair_ranks_reject_a_graph_of_k_other_than_2():
     for k in (1, 3):
         with pytest.raises(ValueError, match=f"^pair_ranks needs a graph on 2-element tokens, got k = {k}$"):
             pair_ranks(k_token(path(5), k), [(1, 2)])
-
-
-@pytest.mark.parametrize("dg", PAIR_GRAPHS)
-def test_pairs_of_inverts_pair_ranks_in_rank_order(dg):
-    everything = range(1, dg.graph.order + 1)
-    assert pairs_of(dg, everything) == tuple(t.elements for t in dg.labels)
-    assert pairs_of(dg, reversed(everything)) == pairs_of(dg, everything)
-    assert pairs_of(dg, ()) == ()
-
-
-def test_pairs_of_reads_no_labels_and_rejects_what_it_cannot_invert():
-    dg = pair_graph(cycle(7))
-    assert pairs_of(dg, {28, 1, 7, 8}) == ((1, 1), (1, 7), (2, 2), (7, 7))
-    assert "labels" not in vars(dg)
-    for bad in (0, 29):
-        with pytest.raises(ValueError, match=rf"^vertex index {bad} out of range 1\.\.28$"):
-            pairs_of(dg, [1, bad])
-    with pytest.raises(ValueError, match="^pairs_of needs a graph on 2-element tokens, got k = 3$"):
-        pairs_of(k_token(path(5), 3), [1])
 
 
 def test_unknown_label_rejected():

@@ -138,9 +138,11 @@ def test_table_contains_all_rows():
 
 def test_verify_one_detects_planted_mismatch():
     fam = FAMILIES["dv_path"]
-    broken = dataclasses.replace(fam, formula=lambda m: fam.formula(m) + 1)
+    # the witness, one token short, meets the lowered formula, so only alpha disagrees
+    broken = dataclasses.replace(fam, formula=lambda m: fam.formula(m) - 1,
+                                 witness_pairs=lambda m: fam.witness_pairs(m)[1:])
     row = verify_one(broken, 5)
-    assert (row.alpha, row.witness, row.formula, row.status) == (6, 6, 7, "mismatch")
+    assert (row.alpha, row.witness, row.formula, row.status) == (6, 5, 5, "mismatch")
     assert sweep_exit_code([row]) == 1
 
 

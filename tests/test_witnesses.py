@@ -214,11 +214,11 @@ def test_pair_wheel_witness_m4_composition():
     assert len(pairs) == 7
 
 
-@pytest.mark.parametrize("base, formula, first", [
-    (cycle, F.dv_cycle, 3), (wheel, F.dv_wheel, 4),
+@pytest.mark.parametrize("base, formula, first, last", [
+    (cycle, F.dv_cycle, 3, 80), (wheel, F.dv_wheel, 4, 40),
 ], ids=["cycle", "wheel"])
-def test_dv_cycle_witness(base, formula, first):
-    for m in range(first, 41):
+def test_dv_cycle_witness(base, formula, first, last):
+    for m in range(first, last + 1):
         pairs = W.dv_cycle_witness_pairs(m)
         dg = double_vertex(base(m))
         members = pair_ranks(dg, pairs)
