@@ -13,7 +13,7 @@ from tokengraphs import (
     path,
     wheel,
 )
-from tokengraphs.exports import derived_to_dot, derived_to_json, graph_to_json
+from tokengraphs.exports import derived_to_dot, derived_to_json, graph_to_json, token_text
 
 # Base families. Vertices are 1..m; fans and wheels put the apex at m+1.
 for name, g in [
@@ -32,13 +32,13 @@ print()
 # a neighbor turns one into the other.
 dv = double_vertex(fan(4))
 print("double_vertex(fan(4)):", dv.graph.order, "vertices,", dv.graph.size, "edges")
-print("tokens containing the apex:", [str(t) for t in dv.labels if 5 in t.elements])
+print("tokens containing the apex:", [token_text(t) for t in dv.labels if 5 in t])
 
 # The pair graph allows repeated elements, adding the n 'diagonal'
 # tokens {x,x}; the diagonal is always an independent set.
 pg = pair_graph(cycle(4))
 print("pair_graph(cycle(4)):", pg.graph.order, "vertices,", pg.graph.size, "edges")
-print("diagonal tokens:", [str(t) for t in pg.labels if t.elements[0] == t.elements[1]])
+print("diagonal tokens:", [token_text(t) for t in pg.labels if t[0] == t[1]])
 
 # k_token generalizes to k moving tokens; k = 2 is exactly double_vertex,
 # and k-subsets mirror (n-k)-subsets.

@@ -12,10 +12,10 @@ from tokengraphs import (
     fan,
     index_of,
     is_independent,
-    multiset_token,
     pair_graph,
     wheel,
 )
+from tokengraphs.exports import token_text
 
 # Two routes to the same number: brute_force_alpha enumerates, alpha
 # branches on max-degree vertices under clique-, cycle- and triangle-cover
@@ -35,7 +35,7 @@ for name, g in samples:
 # Witnesses come back as vertex sets and can be re-certified.
 dg = double_vertex(fan(6))
 result = alpha(dg.graph)
-tokens = [str(dg.labels[v - 1]) for v in sorted(result.witness.members)]
+tokens = [token_text(dg.labels[v - 1]) for v in sorted(result.witness.members)]
 print("\none maximum independent set of double_vertex(fan(6)):")
 print("  " + " ".join(tokens))
 print("  independent:", is_independent(dg.graph, result.witness.members))
@@ -49,6 +49,6 @@ print(f"\npair_graph(cycle(12)): {big.order} vertices, alpha = {result.alpha}, "
 # Conditional solves: alpha(g, avoid=...) finds the best independent set
 # that leaves the given vertices out, without copying the graph.
 dg = pair_graph(cycle(7))
-corner = index_of(dg, multiset_token(1, 7))
+corner = index_of(dg, (1, 7))
 print(f"\nalpha(C(C7)) avoiding the corner token {{1,7}}: "
       f"{alpha(dg.graph, avoid=[corner]).alpha} (unchanged from {alpha(dg.graph).alpha})")

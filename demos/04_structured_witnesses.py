@@ -3,8 +3,9 @@
 Run:  python demos/04_structured_witnesses.py
 """
 
-from tokengraphs import cycle, fan, is_independent, multiset_token, pair_graph, pair_ranks
+from tokengraphs import cycle, fan, indices_of, is_independent, pair_graph
 from tokengraphs import formulas, witnesses
+from tokengraphs.exports import token_text
 
 m = 9
 
@@ -14,12 +15,12 @@ m = 9
 dg = pair_graph(cycle(m))
 total = sum(len(witnesses.l_set(m, q)) for q in range(1, m + 1))
 print(f"l_set slices of C(C_{m}): sizes 1..{m}, total {total} = {dg.graph.order} vertices")
-print("slice 3:", " ".join(str(multiset_token(*p)) for p in witnesses.l_set(m, 3)))
-print("slice 9:", " ".join(str(multiset_token(*p)) for p in witnesses.l_set(m, 9)))
+print("slice 3:", " ".join(map(token_text, witnesses.l_set(m, 3))))
+print("slice 9:", " ".join(map(token_text, witnesses.l_set(m, 9))))
 
 # Exactly one slice fails to be independent: q = (m+1)/2 for odd m.
 for q in range(1, m + 1):
-    ok = is_independent(dg.graph, pair_ranks(dg, witnesses.l_set(m, q)))
+    ok = is_independent(dg.graph, indices_of(dg, witnesses.l_set(m, q)))
     assert ok == witnesses.l_is_independent_expected(m, q)
 print(f"dependent slices for m={m}:",
       [q for q in range(1, m + 1) if not witnesses.l_is_independent_expected(m, q)])
@@ -28,14 +29,14 @@ print(f"dependent slices for m={m}:",
 print("linking profile:", sorted(witnesses.linking_profile(m)))
 
 # Taking alternating unlinked slices yields a maximum independent set.
-w = pair_ranks(dg, witnesses.pair_cycle_witness_pairs(m))
+w = indices_of(dg, witnesses.pair_cycle_witness_pairs(m))
 print(f"alternating-slice witness: size {len(w)} = pair_cycle({m}) = {formulas.pair_cycle(m)}")
 
 # Fans and wheels gain exactly one more vertex: the apex diagonal.
 wf = witnesses.pair_fan_witness_pairs(6)
-print("\npair fan witness for m=6 ends with the apex diagonal:", multiset_token(*wf[-1]))
+print("\npair fan witness for m=6 ends with the apex diagonal:", token_text(wf[-1]))
 fan_dg = pair_graph(fan(6))
-members = pair_ranks(fan_dg, wf)
+members = indices_of(fan_dg, wf)
 assert is_independent(fan_dg.graph, members)
 print(f"size {len(members)} = pair_fan(6) = {formulas.pair_fan(6)}")
 

@@ -27,15 +27,11 @@ from .mis import (
 )
 from .operators import (
     DerivedGraph,
-    TokenVertex,
     double_vertex,
     index_of,
     indices_of,
     k_token,
-    multiset_token,
     pair_graph,
-    pair_ranks,
-    subset_token,
     token_label_of,
 )
 
@@ -44,7 +40,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Graph",
     "DerivedGraph",
-    "TokenVertex",
     "IndependentSet",
     "MisResult",
     "SolveAborted",
@@ -63,12 +58,9 @@ __all__ = [
     "double_vertex",
     "k_token",
     "pair_graph",
-    "subset_token",
-    "multiset_token",
     "token_label_of",
     "index_of",
     "indices_of",
-    "pair_ranks",
     "alpha",
     "brute_force_alpha",
     "is_independent",

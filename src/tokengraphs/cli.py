@@ -18,10 +18,10 @@ import json
 import sys
 from typing import Sequence
 
-from .exports import derived_to_dot, derived_to_json, graph_to_dot, graph_to_json
+from .exports import derived_to_dot, derived_to_json, graph_to_dot, graph_to_json, token_text
 from .graphs import complete, cycle, fan, path, wheel
 from .mis import SolveAborted, is_independent
-from .operators import TokenVertex, double_vertex, k_token, pair_graph, pair_ranks
+from .operators import double_vertex, indices_of, k_token, pair_graph
 from .verify import (
     EXIT_ABORTED,
     EXIT_MISMATCH,
@@ -120,8 +120,8 @@ def cmd_alpha(args) -> int:
     graph, derived, op_name = _build_instance(args.family, args.m, args.op)
     result = solve_exact(graph, method=args.method)
     shown = f"{op_name}({args.family}({args.m}))" if derived is not None else f"{args.family}({args.m})"
-    labels = derived.labels if derived is not None else graph.vertices
-    witness = " ".join(str(labels[v - 1]) for v in sorted(result.witness.members))
+    show = (lambda v: token_text(derived.labels[v - 1])) if derived is not None else str
+    witness = " ".join(map(show, sorted(result.witness.members)))
     print(f"alpha({shown}) = {result.alpha}")
     print(f"witness ({result.alpha}): {witness}")
     print(f"vertices={graph.order} nodes={result.nodes} elapsed_ms={result.elapsed * 1000:.1f}")
@@ -151,7 +151,7 @@ def cmd_witness(args) -> int:
     pairs = fam.witness_pairs(args.m)
     expected = fam.formula(args.m)
     derived = fam.derive(fam.base(args.m))
-    members = pair_ranks(derived, pairs)
+    members = indices_of(derived, pairs)
     independent = is_independent(derived.graph, members)
     matches = independent and len(members) == expected
     if args.format == "json":
@@ -168,7 +168,7 @@ def cmd_witness(args) -> int:
         lines = [
             f"witness {fam.name} m={args.m}: size {len(members)}, formula {expected}, "
             f"independent: {'yes' if independent else 'NO'}",
-            "tokens: " + " ".join(str(TokenVertex(derived.kind, p)) for p in pairs),
+            "tokens: " + " ".join(map(token_text, pairs)),
         ]
         _write_output("\n".join(lines) + "\n", args.out)
     return EXIT_OK if matches else EXIT_MISMATCH

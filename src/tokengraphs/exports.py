@@ -4,7 +4,8 @@ JSON schema for a plain graph: ``{"order": n, "edges": [[u, v], ...]}``
 with u < v and edges sorted lexicographically. Derived graphs extend it
 with ``"kind"`` (subset or multiset) and ``"labels"`` (the token of each
 vertex index, in index order). Output is byte-stable for a given value,
-so serializations can be frozen as golden strings.
+so serializations can be frozen as golden strings. ``token_text`` prints
+a token as ``{1,2}`` for the DOT labels and the CLI.
 """
 
 from __future__ import annotations
@@ -25,9 +26,14 @@ def derived_to_json(dg: DerivedGraph) -> str:
             "order": dg.graph.order,
             "edges": [list(e) for e in sorted(dg.graph.edges)],
             "kind": dg.kind,
-            "labels": [list(tok.elements) for tok in dg.labels],
+            "labels": [list(tok) for tok in dg.labels],
         }
     )
+
+
+def token_text(token) -> str:
+    """A token, a sorted tuple of base vertices, as ``{a,b,...}``."""
+    return "{" + ",".join(map(str, token)) + "}"
 
 
 def graph_to_dot(g: Graph, labels: dict[int, str] | None = None) -> str:
@@ -44,6 +50,6 @@ def graph_to_dot(g: Graph, labels: dict[int, str] | None = None) -> str:
 
 
 def derived_to_dot(dg: DerivedGraph) -> str:
-    labels = {i: str(tok) for i, tok in enumerate(dg.labels, start=1)}
+    labels = {i: token_text(tok) for i, tok in enumerate(dg.labels, start=1)}
     return graph_to_dot(dg.graph, labels=labels)
 

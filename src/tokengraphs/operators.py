@@ -22,12 +22,11 @@ general way.
 
 Vertex i of a derived graph is the i-th k-subset or k-multiset of
 1..n in lexicographic order, so a derived graph stores only its kind, k
-and n. ``indices_of`` ranks tokens arithmetically (``index_of`` is its
-one-token case) and the ``labels`` tuple is built only when something
-iterates it; vertex sets move between the index and token views
-through these. ``pair_ranks`` ranks plain ``(a, b)`` pairs on a double
-vertex or pair graph from the rank table its builder uses, so a set of
-2-element tokens can be ranked without building a ``TokenVertex``.
+and n. A token is a sorted tuple of ints, strictly increasing on a
+subset graph and non-decreasing on a multiset graph. ``indices_of``
+ranks tokens of any k by arithmetic (``index_of`` is its one-token
+case), and the ``labels`` tuple is built only when something iterates
+it.
 """
 
 from __future__ import annotations
@@ -36,49 +35,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from math import comb
-from operator import ge, gt
 
 from .graphs import Graph, _edge_pairs
 
 SUBSET = "subset"
 MULTISET = "multiset"
-
-
-@dataclass(frozen=True, slots=True)
-class TokenVertex:
-    """A sorted tuple of base-graph vertices used as a vertex label.
-
-    ``subset`` kind requires strictly increasing elements; ``multiset``
-    allows repeats. Double vertex and pair graphs label with pairs, but
-    k-token labels of any size are supported.
-    """
-
-    kind: str
-    elements: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.kind not in (SUBSET, MULTISET):
-            raise ValueError(f"unknown token kind {self.kind!r}")
-        if not self.elements:
-            raise ValueError("token needs at least one element")
-        elements = self.elements
-        if type(elements) is not tuple:
-            elements = tuple(elements)
-            object.__setattr__(self, "elements", elements)
-        # subset elements strictly increase, multiset elements never decrease
-        if any(map(ge if self.kind == SUBSET else gt, elements, elements[1:])):
-            raise ValueError(f"elements {elements} invalid for {self.kind} token")
-
-    def __str__(self) -> str:
-        return "{" + ",".join(str(e) for e in self.elements) + "}"
-
-
-def subset_token(*elements: int) -> TokenVertex:
-    return TokenVertex(SUBSET, tuple(sorted(elements)))
-
-
-def multiset_token(*elements: int) -> TokenVertex:
-    return TokenVertex(MULTISET, tuple(sorted(elements)))
 
 
 @dataclass(frozen=True)
@@ -103,25 +64,22 @@ class DerivedGraph:
             raise ValueError("label count must match graph order")
 
     @cached_property
-    def labels(self) -> tuple[TokenVertex, ...]:
+    def labels(self) -> tuple[tuple[int, ...], ...]:
         choose = combinations if self.kind == SUBSET else combinations_with_replacement
-        return tuple(
-            TokenVertex(self.kind, combo)
-            for combo in choose(range(1, self.base_order + 1), self.k)
-        )
+        return tuple(choose(range(1, self.base_order + 1), self.k))
 
     def __repr__(self) -> str:
         return f"DerivedGraph(order={self.graph.order}, base_order={self.base_order}, kind={self.kind})"
 
 
-def token_label_of(dg: DerivedGraph, index: int) -> TokenVertex:
+def token_label_of(dg: DerivedGraph, index: int) -> tuple[int, ...]:
     """Token label of a vertex index (1-based)."""
     if not (1 <= index <= dg.graph.order):
         raise ValueError(f"vertex index {index} out of range 1..{dg.graph.order}")
     return dg.labels[index - 1]
 
 
-def index_of(dg: DerivedGraph, token: TokenVertex) -> int:
+def index_of(dg: DerivedGraph, token) -> int:
     """Vertex index (1-based) of a token label, its lexicographic rank;
     tokens that are not labels here are rejected."""
     (rank,) = indices_of(dg, (token,))
@@ -129,48 +87,54 @@ def index_of(dg: DerivedGraph, token: TokenVertex) -> int:
 
 
 def indices_of(dg: DerivedGraph, tokens) -> frozenset[int]:
-    """Vertex indices (1-based) of the token labels in ``tokens``, each
-    ranked as ``index_of`` ranks it; a token that is not a label here is
-    rejected."""
-    n, k, kind = dg.base_order, dg.k, dg.kind
+    """Vertex indices (1-based) of the tokens in ``tokens``, each its
+    lexicographic rank. A token that is not a label here (wrong length,
+    an element outside 1..n, or out of order for the graph's kind) is
+    rejected by name."""
+    n, k = dg.base_order, dg.k
+    multiset = dg.kind == MULTISET
+    tokens = tuple(tokens)
+    if k == 2:
+        # the rank table the builders use; 1 <= a < b <= n for a subset,
+        # 1 <= a <= b <= n for a multiset
+        start = _pair_starts(n, multiset)
+        ranks = []
+        try:
+            for a, b in tokens:
+                if not 1 <= a < b + multiset <= n + multiset:
+                    break
+                ranks.append(start[a] + b + 1)
+            else:
+                return frozenset(ranks)
+        except ValueError:  # a token of another length
+            pass
+        # some token is not a label: the loop below finds it and names it
     # combinatorial number system: the k-subsets after e are those that
     # first exceed it at some position i, comb(n - e_i, k - i) for each i.
     # A k-multiset is the k-subset e_i + i of 1..n+k-1, so there the pool
     # top n+k-1 and the shift i together shrink n - e_i by one per position.
-    shrink = kind == MULTISET
-    top = n + shrink * (k - 1)
+    top = n + multiset * (k - 1)
     last = comb(top, k)
+    step = not multiset  # the next element may repeat the last only in a multiset
     ranks = []
     for token in tokens:
-        e = token.elements
-        if token.kind != kind or len(e) != k or e[0] < 1 or e[-1] > n:
-            raise ValueError(f"token {token} ({token.kind}) is not a vertex label here")
-        rank, pool, j = last, top, k
-        for x in e:
+        if len(token) != k:
+            raise _not_a_label(token, dg)
+        rank, pool, j, low = last, top, k, 1
+        for x in token:
+            if not low <= x <= n:
+                raise _not_a_label(token, dg)
             rank -= comb(pool - x, j)
-            pool -= shrink
+            pool -= multiset
             j -= 1
+            low = x + step
         ranks.append(rank)
     return frozenset(ranks)
 
 
-def pair_ranks(dg: DerivedGraph, pairs) -> frozenset[int]:
-    """Vertex indices (1-based) of the pairs ``(a, b)`` in ``pairs``, the
-    tokens {a, b} of a double vertex or pair graph, ranked as
-    ``indices_of`` ranks them, with no token built. A pair that is not a
-    label here, and any graph with k != 2, is rejected."""
-    if dg.k != 2:
-        raise ValueError(f"pair_ranks needs a graph on 2-element tokens, got k = {dg.k}")
-    n, kind = dg.base_order, dg.kind
-    diagonal = kind == MULTISET
-    start = _pair_starts(n, diagonal)
-    ranks = []
-    for a, b in pairs:
-        # 1 <= a < b <= n for a subset, 1 <= a <= b <= n for a multiset
-        if not 1 <= a < b + diagonal <= n + diagonal:
-            raise ValueError(f"pair {(a, b)} is not a {kind} vertex label here")
-        ranks.append(start[a] + b + 1)
-    return frozenset(ranks)
+def _not_a_label(token, dg: DerivedGraph) -> ValueError:
+    return ValueError(f"token {token} is not a vertex label of this {dg.kind} graph "
+                      f"(k = {dg.k}, base order {dg.base_order})")
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +179,7 @@ def pair_graph(g: Graph) -> DerivedGraph:
 
 def _pair_starts(n: int, diagonal: bool) -> list[int]:
     """The rank table of the 2-multisets (``diagonal``) or 2-subsets of
-    1..n that ``_pair_tokens`` and ``pair_ranks`` share: {a, b} with
+    1..n that ``_pair_tokens`` and ``indices_of`` share: {a, b} with
     a <= b is vertex ``start[a] + b``, 0-based."""
     # As a multiset, the (a - 1)(2n + 2 - a) / 2 multisets {a', .} with
     # a' < a come first, then {a, a} .. {a, b}. As a subset (a < b) it

@@ -4,10 +4,10 @@ A sweep builds, for each selected family and parameter, the derived
 graph, evaluates the closed form, generates and certifies the explicit
 witness of its family's construction, runs the exact solver seeded with
 that witness, and emits one ``VerificationRow``. A witness arrives as
-plain ``(a, b)`` pairs and ``operators.pair_ranks`` ranks them into
-vertex indices, so a row builds no ``TokenVertex``. Canonical
-CSV and JSON reports are byte-identical across runs for a given
-configuration: the elapsed-milliseconds column is zeroed there
+plain ``(a, b)`` int tuples and ``operators.indices_of`` ranks them into
+vertex indices by arithmetic, so a row builds no ``labels`` tuple.
+Canonical CSV and JSON reports are byte-identical across runs for a
+given configuration: the elapsed-milliseconds column is zeroed there
 (wall-clock times are not reproducible) and is only shown in the
 human-readable table.
 """
@@ -35,7 +35,7 @@ from .graphs import (
     wheel,
 )
 from .mis import SolveAborted, alpha, brute_force_alpha, is_independent
-from .operators import DerivedGraph, double_vertex, k_token, pair_graph, pair_ranks
+from .operators import DerivedGraph, double_vertex, indices_of, k_token, pair_graph
 
 STATUS_OK = "ok"
 STATUS_MISMATCH = "mismatch"
@@ -164,7 +164,7 @@ def verify_one(fam: FamilySpec, m: int, method: str = "auto",
     derived = fam.derive(fam.base(m))
     formula_value = fam.formula(m)
     started = time.perf_counter()
-    members = pair_ranks(derived, fam.witness_pairs(m))
+    members = indices_of(derived, fam.witness_pairs(m))
     if is_independent(derived.graph, members):
         witness_size, seed = len(members), members
     else:
@@ -282,7 +282,7 @@ def _random_connected_graph(rng: random.Random, n: int) -> Graph:
 def alpha_after_deleting_tokens(dg: DerivedGraph, pairs) -> int:
     """Exact alpha of the double vertex or pair graph with the tokens
     {a, b} of the given ``(a, b)`` pairs removed."""
-    return alpha(dg.graph, avoid=pair_ranks(dg, pairs)).alpha
+    return alpha(dg.graph, avoid=indices_of(dg, pairs)).alpha
 
 
 def _run_suite(name: str, cases: Iterable[tuple[str, bool]]) -> SuiteResult:
@@ -366,7 +366,7 @@ def _suite_slice_dichotomy(m_range: Iterable[int]) -> SuiteResult:
         for m in m_range:
             dg = pair_graph(cycle(m))
             for q in range(1, m + 1):
-                actual = is_independent(dg.graph, pair_ranks(dg, witnesses.l_set(m, q)))
+                actual = is_independent(dg.graph, indices_of(dg, witnesses.l_set(m, q)))
                 yield f"m={m} q={q}", actual == witnesses.l_is_independent_expected(m, q)
     return _run_suite("l_set_independence_dichotomy", cases())
 

@@ -17,18 +17,20 @@ The building blocks:
 * the cycle double vertex witness: the tokens at odd cyclic distance
   below floor(m/2), plus half of the top distance class when floor(m/2)
   is odd. It uses no apex token, so it serves the wheel too.
-* ``phi``: the index shift {i, j} -> {i, j+1} that carries the pair graph
-  of P_n onto the double vertex graph of P_{n+1}. The path pair witness
-  is built directly; a test checks that it is the path double vertex
-  witness on m+1 vertices pulled back through ``phi_inverse``.
+* ``phi``: the index shift a_i -> a_i + (i - 1) from k-multisets to
+  k-subsets; at k = 2 it is {i, j} -> {i, j+1}, which carries the pair
+  graph of P_n onto the double vertex graph of P_{n+1} keeping every
+  vertex index. The path pair witness is built directly; a test checks
+  that it is the path double vertex witness on m+1 vertices pulled back
+  through ``phi_inverse``.
 
 Every set here is a plain tuple of ``(a, b)`` int pairs with a <= b
-(a < b for 2-subsets), the token {a, b}; ``operators.pair_ranks`` turns
-one into vertex indices of a derived graph by arithmetic, and no
-``TokenVertex`` is built. Each ``*_witness_pairs`` function takes every
-m its family's formula accepts, raises ``ValueError`` at exactly the m
-the formula rejects, and returns a set independent in the derived graph
-and sized exactly at the closed form. From m = 4
+(a < b for 2-subsets), the token {a, b}; ``operators.indices_of`` turns
+one into vertex indices of a derived graph by arithmetic. Each
+``*_witness_pairs`` function takes every m its family's formula
+accepts, raises ``ValueError`` at exactly the m the formula rejects,
+and returns a set independent in the derived graph and sized exactly at
+the closed form. From m = 4
 ``dv_wheel_witness_pairs`` returns the cycle witness, yet it still
 builds the wheel double vertex graph and runs ``dv_wheel_witness``, a
 solve of its apex-free part that starts from that witness and closes
@@ -37,19 +39,11 @@ at the root; ``bench/test_bench.py`` pins that build and that solve.
 
 from __future__ import annotations
 
+from operator import ge, gt
+
 from .graphs import _edge_pairs, _require, cycle, path, wheel
 from .mis import IndependentSet, alpha
-from .operators import (
-    MULTISET,
-    SUBSET,
-    TokenVertex,
-    double_vertex,
-    index_of,
-    multiset_token,
-    pair_graph,
-    pair_ranks,
-    subset_token,
-)
+from .operators import double_vertex, indices_of, pair_graph
 
 Pairs = tuple[tuple[int, int], ...]  # tokens {a, b} as (a, b), a <= b
 
@@ -106,7 +100,7 @@ def linking_profile(m: int) -> frozenset[tuple[int, int]]:
     dg = pair_graph(cycle(m))
     slice_of = {}
     for q in range(1, m + 1):
-        for v in pair_ranks(dg, l_set(m, q)):
+        for v in indices_of(dg, l_set(m, q)):
             slice_of[v] = q
     pairs = set()
     for u, v in _edge_pairs(dg.graph.adjacency_masks):
@@ -219,8 +213,8 @@ def dv_wheel_witness(m: int) -> IndependentSet:
     """
     _require("dv_wheel_witness", m, 3)
     dg = double_vertex(wheel(m))
-    return alpha(dg.graph, avoid=pair_ranks(dg, r_set_dv(m + 1, m + 1)),
-                 incumbent=pair_ranks(dg, dv_cycle_witness_pairs(m))).witness
+    return alpha(dg.graph, avoid=indices_of(dg, r_set_dv(m + 1, m + 1)),
+                 incumbent=indices_of(dg, dv_cycle_witness_pairs(m))).witness
 
 
 def dv_wheel_witness_pairs(m: int) -> Pairs:
@@ -242,33 +236,29 @@ def dv_wheel_witness_pairs(m: int) -> Pairs:
 # the path shift isomorphism
 
 
-def phi(token: TokenVertex) -> TokenVertex:
-    """Shift the larger element up by one: multiset {i, j} with i <= j
-    maps to the 2-subset {i, j+1}."""
-    if token.kind != MULTISET or len(token.elements) != 2:
-        raise ValueError(f"phi expects a 2-multiset token, got {token}")
-    i, j = token.elements
-    return subset_token(i, j + 1)
+def phi(token: tuple[int, ...]) -> tuple[int, ...]:
+    """Shift the i-th element up by i - 1: the k-multiset a_1 <= .. <= a_k
+    of 1..n maps to the k-subset {a_i + i - 1} of 1..n+k-1, keeping its
+    lexicographic rank. At k = 2, {i, j} maps to {i, j+1}."""
+    if any(map(gt, token, token[1:])):
+        raise ValueError(f"phi expects a non-decreasing tuple, got {token}")
+    return tuple(a + i for i, a in enumerate(token))
 
 
-def phi_inverse(token: TokenVertex) -> TokenVertex:
-    """Shift the larger element down by one: 2-subset {a, b} with a < b
-    maps back to the multiset {a, b-1}."""
-    if token.kind != SUBSET or len(token.elements) != 2:
-        raise ValueError(f"phi_inverse expects a 2-subset token, got {token}")
-    a, b = token.elements
-    return multiset_token(a, b - 1)
+def phi_inverse(token: tuple[int, ...]) -> tuple[int, ...]:
+    """Shift the i-th element down by i - 1: the k-subset a_1 < .. < a_k
+    maps back to the k-multiset {a_i - i + 1}."""
+    if any(map(ge, token, token[1:])):
+        raise ValueError(f"phi_inverse expects a strictly increasing tuple, got {token}")
+    return tuple(a - i for i, a in enumerate(token))
 
 
 def phi_edge_image(m: int) -> tuple[frozenset, frozenset]:
     """Image of the pair graph edges of P_m under phi, next to the edge
     set of the double vertex graph of P_{m+1}, both as sets of index
-    pairs of the target graph. Equality certifies the isomorphism."""
+    pairs of the target graph. Equality certifies the isomorphism.
+    ``phi`` keeps each token's rank, so it maps vertex i to vertex i and
+    the image is the source's own edge set."""
     source = pair_graph(path(m))
     target = double_vertex(path(m + 1))
-    mapped = set()
-    for u, v in source.graph.edges:
-        a = index_of(target, phi(source.labels[u - 1]))
-        b = index_of(target, phi(source.labels[v - 1]))
-        mapped.add((a, b) if a < b else (b, a))
-    return frozenset(mapped), frozenset(target.graph.edges)
+    return frozenset(source.graph.edges), frozenset(target.graph.edges)

@@ -22,10 +22,9 @@ from tokengraphs.mis import alpha, brute_force_alpha, is_independent
 from tokengraphs.operators import (
     double_vertex,
     index_of,
+    indices_of,
     k_token,
-    multiset_token,
     pair_graph,
-    pair_ranks,
 )
 from tokengraphs.verify import (
     alpha_after_deleting_tokens,
@@ -73,7 +72,7 @@ def test_c04_pair_cycle_alpha_and_witness():
         dg = pair_graph(cycle(m))
         expected = F.pair_cycle(m)
         assert alpha(dg.graph).alpha == expected, m
-        witness = pair_ranks(dg, W.pair_cycle_witness_pairs(m))
+        witness = indices_of(dg, W.pair_cycle_witness_pairs(m))
         assert is_independent(dg.graph, witness), m
         assert len(witness) == expected, m
     report(4, True, "alpha(C(C_m)) matches the parity formula with certifying witness, m=3..12")
@@ -89,10 +88,10 @@ def test_c05_apex_adds_exactly_one():
         assert wheel_alpha == cycle_alpha + 1, m
 
         fan_dg = pair_graph(fan(m))
-        fw = pair_ranks(fan_dg, W.pair_fan_witness_pairs(m))
+        fw = indices_of(fan_dg, W.pair_fan_witness_pairs(m))
         assert is_independent(fan_dg.graph, fw) and len(fw) == fan_alpha, m
         wheel_dg = pair_graph(wheel(m))
-        ww = pair_ranks(wheel_dg, W.pair_wheel_witness_pairs(m))
+        ww = indices_of(wheel_dg, W.pair_wheel_witness_pairs(m))
         assert is_independent(wheel_dg.graph, ww) and len(ww) == wheel_alpha, m
     report(5, True, "pair-graph apex joins add exactly one, witnesses achieve it, m=3..10")
 
@@ -136,7 +135,7 @@ def test_c09_slice_dichotomy_and_linking_profile():
     for m in range(3, 16):
         dg = pair_graph(cycle(m))
         for q in range(1, m + 1):
-            actual = is_independent(dg.graph, pair_ranks(dg, W.l_set(m, q)))
+            actual = is_independent(dg.graph, indices_of(dg, W.l_set(m, q)))
             assert actual == W.l_is_independent_expected(m, q), (m, q)
     for m in range(4, 13):
         assert W.linking_profile(m) == W.predicted_linking_profile(m), m
@@ -163,7 +162,7 @@ def test_c10_token_slice_deletion_identities():
 def test_c11_corner_token_avoidance():
     for n in (5, 7, 9, 11):
         dg = pair_graph(cycle(n))
-        corner = index_of(dg, multiset_token(1, n))
+        corner = index_of(dg, (1, n))
         assert alpha(dg.graph, avoid=[corner]).alpha == F.pair_cycle(n), n
     report(11, True, "avoiding the corner token {1,n} keeps alpha for odd n in 5..11")
 
@@ -193,7 +192,7 @@ def _oracle_corpus():
         for i in range(1, m + 1):
             from tokengraphs.graphs import delete_vertices
 
-            sub, _ = delete_vertices(dv.graph, pair_ranks(dv, W.r_set_dv(m, i)))
+            sub, _ = delete_vertices(dv.graph, indices_of(dv, W.r_set_dv(m, i)))
             graphs.append(sub)
     rng = random.Random(99)
     graphs += [random_graph(rng, rng.randint(4, 10)) for _ in range(60)]

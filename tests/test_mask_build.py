@@ -73,7 +73,7 @@ def test_mask_built_derived_graphs_match_the_oracles(base):
     for dg, expected in _derived(base):
         g = dg.graph
         _assert_matches_edge_twin(g)
-        labels = [tok.elements for tok in dg.labels]
+        labels = dg.labels
         assert {frozenset((labels[u - 1], labels[v - 1])) for u, v in g.edges} == expected
 
 

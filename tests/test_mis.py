@@ -24,7 +24,7 @@ from tokengraphs.mis import (
     brute_force_alpha,
     is_independent,
 )
-from tokengraphs.operators import double_vertex, index_of, k_token, multiset_token, pair_graph, pair_ranks
+from tokengraphs.operators import double_vertex, index_of, indices_of, k_token, pair_graph
 from tokengraphs.verify import FAMILIES, random_graph
 from tokengraphs.witnesses import dv_wheel_witness, pair_cycle_witness_pairs, r_set_dv
 
@@ -52,7 +52,7 @@ def test_is_independent_on_pair_cycle_slice_union():
     from tokengraphs.witnesses import l_set
 
     dg = pair_graph(cycle(4))
-    members = pair_ranks(dg, l_set(4, 2) + l_set(4, 4))
+    members = indices_of(dg, l_set(4, 2) + l_set(4, 4))
     assert is_independent(dg.graph, members)
     neighbour = dg.graph.adjacency_masks[min(members) - 1].bit_length()
     assert not is_independent(dg.graph, members | {neighbour})
@@ -198,7 +198,7 @@ def test_alpha_avoiding_out_of_range():
 
 def test_alpha_avoiding_corner_token_keeps_value():
     dg = pair_graph(cycle(5))
-    corner = index_of(dg, multiset_token(1, 5))
+    corner = index_of(dg, (1, 5))
     full = alpha(dg.graph).alpha
     avoiding = alpha(dg.graph, avoid=[corner])
     assert avoiding.alpha == full
@@ -209,7 +209,7 @@ def test_alpha_avoiding_corner_token_keeps_value():
 @pytest.mark.parametrize("m", range(4, 10))
 def test_alpha_avoiding_apex_tokens_is_the_dv_wheel_witness(m):
     dg = double_vertex(wheel(m))
-    apex = pair_ranks(dg, r_set_dv(m + 1, m + 1))
+    apex = indices_of(dg, r_set_dv(m + 1, m + 1))
     result = alpha(dg.graph, avoid=apex)
     witness = dv_wheel_witness(m)
     assert result.witness == witness
@@ -323,7 +323,7 @@ def test_alpha_budget_bounds_the_incumbent_read():
     # 20100 vertices and a 10100-member seed: reading and checking it takes
     # milliseconds, so a 1 ms budget can only be honoured by checks inside
     dg = pair_graph(cycle(200))
-    seed = pair_ranks(dg, pair_cycle_witness_pairs(200))
+    seed = indices_of(dg, pair_cycle_witness_pairs(200))
     assert len(seed) == 10100
     start = time.perf_counter()
     with pytest.raises(SolveAborted, match="^budget exceeded while reading the incumbent$"):

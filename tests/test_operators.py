@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -12,15 +13,11 @@ from tokengraphs.operators import (
     MULTISET,
     SUBSET,
     DerivedGraph,
-    TokenVertex,
     double_vertex,
     index_of,
     indices_of,
     k_token,
-    multiset_token,
     pair_graph,
-    pair_ranks,
-    subset_token,
     token_label_of,
 )
 from tokengraphs.verify import random_graph
@@ -29,38 +26,9 @@ from tokengraphs.witnesses import pair_cycle_witness_pairs
 from .oracles import naive_double_vertex_edges, naive_pair_graph_edges
 
 
-def test_token_vertex_validation():
-    with pytest.raises(ValueError):
-        subset_token(2, 2)  # subsets need distinct elements
-    with pytest.raises(ValueError):
-        TokenVertex("subset", (3, 1))  # must be sorted
-    with pytest.raises(ValueError):
-        TokenVertex("bag", (1, 2))
-    assert multiset_token(2, 2).elements == (2, 2)
-    assert str(subset_token(3, 1)) == "{1,3}"
-
-
-@pytest.mark.parametrize("kind, elements, message", [
-    ("subset", (1, 1), r"^elements \(1, 1\) invalid for subset token$"),
-    ("subset", [2, 1], r"^elements \(2, 1\) invalid for subset token$"),
-    ("multiset", (1, 3, 2), r"^elements \(1, 3, 2\) invalid for multiset token$"),
-    ("bag", (1, 2), r"^unknown token kind 'bag'$"),
-    ("subset", (), r"^token needs at least one element$"),
-])
-def test_token_vertex_rejections_and_messages(kind, elements, message):
-    with pytest.raises(ValueError, match=message):
-        TokenVertex(kind, elements)
-
-
-def test_token_vertex_stores_a_tuple():
-    tok = TokenVertex("multiset", [1, 1, 2])
-    assert tok.elements == (1, 1, 2) and type(tok.elements) is tuple
-    assert tok == multiset_token(2, 1, 1) and hash(tok) == hash(multiset_token(1, 1, 2))
-
-
 def test_double_vertex_of_p3_is_p3():
     dg = double_vertex(path(3))
-    assert [t.elements for t in dg.labels] == [(1, 2), (1, 3), (2, 3)]
+    assert dg.labels == ((1, 2), (1, 3), (2, 3))
     # {1,2}-{1,3} via edge {2,3}; {1,3}-{2,3} via edge {1,2}
     assert dg.graph.edges == frozenset({(1, 2), (2, 3)})
 
@@ -78,15 +46,15 @@ def test_double_vertex_rejects_tiny_base():
 def test_double_vertex_fan4_has_apex_tokens():
     dg = double_vertex(fan(4))
     assert dg.graph.order == 10
-    apex_tokens = [subset_token(a, 5) for a in (1, 2, 3, 4)]
+    apex_tokens = [(a, 5) for a in (1, 2, 3, 4)]
     indices = indices_of(dg, apex_tokens)
     assert len(indices) == 4
-    assert index_of(dg, subset_token(2, 5)) in indices
+    assert index_of(dg, (2, 5)) in indices
 
 
 def _labelled_edges(dg):
     return {
-        frozenset((dg.labels[u - 1].elements, dg.labels[v - 1].elements))
+        frozenset((dg.labels[u - 1], dg.labels[v - 1]))
         for u, v in dg.graph.edges
     }
 
@@ -150,7 +118,7 @@ def test_k_token_domain():
 
 def test_pair_graph_of_p2_is_p3():
     dg = pair_graph(path(2))
-    assert [t.elements for t in dg.labels] == [(1, 1), (1, 2), (2, 2)]
+    assert dg.labels == ((1, 1), (1, 2), (2, 2))
     assert dg.graph.edges == frozenset({(1, 2), (2, 3)})
 
 
@@ -167,7 +135,7 @@ def test_pair_graph_of_path_is_double_vertex_of_longer_path(n):
 def test_pair_graph_cycle4_diagonals_nonadjacent():
     dg = pair_graph(cycle(4))
     assert dg.graph.order == 10
-    diagonals = [index_of(dg, multiset_token(i, i)) for i in range(1, 5)]
+    diagonals = [index_of(dg, (i, i)) for i in range(1, 5)]
     for i, u in enumerate(diagonals):
         for v in diagonals[i + 1:]:
             assert not dg.graph.has_edge(u, v)
@@ -183,7 +151,7 @@ def test_pair_graph_matches_shared_element_formulation(base):
 def test_pair_graph_contains_double_vertex_as_subset_restriction(base):
     dg = pair_graph(base)
     # the 2-subsets {a, b}, a < b, are the labels off the diagonal
-    off_diagonal = [i for i, tok in enumerate(dg.labels, start=1) if tok.elements[0] < tok.elements[1]]
+    off_diagonal = [i for i, tok in enumerate(dg.labels, start=1) if tok[0] < tok[1]]
     restricted, _ = induced_subgraph(dg.graph, off_diagonal)
     assert restricted == double_vertex(base).graph
 
@@ -194,15 +162,26 @@ def test_label_round_trip():
         assert index_of(dg, token_label_of(dg, i)) == i
 
 
-@pytest.mark.parametrize("bad", [
-    multiset_token(1, 2),  # wrong kind
-    subset_token(1, 2, 3),  # wrong k
-    subset_token(2, 9),  # element out of range
+@pytest.mark.parametrize("derive, bad", [
+    (double_vertex, (0, 2)),  # below range
+    (double_vertex, (2, 6)),  # above range
+    (double_vertex, (3, 2)),  # a > b
+    (double_vertex, (2, 2)),  # a == b, not a 2-subset
+    (double_vertex, (1, 2, 3)),  # wrong k
+    (double_vertex, ()),
+    (pair_graph, (0, 0)),
+    (pair_graph, (1, 6)),
+    (pair_graph, (4, 3)),
+    (pair_graph, (1,)),
+    (lambda g: k_token(g, 3), (1, 2)),
+    (lambda g: k_token(g, 3), (1, 3, 3)),
+    (lambda g: k_token(g, 3), (2, 4, 6)),
 ])
-def test_indices_of_rejects_a_later_token_by_name(bad):
-    dg = double_vertex(path(4))
-    good = [subset_token(1, 2), subset_token(3, 4), subset_token(1, 4)]
-    message = "^" + re.escape(f"token {bad} ({bad.kind}) is not a vertex label here") + "$"
+def test_indices_of_rejects_a_later_token_by_name(derive, bad):
+    dg = derive(path(5))
+    good = [(1, 2), (3, 4), (1, 5)] if dg.k == 2 else [(1, 2, 3), (3, 4, 5), (1, 2, 5)]
+    message = "^" + re.escape(f"token {bad} is not a vertex label of this {dg.kind} graph "
+                              f"(k = {dg.k}, base order 5)") + "$"
     with pytest.raises(ValueError, match=message):
         indices_of(dg, good + [bad])
     with pytest.raises(ValueError, match=message):
@@ -220,44 +199,21 @@ PAIR_GRAPHS = [pytest.param(derive(base(m)), id=f"{derive.__name__}({base.__name
 
 
 @pytest.mark.parametrize("dg", PAIR_GRAPHS)
-def test_pair_ranks_equal_indices_of_on_every_pair(dg):
-    pairs = [t.elements for t in dg.labels]
-    assert [pair_ranks(dg, [p]) for p in pairs] == [
-        indices_of(dg, [TokenVertex(dg.kind, p)]) for p in pairs]
-    assert pair_ranks(dg, pairs) == frozenset(range(1, dg.graph.order + 1))
-
-
-@pytest.mark.parametrize("derive, bad", [
-    (double_vertex, (0, 2)),  # below range
-    (double_vertex, (2, 6)),  # above range
-    (double_vertex, (3, 2)),  # a > b
-    (double_vertex, (2, 2)),  # a == b, not a 2-subset
-    (pair_graph, (0, 0)),
-    (pair_graph, (1, 6)),
-    (pair_graph, (4, 3)),
-])
-def test_pair_ranks_reject_a_later_pair_by_name(derive, bad):
-    dg = derive(path(5))
-    good = [(1, 2), (3, 4), (1, 5)]
-    message = "^" + re.escape(f"pair {bad} is not a {dg.kind} vertex label here") + "$"
-    with pytest.raises(ValueError, match=message):
-        pair_ranks(dg, good + [bad])
-    with pytest.raises(ValueError, match=message):
-        pair_ranks(dg, iter(good[:1] + [bad] + good[1:]))
-
-
-def test_pair_ranks_reject_a_graph_of_k_other_than_2():
-    for k in (1, 3):
-        with pytest.raises(ValueError, match=f"^pair_ranks needs a graph on 2-element tokens, got k = {k}$"):
-            pair_ranks(k_token(path(5), k), [(1, 2)])
+def test_indices_of_ranks_every_pair_from_the_table(dg):
+    # k = 2 ranks come from the rank table the builders share, with no label built
+    choose = combinations if dg.kind == SUBSET else combinations_with_replacement
+    pairs = list(choose(range(1, dg.base_order + 1), 2))
+    assert [index_of(dg, p) for p in pairs] == list(range(1, dg.graph.order + 1))
+    assert indices_of(dg, pairs) == frozenset(range(1, dg.graph.order + 1))
+    assert "labels" not in vars(dg)
 
 
 def test_unknown_label_rejected():
     dg = double_vertex(path(4))
     with pytest.raises(ValueError):
-        index_of(dg, multiset_token(1, 2))  # multiset token on a subset-kind graph
+        index_of(dg, (1, 1))  # a multiset token on a subset-kind graph
     with pytest.raises(ValueError):
-        index_of(dg, subset_token(1, 9))
+        index_of(dg, (1, 9))
     with pytest.raises(ValueError):
         token_label_of(dg, 0)
     with pytest.raises(ValueError):
@@ -282,7 +238,7 @@ def test_token_deletion_commutes_with_construction():
     reduced, _ = delete_vertices(g, victims)
     direct = double_vertex(reduced).graph
     dg = double_vertex(g)
-    keep = [i for i, tok in enumerate(dg.labels, start=1) if 2 not in tok.elements]
+    keep = [i for i, tok in enumerate(dg.labels, start=1) if 2 not in tok]
     from tokengraphs.graphs import induced_subgraph
 
     inside, _ = induced_subgraph(dg.graph, keep)
@@ -301,5 +257,5 @@ def test_derived_graph_validation():
 
 def test_witness_lookup_leaves_labels_unbuilt():
     dg = pair_graph(cycle(40))
-    assert len(pair_ranks(dg, pair_cycle_witness_pairs(40))) == pair_cycle(40)
+    assert len(indices_of(dg, pair_cycle_witness_pairs(40))) == pair_cycle(40)
     assert "labels" not in vars(dg)

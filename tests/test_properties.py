@@ -17,18 +17,21 @@ from tokengraphs.graphs import (
     cycle,
     delete_vertices,
     disjoint_union,
+    fan,
     induced_subgraph,
     is_isomorphic,
     join,
+    path,
+    wheel,
 )
 from tokengraphs.mis import IndependentSet, _cycle_cover_bound, alpha, brute_force_alpha, is_independent
 from tokengraphs.operators import (
     MULTISET,
     SUBSET,
     DerivedGraph,
-    TokenVertex,
     double_vertex,
     index_of,
+    indices_of,
     k_token,
     pair_graph,
 )
@@ -109,7 +112,7 @@ def test_isomorphism_finds_relabelings_and_is_symmetric(pair):
 
 def _labelled_edges(dg):
     return {
-        frozenset((dg.labels[u - 1].elements, dg.labels[v - 1].elements))
+        frozenset((dg.labels[u - 1], dg.labels[v - 1]))
         for u, v in dg.graph.edges
     }
 
@@ -120,14 +123,14 @@ def test_k_token_and_pair_graph_match_first_principles(g):
     # labels in lexicographic order, edges against the oracles' definitions
     for k in range(1, min(4, g.order) + 1):
         dg = k_token(g, k)
-        assert [t.elements for t in dg.labels] == list(combinations(g.vertices, k))
-        assert {t.kind for t in dg.labels} == {"subset"}
+        assert list(dg.labels) == list(combinations(g.vertices, k))
+        assert dg.kind == SUBSET
         assert dg.graph.order == len(dg.labels)
         assert _labelled_edges(dg) == naive_k_token_edges(g, k)
     if g.order >= 2:
         dg = pair_graph(g)
-        assert [t.elements for t in dg.labels] == list(combinations_with_replacement(g.vertices, 2))
-        assert {t.kind for t in dg.labels} == {"multiset"}
+        assert list(dg.labels) == list(combinations_with_replacement(g.vertices, 2))
+        assert dg.kind == MULTISET
         assert dg.graph.order == len(dg.labels)
         assert _labelled_edges(dg) == naive_pair_graph_edges(g)
 
@@ -141,48 +144,43 @@ def test_k_token_has_a_triangle_iff_its_base_does(g, k):
     assert k_token(g, k).graph.has_triangle == g.has_triangle
 
 
-def _elements(data, kind, size, n):
-    """Sorted elements of a random ``kind`` token of ``size`` elements from
-    1..n, or None when there is no such token."""
-    if kind == SUBSET and size > n:
-        return None
-    return sorted(data.draw(st.lists(st.integers(1, n), min_size=size, max_size=size,
-                                     unique=kind == SUBSET)))
+# every path, cycle, fan and wheel base of order <= 12
+NAMED_BASES = [pytest.param(base(m), id=f"{base.__name__}({m})")
+               for base, first in ((path, 1), (cycle, 3), (fan, 1), (wheel, 3))
+               for m in range(first, 13) if base(m).order <= 12]
 
 
-@settings(max_examples=60, deadline=None)
-@given(graphs(min_order=1, max_order=9), st.data())
-def test_index_of_ranks_every_label_and_rejects_others(g, data):
+@pytest.mark.parametrize("g", NAMED_BASES)
+def test_index_of_ranks_every_label_and_rejects_others(g):
     n = g.order
-    derived = [k_token(g, k) for k in range(1, min(5, n) + 1)]
+    derived = [k_token(g, k) for k in range(1, min(4, n) + 1)]
     if n >= 2:
-        derived.append(pair_graph(g))
+        derived += [double_vertex(g), pair_graph(g)]
     # no operator builds k-multisets for k != 2, so rank them on edgeless graphs
     derived += [DerivedGraph(Graph(comb(n + k - 1, k), frozenset()), MULTISET, k, n)
                 for k in (1, 3, 4)]
     for dg in derived:
-        for i, tok in enumerate(dg.labels, start=1):
+        labels = dg.labels
+        for i, tok in enumerate(labels, start=1):
             assert index_of(dg, tok) == i
-        # tokens that are valid but not labels here: the other kind, k - 1
-        # or k + 1 elements, or one element outside 1..n
-        k, other = dg.k, SUBSET if dg.kind == MULTISET else MULTISET
-        misses = [(other, _elements(data, other, k, n))]
-        misses += [(dg.kind, _elements(data, dg.kind, size, n)) for size in (k - 1, k + 1) if size]
-        inside = _elements(data, dg.kind, k - 1, n)
-        misses += [(dg.kind, sorted(inside + [outside])) for outside in (0, n + 1)]
-        for kind, elements in misses:
-            if elements is not None:
-                token = TokenVertex(kind, tuple(elements))
-                message = f"token {token} ({kind}) is not a vertex label here"
-                with pytest.raises(ValueError, match=re.escape(message)):
-                    index_of(dg, token)
+        assert indices_of(dg, labels) == frozenset(range(1, len(labels) + 1))
+        # tuples that are not labels here, each failing one check: the
+        # length, an element 0 or n + 1, the order, a repeat in a subset
+        first, last = labels[0], labels[-1]
+        misses = [(), first[1:], first + last[-1:], (0,) + first[1:], last[:-1] + (n + 1,)]
+        misses += [tok[::-1] for tok in labels if tok[0] < tok[-1]][:1]
+        if dg.kind == SUBSET and dg.k >= 2:
+            misses.append(first[:1] + first[:-1])
+        for bad in misses:
+            with pytest.raises(ValueError, match="^" + re.escape(f"token {bad} is not a vertex label")):
+                index_of(dg, bad)
 
 
 @given(graphs(min_order=2, max_order=8))
 def test_double_vertex_matches_naive_formulation(g):
     dg = double_vertex(g)
     got = {
-        frozenset((dg.labels[u - 1].elements, dg.labels[v - 1].elements))
+        frozenset((dg.labels[u - 1], dg.labels[v - 1]))
         for u, v in dg.graph.edges
     }
     assert got == naive_double_vertex_edges(g)
@@ -192,7 +190,7 @@ def test_double_vertex_matches_naive_formulation(g):
 def test_pair_graph_matches_naive_formulation(g):
     dg = pair_graph(g)
     got = {
-        frozenset((dg.labels[u - 1].elements, dg.labels[v - 1].elements))
+        frozenset((dg.labels[u - 1], dg.labels[v - 1]))
         for u, v in dg.graph.edges
     }
     assert got == naive_pair_graph_edges(g)
@@ -202,7 +200,7 @@ def test_pair_graph_matches_naive_formulation(g):
 def test_pair_graph_restricts_to_double_vertex(g):
     dg = pair_graph(g)
     # the 2-subsets {a, b}, a < b, are the labels off the diagonal
-    off_diagonal = [i for i, tok in enumerate(dg.labels, start=1) if tok.elements[0] < tok.elements[1]]
+    off_diagonal = [i for i, tok in enumerate(dg.labels, start=1) if tok[0] < tok[1]]
     restricted, _ = induced_subgraph(dg.graph, off_diagonal)
     assert restricted == double_vertex(g).graph
 
@@ -211,7 +209,7 @@ def test_pair_graph_restricts_to_double_vertex(g):
 def test_pair_graph_diagonal_is_independent(g):
     dg = pair_graph(g)
     diagonal = {
-        i for i, tok in enumerate(dg.labels, start=1) if tok.elements[0] == tok.elements[-1]
+        i for i, tok in enumerate(dg.labels, start=1) if tok[0] == tok[-1]
     }
     assert is_independent(dg.graph, diagonal)
 

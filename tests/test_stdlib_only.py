@@ -29,3 +29,32 @@ def test_module_imports_only_stdlib(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     outside = sorted(set(absolute_imports(tree)) - sys.stdlib_module_names)
     assert outside == [], f"{path.name} imports non-stdlib modules: {outside}"
+
+
+def imported_names(tree: ast.AST):
+    """Each name an import statement in ``tree`` binds, ``__future__``
+    features aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def exported_names(tree: ast.Module) -> set[str]:
+    """The names listed in the module's ``__all__``, if it has one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(set(imported_names(tree)) - used - exported_names(tree))
+    assert unused == [], f"{path.name} imports names it never uses: {unused}"

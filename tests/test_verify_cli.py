@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from tokengraphs import verify
 from tokengraphs.cli import main
 from tokengraphs.mis import alpha, brute_force_alpha
-from tokengraphs.operators import TokenVertex, pair_ranks, token_label_of
+from tokengraphs.operators import DerivedGraph, indices_of, token_label_of
 from tokengraphs.verify import (
     CSV_COLUMNS,
     FAMILIES,
@@ -156,7 +157,7 @@ def test_witness_seed_changes_no_alpha_and_no_node_count():
     for name, m in PAPER_ROWS:
         fam = FAMILIES[name]
         dg = fam.derive(fam.base(m))
-        seeded = alpha(dg.graph, incumbent=pair_ranks(dg, fam.witness_pairs(m)))
+        seeded = alpha(dg.graph, incumbent=indices_of(dg, fam.witness_pairs(m)))
         unseeded = alpha(dg.graph)
         assert (seeded.alpha, seeded.nodes) == (unseeded.alpha, unseeded.nodes), (name, m)
         assert seeded.alpha == fam.formula(m), (name, m)
@@ -172,8 +173,8 @@ def test_verify_one_reports_a_short_witness_as_mismatch():
 def test_verify_one_solves_a_dependent_witness_unseeded(monkeypatch):
     fam = FAMILIES["pair_cycle"]
     dg = fam.derive(fam.base(7))
-    first = min(pair_ranks(dg, fam.witness_pairs(7)))
-    neighbour = token_label_of(dg, dg.graph.adjacency_masks[first - 1].bit_length()).elements
+    first = min(indices_of(dg, fam.witness_pairs(7)))
+    neighbour = token_label_of(dg, dg.graph.adjacency_masks[first - 1].bit_length())
     planted = dataclasses.replace(fam, witness_pairs=lambda m: (*fam.witness_pairs(m), neighbour))
     seeds = []
 
@@ -188,10 +189,10 @@ def test_verify_one_solves_a_dependent_witness_unseeded(monkeypatch):
 
 
 def test_constructed_rows_build_no_token(monkeypatch):
-    # witnesses travel as (a, b) pairs and are ranked by arithmetic; the
-    # dv_wheel witness turns the solver's ranks back into pairs the same way
+    # witnesses travel as (a, b) tuples and are ranked by arithmetic, so no
+    # row lists the token labels of its derived graph
     built = []
-    monkeypatch.setattr(TokenVertex, "__post_init__", lambda self: built.append(self))
+    monkeypatch.setattr(DerivedGraph, "labels", property(lambda self: built.append(self)))
     rows = [verify_one(fam, m) for fam in FAMILIES.values() for m in range(3, 13)]
     assert len(rows) == 80 and all(r.status == "ok" and r.witness == r.alpha for r in rows)
     assert built == []
@@ -348,11 +349,17 @@ def test_cli_witness_matches_golden():
     (["build", "cycle", "6", "--op", "token:3", "--format", "json"], "build_cycle6_token3.json"),
     (["build", "wheel", "6", "--format", "dot"], "build_wheel6.dot"),
     (["build", "fan", "5", "--format", "json"], "build_fan5.json"),
+    (["alpha", "cycle", "5", "--op", "pair"], "alpha_cycle5_pair.txt"),
+    (["alpha", "cycle", "7", "--op", "token:3"], "alpha_cycle7_token3.txt"),
+    (["alpha", "wheel", "4", "--op", "dv", "--method", "brute"], "alpha_wheel4_dv_brute.txt"),
+    (["alpha", "path", "4"], "alpha_path4.txt"),
 ])
 def test_cli_build_export_matches_golden(capsys, argv, name):
     golden = Path(__file__).parent / "golden" / name
     assert main(argv) == 0
-    assert capsys.readouterr().out == golden.read_text()
+    # alpha prints its wall time, the one part that varies from run to run
+    out = re.sub(r"elapsed_ms=[0-9.]+", "elapsed_ms=", capsys.readouterr().out)
+    assert out == golden.read_text()
 
 
 def test_cli_verify_empty_range_is_config_error(capsys):

@@ -4,13 +4,7 @@ from tokengraphs import formulas as F
 from tokengraphs import witnesses as W
 from tokengraphs.graphs import cycle, fan, path, wheel
 from tokengraphs.mis import BRUTE_FORCE_CAP, alpha, brute_force_alpha, is_independent
-from tokengraphs.operators import (
-    double_vertex,
-    multiset_token,
-    pair_graph,
-    pair_ranks,
-    subset_token,
-)
+from tokengraphs.operators import double_vertex, index_of, indices_of, pair_graph
 from tokengraphs.verify import FAMILIES, alpha_after_deleting_tokens
 
 
@@ -49,14 +43,14 @@ def test_l_sets_partition_pair_cycle_vertices(m):
     for q in range(1, m + 1):
         seen.extend(W.l_set(m, q))
     assert len(seen) == len(set(seen)) == dg.graph.order
-    assert set(seen) == {t.elements for t in dg.labels}
+    assert set(seen) == set(dg.labels)
 
 
 @pytest.mark.parametrize("m", range(3, 16))
 def test_l_set_independence_dichotomy(m):
     dg = pair_graph(cycle(m))
     for q in range(1, m + 1):
-        actual = is_independent(dg.graph, pair_ranks(dg, W.l_set(m, q)))
+        actual = is_independent(dg.graph, indices_of(dg, W.l_set(m, q)))
         assert actual == W.l_is_independent_expected(m, q), (m, q)
 
 
@@ -134,7 +128,7 @@ def test_apex_slices():
 @pytest.mark.parametrize("m", range(3, 13))
 def test_pair_cycle_witness(m):
     dg = pair_graph(cycle(m))
-    members = pair_ranks(dg, W.pair_cycle_witness_pairs(m))
+    members = indices_of(dg, W.pair_cycle_witness_pairs(m))
     assert is_independent(dg.graph, members)
     assert len(members) == F.pair_cycle(m)
 
@@ -152,7 +146,7 @@ def test_pair_cycle_witness_slice_selection():
 @pytest.mark.parametrize("m", range(2, 12))
 def test_dv_path_witness(m):
     dg = double_vertex(path(m))
-    members = pair_ranks(dg, W.dv_path_witness_pairs(m))
+    members = indices_of(dg, W.dv_path_witness_pairs(m))
     assert is_independent(dg.graph, members)
     assert len(members) == F.dv_path(m)
 
@@ -168,7 +162,7 @@ def test_dv_path_witness_m2():
 @pytest.mark.parametrize("m", range(1, 12))
 def test_dv_fan_witness(m):
     dg = double_vertex(fan(m))
-    members = pair_ranks(dg, W.dv_fan_witness_pairs(m))
+    members = indices_of(dg, W.dv_fan_witness_pairs(m))
     assert is_independent(dg.graph, members)
     assert len(members) == F.dv_fan(m)
 
@@ -176,22 +170,21 @@ def test_dv_fan_witness(m):
 @pytest.mark.parametrize("m", range(2, 11))
 def test_pair_path_witness(m):
     dg = pair_graph(path(m))
-    members = pair_ranks(dg, W.pair_path_witness_pairs(m))
+    members = indices_of(dg, W.pair_path_witness_pairs(m))
     assert is_independent(dg.graph, members)
     assert len(members) == F.pair_path(m)
 
 
 def test_pair_path_witness_is_the_dv_path_witness_pulled_back():
     for m in range(1, 31):
-        pulled = tuple(W.phi_inverse(subset_token(*p)).elements
-                       for p in W.dv_path_witness_pairs(m + 1))
+        pulled = tuple(W.phi_inverse(p) for p in W.dv_path_witness_pairs(m + 1))
         assert W.pair_path_witness_pairs(m) == pulled
 
 
 @pytest.mark.parametrize("m", range(2, 11))
 def test_pair_fan_witness(m):
     dg = pair_graph(fan(m))
-    members = pair_ranks(dg, W.pair_fan_witness_pairs(m))
+    members = indices_of(dg, W.pair_fan_witness_pairs(m))
     assert is_independent(dg.graph, members)
     assert len(members) == F.pair_fan(m)
 
@@ -203,7 +196,7 @@ def test_pair_fan_witness_contains_apex_diagonal():
 @pytest.mark.parametrize("m", range(3, 11))
 def test_pair_wheel_witness(m):
     dg = pair_graph(wheel(m))
-    members = pair_ranks(dg, W.pair_wheel_witness_pairs(m))
+    members = indices_of(dg, W.pair_wheel_witness_pairs(m))
     assert is_independent(dg.graph, members)
     assert len(members) == F.pair_wheel(m)
 
@@ -221,7 +214,7 @@ def test_dv_cycle_witness(base, formula, first, last):
     for m in range(first, last + 1):
         pairs = W.dv_cycle_witness_pairs(m)
         dg = double_vertex(base(m))
-        members = pair_ranks(dg, pairs)
+        members = indices_of(dg, pairs)
         assert len(set(pairs)) == len(members) == formula(m), m
         assert is_independent(dg.graph, members), m
         if dg.graph.order <= BRUTE_FORCE_CAP:  # m <= 7 on the cycle, m <= 6 on the wheel
@@ -249,7 +242,7 @@ def test_dv_wheel_witness_starts_from_the_construction(monkeypatch):
         W.dv_wheel_witness(m)
         dg = double_vertex(wheel(m))
         assert len(calls) == m - 2, m
-        assert calls[-1] == (pair_ranks(dg, W.dv_cycle_witness_pairs(m)), 1), m
+        assert calls[-1] == (indices_of(dg, W.dv_cycle_witness_pairs(m)), 1), m
 
 
 @pytest.mark.parametrize("m", range(4, 11))
@@ -259,7 +252,7 @@ def test_dv_wheel_witness(m):
     assert is_independent(dg.graph, w.members)
     assert len(w) == F.dv_wheel(m)
     # solver-backed witness avoids the apex tokens by construction
-    apex = pair_ranks(dg, W.r_set_dv(m + 1, m + 1))
+    apex = indices_of(dg, W.r_set_dv(m + 1, m + 1))
     assert not (w.members & apex)
 
 
@@ -293,7 +286,7 @@ def test_construction_certifies_formula_on_every_swept_m(fam):
     for m in range(fam.min_m, 25):
         derived = fam.derive(fam.base(m))
         pairs = fam.witness_pairs(m)
-        members = pair_ranks(derived, pairs)
+        members = indices_of(derived, pairs)
         assert len(members) == len(pairs) == fam.formula(m), m
         assert is_independent(derived.graph, members), m
 
@@ -312,21 +305,33 @@ def test_construction_rejects_exactly_where_formula_does(fam):
 
 
 def test_phi_examples():
-    assert W.phi(multiset_token(1, 1)).elements == (1, 2)
-    assert W.phi(multiset_token(2, 5)).elements == (2, 6)
+    assert W.phi((1, 1)) == (1, 2)
+    assert W.phi((2, 5)) == (2, 6)
+    assert W.phi((1, 1, 1)) == (1, 2, 3)
+    assert W.phi_inverse((2, 4, 7)) == (2, 3, 5)
 
 
-def test_phi_kind_checks():
-    with pytest.raises(ValueError):
-        W.phi(subset_token(1, 2))
-    with pytest.raises(ValueError):
-        W.phi_inverse(multiset_token(1, 2))
+def test_phi_order_checks():
+    with pytest.raises(ValueError, match=r"^phi expects a non-decreasing tuple, got \(2, 1\)$"):
+        W.phi((2, 1))
+    with pytest.raises(ValueError, match=r"^phi_inverse expects a strictly increasing tuple, got \(1, 1\)$"):
+        W.phi_inverse((1, 1))
+    with pytest.raises(ValueError, match=r"^phi_inverse expects a strictly increasing tuple, got \(1, 3, 2\)$"):
+        W.phi_inverse((1, 3, 2))
 
 
 def test_phi_round_trip():
     dg = pair_graph(path(5))
     for tok in dg.labels:
         assert W.phi_inverse(W.phi(tok)) == tok
+
+
+def test_phi_keeps_every_rank():
+    # vertex i of the pair graph of P_m maps to vertex i of F2(P_{m+1})
+    for m in range(2, 40):
+        source, target = pair_graph(path(m)), double_vertex(path(m + 1))
+        assert [index_of(target, W.phi(t)) for t in source.labels] == list(
+            range(1, source.graph.order + 1)), m
 
 
 @pytest.mark.parametrize("m", range(3, 11))
