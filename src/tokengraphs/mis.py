@@ -11,7 +11,7 @@ Two independent routes are provided on purpose:
   incumbent (bucket queue, lowest index on ties) unless the caller
   passes an independent set to start from, isolated/pendant-vertex
   reductions between branchings, and connected components of the
-  residual graph solved separately at the root of each search. Three
+  root's residual graph searched one by one, each as its own root. Three
   upper bounds, each tried only where the ones before it fail to prune: a
   greedy clique cover; a cycle cover read off a maximum matching of the
   bipartite double cover (the LP plus cycle-cover bound of Akiba & Iwata,
@@ -36,7 +36,8 @@ Two independent routes are provided on purpose:
   root's reductions leave no vertex of degree <= 1 behind. Either way
   the next take is the lowest vertex of degree <= 1, so the takes and
   the search tree are those of a scan over every vertex. The
-  search runs on an explicit stack, not on interpreter frames.
+  search is one loop over an explicit stack, not interpreter frames;
+  each component root is a depth-0 frame of it, like g's own root.
   ``alpha(g, avoid=...)`` reads the given vertices into a mask, a block
   at a time under the budget, and searches from the mask without them,
   so no smaller graph is built and the witness keeps g's labels.
@@ -417,6 +418,10 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
     set found, so a small or empty incumbent costs nodes, never
     exactness. Both sets are read once, through ``Graph._vertex_mask``.
 
+    The search is one loop: where g's root splits after its reductions,
+    each component is pushed as a depth-0 frame, a root of its own that
+    starts from its part of the incumbent.
+
     ``budget_ms`` aborts the solve with ``SolveAborted`` once exceeded so
     callers can report a distinguishable aborted status; it must be
     positive (a NaN deadline would never pass). Every graph arrives with
@@ -457,104 +462,6 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
                 if adj[v - 1] & seed:
                     raise ValueError(f"incumbent vertex {v} has a neighbour in the incumbent")
 
-    nodes = clique_prunes = cover_prunes = triangle_prunes = reductions = max_depth = 0
-
-    def search(mask: int, deg: list[int], dirty: int, incumbent: int, matching: tuple) -> int:
-        """Maximum independent set of the subgraph induced by ``mask``;
-        ``deg`` is its degree table (the search uses it up), ``dirty``
-        holds every vertex of degree <= 1 there, ``incumbent`` an
-        independent subset of ``mask`` to beat and ``matching`` a start
-        for the cycle-cover bound."""
-        nonlocal nodes, clique_prunes, cover_prunes, triangle_prunes, reductions, max_depth
-        best_mask = incumbent
-        best = incumbent.bit_count()
-
-        # ``deg[v]`` is v's degree in the node's residual graph, -1 once v is
-        # gone; ``dirty`` masks the vertices whose degree dropped since the
-        # reductions last looked at them (at the root, those of degree <= 1).
-        # Frames are (mask, chosen, depth, deg, dirty, matching); the exclude
-        # child is pushed under the include child, so nodes are visited in
-        # the order a recursive search would visit them.
-        stack = [(mask, 0, 0, deg, dirty, matching)]
-        while stack:
-            mask, chosen, depth, deg, dirty, matching = stack.pop()
-            nodes += 1
-            if depth > max_depth:
-                max_depth = depth
-            if time.perf_counter() > deadline:
-                raise SolveAborted(f"budget {budget_ms} ms exceeded after {nodes} nodes")
-
-            # Isolated and pendant vertices can always be taken. ``scan`` is
-            # the worklist of dirty vertices still in the graph (the others
-            # still have degree >= 2); each step looks at its lowest vertex,
-            # and a take adds the vertices whose degree it dropped.
-            scan = dirty & mask
-            while scan:
-                bit = scan & -scan
-                scan ^= bit
-                v = bit.bit_length() - 1
-                if deg[v] > 1:
-                    continue
-                # take v; a pendant's one neighbour goes with it
-                gone = (adj[v] & mask) | bit
-                mask ^= gone
-                chosen |= bit
-                reductions += 1
-                scan = (scan | _drop(adj, deg, mask, gone)) & mask
-            size = chosen.bit_count()
-
-            if mask == 0:
-                if size > best:
-                    best, best_mask = size, chosen
-                continue
-            # below the root of a triangle-free g every clique of the greedy
-            # cover is an edge or a vertex, so the cycle cover is at least
-            # as tight
-            if (depth == 0 or g.has_triangle) and size + _clique_cover_bound(adj, mask) <= best:
-                clique_prunes += 1
-                continue
-            # the children start from this node's matching
-            bound, matching = _cycle_cover_bound(adj, mask, matching, deadline)
-            if size + bound <= best:
-                cover_prunes += 1
-                continue
-            # read at the first node left open; a triangle-free g has no
-            # triangle in any vertex subset either
-            if g.has_triangle and size + _triangle_cover_bound(adj, mask, deg, matching,
-                                                               deadline) <= best:
-                triangle_prunes += 1
-                continue
-
-            # Split into components only at the root: a check at every node
-            # found no split below the root on k-token graphs of cycles and
-            # cost 13-17% per node.
-            if depth == 0:
-                comps = list(_component_masks(adj, mask))
-                if len(comps) > 1:
-                    for comp in comps:
-                        # a component keeps its residual degrees, all >= 2
-                        # after the reductions, so its worklist starts empty
-                        comp_deg = [-1] * n
-                        for v in _mask_to_set(comp):
-                            comp_deg[v - 1] = deg[v - 1]
-                        chosen |= search(comp, comp_deg, 0, best_mask & comp, matching)
-                    # optimal: the reductions are safe and each component
-                    # search returns a maximum set of its component
-                    return chosen
-
-            # branch on a maximum-degree vertex with the most neighbours of
-            # that degree, lowest index on ties
-            v = _branch_vertex(adj, deg)
-            vbit = 1 << v
-            closed = (adj[v] & mask) | vbit
-            include_deg = deg[:]
-            include_dirty = _drop(adj, include_deg, mask & ~closed, closed)
-            exclude_dirty = _drop(adj, deg, mask ^ vbit, vbit)
-            stack.append((mask ^ vbit, chosen, depth + 1, deg, exclude_dirty, matching))
-            stack.append((mask & ~closed, chosen | vbit, depth + 1, include_deg, include_dirty,
-                          matching))
-        return best_mask
-
     mask = ((1 << n) - 1) ^ avoid_mask
     deg = []
     low = 0  # the vertices of degree <= 1, the root's reduction worklist
@@ -569,7 +476,102 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
     no_arcs = [-1] * n
     if incumbent is None:
         seed = _greedy_incumbent(adj, mask, deg[:], deadline)
-    best_mask = search(mask, deg, low & mask, seed, (no_arcs, no_arcs, 0, 0))
+
+    nodes = clique_prunes = cover_prunes = triangle_prunes = reductions = max_depth = 0
+    # ``deg[v]`` is v's degree in the node's residual graph, -1 once v is
+    # gone; ``dirty`` masks the vertices whose degree dropped since the
+    # reductions last looked at them (at the root, those of degree <= 1).
+    # Frames are (mask, chosen, depth, deg, dirty, matching); the exclude
+    # child is pushed under the include child, so nodes are visited in the
+    # order a recursive search would visit them. ``best_mask`` is the best
+    # set of the current root (a frame at depth 0), started from its part
+    # of the incumbent; ``union`` collects those of the roots before it.
+    union = best_mask = best = 0
+    stack = [(mask, 0, 0, deg, low & mask, (no_arcs, no_arcs, 0, 0))]
+    while stack:
+        mask, chosen, depth, deg, dirty, matching = stack.pop()
+        nodes += 1
+        if depth == 0:
+            union |= best_mask
+            best_mask = seed & mask
+            best = best_mask.bit_count()
+        elif depth > max_depth:
+            max_depth = depth
+        if time.perf_counter() > deadline:
+            raise SolveAborted(f"budget {budget_ms} ms exceeded after {nodes} nodes")
+
+        # Isolated and pendant vertices can always be taken. ``scan`` is
+        # the worklist of dirty vertices still in the graph (the others
+        # still have degree >= 2); each step looks at its lowest vertex,
+        # and a take adds the vertices whose degree it dropped.
+        scan = dirty & mask
+        while scan:
+            bit = scan & -scan
+            scan ^= bit
+            v = bit.bit_length() - 1
+            if deg[v] > 1:
+                continue
+            # take v; a pendant's one neighbour goes with it
+            gone = (adj[v] & mask) | bit
+            mask ^= gone
+            chosen |= bit
+            reductions += 1
+            scan = (scan | _drop(adj, deg, mask, gone)) & mask
+        size = chosen.bit_count()
+
+        if mask == 0:
+            if size > best:
+                best, best_mask = size, chosen
+            continue
+        # below the root of a triangle-free g every clique of the greedy
+        # cover is an edge or a vertex, so the cycle cover is at least
+        # as tight
+        if (depth == 0 or g.has_triangle) and size + _clique_cover_bound(adj, mask) <= best:
+            clique_prunes += 1
+            continue
+        # the children start from this node's matching
+        bound, matching = _cycle_cover_bound(adj, mask, matching, deadline)
+        if size + bound <= best:
+            cover_prunes += 1
+            continue
+        # read at the first node left open; a triangle-free g has no
+        # triangle in any vertex subset either
+        if g.has_triangle and size + _triangle_cover_bound(adj, mask, deg, matching,
+                                                           deadline) <= best:
+            triangle_prunes += 1
+            continue
+
+        # Split into components only at a root: a check at every node
+        # found no split below the root on k-token graphs of cycles and
+        # cost 13-17% per node.
+        if depth == 0:
+            comps = list(_component_masks(adj, mask))
+            if len(comps) > 1:
+                # optimal: the reductions are safe and each component
+                # root's tree finds a maximum set of its component
+                union |= chosen
+                best_mask = 0
+                for comp in reversed(comps):  # popped lowest vertex first
+                    # a component keeps its residual degrees, all >= 2
+                    # after the reductions, so its worklist starts empty
+                    comp_deg = [-1] * n
+                    for v in _mask_to_set(comp):
+                        comp_deg[v - 1] = deg[v - 1]
+                    stack.append((comp, 0, 0, comp_deg, 0, matching))
+                continue
+
+        # branch on a maximum-degree vertex with the most neighbours of
+        # that degree, lowest index on ties
+        v = _branch_vertex(adj, deg)
+        vbit = 1 << v
+        closed = (adj[v] & mask) | vbit
+        include_deg = deg[:]
+        include_dirty = _drop(adj, include_deg, mask & ~closed, closed)
+        exclude_dirty = _drop(adj, deg, mask ^ vbit, vbit)
+        stack.append((mask ^ vbit, chosen, depth + 1, deg, exclude_dirty, matching))
+        stack.append((mask & ~closed, chosen | vbit, depth + 1, include_deg, include_dirty,
+                      matching))
+    best_mask |= union
     elapsed = time.perf_counter() - start
     return MisResult(
         best_mask.bit_count(), IndependentSet(n, _mask_to_set(best_mask)), nodes, elapsed,

@@ -1,6 +1,6 @@
-"""No function in the package calls itself by name, apart from two whose
-depth is bounded, so a large input cannot overrun the interpreter's
-recursion limit."""
+"""No function in the package calls itself by name, apart from the
+brute-force oracle, whose depth is bounded, so a large input cannot
+overrun the interpreter's recursion limit."""
 
 import ast
 from pathlib import Path
@@ -10,9 +10,8 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tokengraphs"
 MODULES = sorted(PACKAGE.rglob("*.py"))
 
-# brute_force_alpha's explore descends at most BRUTE_FORCE_CAP levels, and
-# alpha's search calls itself only for the root component split.
-ALLOWED = {("mis.py", "brute_force_alpha.explore"), ("mis.py", "alpha.search")}
+# brute_force_alpha's explore descends at most BRUTE_FORCE_CAP levels.
+ALLOWED = {("mis.py", "brute_force_alpha.explore")}
 
 
 def calls_itself(fn: ast.FunctionDef) -> bool:

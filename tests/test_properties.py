@@ -276,10 +276,16 @@ def bridged_unions(draw):
 @settings(max_examples=40, deadline=None)
 @given(bridged_unions())
 def test_alpha_on_disjoint_unions_matches_exhaustive_oracle(g):
-    result = alpha(g)
-    assert result.alpha == exhaustive_alpha(g)
-    assert len(result.witness.members) == result.alpha
-    assert is_independent(g, result.witness.members)
+    # also from an empty incumbent and from a maximum set less its lowest
+    # vertex, so each component root must start from its own part of the
+    # incumbent and no more
+    expected = exhaustive_alpha(g)
+    maximum = sorted(alpha(g).witness.members)
+    for incumbent in (None, (), maximum[1:]):
+        result = alpha(g, incumbent=incumbent)
+        assert result.alpha == expected
+        assert len(result.witness.members) == result.alpha
+        assert is_independent(g, result.witness.members)
 
 
 @settings(max_examples=80, deadline=None)
