@@ -20,10 +20,9 @@ from typing import Sequence
 
 from .exports import derived_to_dot, derived_to_json, graph_to_dot, graph_to_json, token_text
 from .graphs import complete, cycle, fan, path, wheel
-from .mis import SolveAborted, is_independent
+from .mis import is_independent
 from .operators import double_vertex, indices_of, k_token, pair_graph
 from .verify import (
-    EXIT_ABORTED,
     EXIT_MISMATCH,
     EXIT_OK,
     FAMILIES,
@@ -240,9 +239,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SolveAborted as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return EXIT_ABORTED
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """Explicit structured vertex sets and independent-set constructions for
-the derived graphs of paths, cycles, fans and wheels.
+the derived graphs of paths, cycles, fans and wheels. Every public
+function is a construction, a slice (with the slices' linking profile)
+or the shift map; none reads its answer off a solver.
 
 The building blocks:
 
@@ -30,19 +32,17 @@ one into vertex indices of a derived graph by arithmetic. Each
 ``*_witness_pairs`` function takes every m its family's formula
 accepts, raises ``ValueError`` at exactly the m the formula rejects,
 and returns a set independent in the derived graph and sized exactly at
-the closed form. From m = 4
-``dv_wheel_witness_pairs`` returns the cycle witness, yet it still
-builds the wheel double vertex graph and runs ``dv_wheel_witness``, a
-solve of its apex-free part that starts from that witness and closes
-at the root; ``bench/test_bench.py`` pins that build and that solve.
+the closed form. From m = 4 ``dv_wheel_witness_pairs`` returns the cycle
+witness; it still builds F2(W_m) twice and solves its apex-free part
+from that witness, reading nothing back, as ``bench/test_bench.py`` pins.
 """
 
 from __future__ import annotations
 
 from operator import ge, gt
 
-from .graphs import _edge_pairs, _require, cycle, path, wheel
-from .mis import IndependentSet, alpha
+from .graphs import _edge_pairs, _require, cycle, wheel
+from .mis import alpha
 from .operators import double_vertex, indices_of, pair_graph
 
 Pairs = tuple[tuple[int, int], ...]  # tokens {a, b} as (a, b), a <= b
@@ -200,23 +200,6 @@ def dv_cycle_witness_pairs(m: int) -> Pairs:
     return tuple(pairs)
 
 
-def dv_wheel_witness(m: int) -> IndependentSet:
-    """Maximum independent set of the apex-free part of the wheel double
-    vertex graph: ``alpha`` avoiding the apex tokens
-    ``r_set_dv(m + 1, m + 1)``, started from ``dv_cycle_witness_pairs(m)``
-    as its incumbent, so its root closes at once, in the vertex indices
-    of the whole graph.
-
-    For m >= 4 its size equals the wheel closed form. For m = 3 the
-    apex-free part is a triangle, so the witness has size 1 while the
-    full graph reaches 2; ``dv_wheel_witness_pairs`` covers that m.
-    """
-    _require("dv_wheel_witness", m, 3)
-    dg = double_vertex(wheel(m))
-    return alpha(dg.graph, avoid=indices_of(dg, r_set_dv(m + 1, m + 1)),
-                 incumbent=indices_of(dg, dv_cycle_witness_pairs(m))).witness
-
-
 def dv_wheel_witness_pairs(m: int) -> Pairs:
     """A maximum independent set of the wheel double vertex graph, sized
     at ``formulas.dv_wheel(m)`` for every m >= 3: {1,2}, {3,4} at m = 3,
@@ -225,11 +208,14 @@ def dv_wheel_witness_pairs(m: int) -> Pairs:
     if m == 3:
         # F2(W_3) = F2(K_4), where two disjoint 2-subsets are non-adjacent
         return ((1, 2), (3, 4))
-    # this build and the solve change nothing returned; they stay while
+    pairs = dv_cycle_witness_pairs(m)
+    # two builds and a solve whose result nothing reads; they stay while
     # bench/test_bench.py pins them at dv_wheel(6)
     double_vertex(wheel(m))
-    dv_wheel_witness(m)
-    return dv_cycle_witness_pairs(m)
+    dg = double_vertex(wheel(m))
+    alpha(dg.graph, avoid=indices_of(dg, r_set_dv(m + 1, m + 1)),
+          incumbent=indices_of(dg, pairs))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +238,3 @@ def phi_inverse(token: tuple[int, ...]) -> tuple[int, ...]:
         raise ValueError(f"phi_inverse expects a strictly increasing tuple, got {token}")
     return tuple(a - i for i, a in enumerate(token))
 
-
-def phi_edge_image(m: int) -> tuple[frozenset, frozenset]:
-    """Image of the pair graph edges of P_m under phi, next to the edge
-    set of the double vertex graph of P_{m+1}, both as sets of index
-    pairs of the target graph. Equality certifies the isomorphism.
-    ``phi`` keeps each token's rank, so it maps vertex i to vertex i and
-    the image is the source's own edge set."""
-    source = pair_graph(path(m))
-    target = double_vertex(path(m + 1))
-    return frozenset(source.graph.edges), frozenset(target.graph.edges)

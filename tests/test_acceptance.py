@@ -60,11 +60,10 @@ def test_c02_wheel_double_vertex_alpha_sweep():
 
 def test_c03_pair_path_shift_isomorphism_and_alpha():
     for m in range(3, 11):
-        image, target = W.phi_edge_image(m)
-        assert image == target, m
+        assert pair_graph(path(m)).graph == double_vertex(path(m + 1)).graph, m
         got = alpha(pair_graph(path(m)).graph).alpha
         assert got == (m + 1) ** 2 // 4, (m, got)
-    report(3, True, "edge image under the shift map equals F2(P_{m+1}) and alpha matches, m=3..10")
+    report(3, True, "the pair graph of P_m equals F2(P_{m+1}) and alpha matches, m=3..10")
 
 
 def test_c04_pair_cycle_alpha_and_witness():

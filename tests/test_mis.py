@@ -26,7 +26,7 @@ from tokengraphs.mis import (
 )
 from tokengraphs.operators import double_vertex, index_of, indices_of, k_token, pair_graph
 from tokengraphs.verify import FAMILIES, random_graph
-from tokengraphs.witnesses import dv_wheel_witness, pair_cycle_witness_pairs, r_set_dv
+from tokengraphs.witnesses import dv_cycle_witness_pairs, pair_cycle_witness_pairs, r_set_dv
 
 from .oracles import double_cover_matching_size, exhaustive_alpha
 
@@ -207,13 +207,13 @@ def test_alpha_avoiding_corner_token_keeps_value():
 
 
 @pytest.mark.parametrize("m", range(4, 10))
-def test_alpha_avoiding_apex_tokens_is_the_dv_wheel_witness(m):
+def test_alpha_avoiding_apex_tokens_finds_the_dv_cycle_witness(m):
     dg = double_vertex(wheel(m))
     apex = indices_of(dg, r_set_dv(m + 1, m + 1))
     result = alpha(dg.graph, avoid=apex)
-    witness = dv_wheel_witness(m)
-    assert result.witness == witness
-    assert result.alpha == len(witness)
+    construction = indices_of(dg, dv_cycle_witness_pairs(m))
+    assert result.witness.members == construction
+    assert result.alpha == len(construction)
     assert not set(apex) & result.witness.members
 
 

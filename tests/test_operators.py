@@ -127,9 +127,9 @@ def test_pair_graph_rejects_tiny_base():
         pair_graph(path(1))
 
 
-@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("n", range(2, 13))
 def test_pair_graph_of_path_is_double_vertex_of_longer_path(n):
-    assert is_isomorphic(pair_graph(path(n)).graph, double_vertex(path(n + 1)).graph)
+    assert pair_graph(path(n)).graph == double_vertex(path(n + 1)).graph
 
 
 def test_pair_graph_cycle4_diagonals_nonadjacent():

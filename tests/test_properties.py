@@ -2,10 +2,13 @@
 
 import random
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from functools import reduce
 from itertools import combinations, combinations_with_replacement
 from math import comb, inf
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -416,3 +419,29 @@ def test_double_vertex_degree_sum_equals_movable_edge_incidences():
     for _ in range(20):
         g = random_graph(rng, rng.randint(3, 8))
         assert double_vertex(g).graph.size == g.size * (g.order - 2)
+
+
+PLANTED_FAILURE = """\
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=10))
+def test_planted(n):
+    assert n < 3
+"""
+
+
+def test_failing_property_reports_its_falsifying_example(tmp_path):
+    # under the repo's warning filters a failing @given test must show its
+    # assertion and example, not end the run in INTERNALERROR
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    (tmp_path / "test_planted.py").write_text(PLANTED_FAILURE)
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "-p", "no:cacheprovider",
+         "test_planted.py"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    out = done.stdout + done.stderr
+    assert done.returncode == 1, out
+    assert "Falsifying example" in out
+    assert "INTERNALERROR" not in out

@@ -229,41 +229,23 @@ def test_dv_cycle_witness_listings():
         (1, 2), (1, 4), (1, 7), (2, 3), (2, 5), (3, 4), (3, 6), (4, 5), (5, 6), (6, 7))
 
 
-def test_dv_wheel_witness_starts_from_the_construction(monkeypatch):
+def test_dv_wheel_witness_pairs_never_reads_its_solve(monkeypatch):
+    # the pinned solve avoids the apex tokens, starts from the cycle
+    # construction and closes at the root; the spy hands back None, so any
+    # code that read the result would fail
     calls = []
 
     def spy(g, **kwargs):
-        result = alpha(g, **kwargs)
-        calls.append((kwargs.get("incumbent"), result.nodes))
-        return result
+        calls.append((kwargs, alpha(g, **kwargs).nodes))
 
     monkeypatch.setattr(W, "alpha", spy)
-    for m in range(3, 25):
-        W.dv_wheel_witness(m)
+    for m in range(4, 25):
+        pairs = W.dv_wheel_witness_pairs(m)
         dg = double_vertex(wheel(m))
-        assert len(calls) == m - 2, m
-        assert calls[-1] == (indices_of(dg, W.dv_cycle_witness_pairs(m)), 1), m
-
-
-@pytest.mark.parametrize("m", range(4, 11))
-def test_dv_wheel_witness(m):
-    w = W.dv_wheel_witness(m)
-    dg = double_vertex(wheel(m))
-    assert is_independent(dg.graph, w.members)
-    assert len(w) == F.dv_wheel(m)
-    # solver-backed witness avoids the apex tokens by construction
-    apex = indices_of(dg, W.r_set_dv(m + 1, m + 1))
-    assert not (w.members & apex)
-
-
-def test_dv_wheel_witness_m3_special_case():
-    # the apex-free part of the m=3 wheel double vertex graph is a
-    # triangle, so the construction stops at 1 while the graph reaches 2
-    w = W.dv_wheel_witness(3)
-    dg = double_vertex(wheel(3))
-    assert len(w) == 1
-    assert is_independent(dg.graph, w.members)
-    assert alpha(dg.graph).alpha == 2
+        assert pairs == W.dv_cycle_witness_pairs(m), m
+        assert len(calls) == m - 3, m
+        assert calls[-1] == ({"avoid": indices_of(dg, W.r_set_dv(m + 1, m + 1)),
+                              "incumbent": indices_of(dg, pairs)}, 1), m
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +314,6 @@ def test_phi_keeps_every_rank():
         source, target = pair_graph(path(m)), double_vertex(path(m + 1))
         assert [index_of(target, W.phi(t)) for t in source.labels] == list(
             range(1, source.graph.order + 1)), m
-
-
-@pytest.mark.parametrize("m", range(3, 11))
-def test_phi_edge_image_equality(m):
-    image, target = W.phi_edge_image(m)
-    assert image == target
 
 
 # ---------------------------------------------------------------------------
