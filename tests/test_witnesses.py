@@ -4,7 +4,7 @@ from tokengraphs import formulas as F
 from tokengraphs import witnesses as W
 from tokengraphs.graphs import cycle, fan, path, wheel
 from tokengraphs.mis import BRUTE_FORCE_CAP, alpha, brute_force_alpha, is_independent
-from tokengraphs.operators import double_vertex, index_of, indices_of, pair_graph
+from tokengraphs.operators import double_vertex, index_of, indices_of, pair_graph, token_label_of
 from tokengraphs.verify import FAMILIES, alpha_after_deleting_tokens
 
 
@@ -248,6 +248,31 @@ def test_dv_wheel_witness_pairs_never_reads_its_solve(monkeypatch):
                               "incumbent": indices_of(dg, pairs)}, 1), m
 
 
+@pytest.mark.parametrize("m", range(4, 11))
+def test_dv_wheel_witness(m):
+    pairs = W.dv_wheel_witness_pairs(m)
+    dg = double_vertex(wheel(m))
+    members = indices_of(dg, pairs)
+    assert is_independent(dg.graph, members)
+    assert len(members) == F.dv_wheel(m)
+    # from m = 4 the construction is the cycle witness, so it avoids the apex tokens
+    assert pairs == W.dv_cycle_witness_pairs(m)
+    assert not (members & indices_of(dg, W.r_set_dv(m + 1, m + 1)))
+
+
+def test_dv_wheel_witness_m3_special_case():
+    # the apex-free part of the m=3 wheel double vertex graph is a
+    # triangle, so an apex-free set stops at 1 while the graph reaches 2;
+    # the m = 3 construction uses the apex token {3, 4}
+    dg = double_vertex(wheel(3))
+    apex = indices_of(dg, W.r_set_dv(4, 4))
+    assert alpha(dg.graph, avoid=apex).alpha == 1
+    assert alpha(dg.graph).alpha == 2
+    pairs = W.dv_wheel_witness_pairs(3)
+    assert pairs == ((1, 2), (3, 4))
+    assert is_independent(dg.graph, indices_of(dg, pairs))
+
+
 # ---------------------------------------------------------------------------
 # the witness contract: every construction covers its formula's domain
 
@@ -314,6 +339,18 @@ def test_phi_keeps_every_rank():
         source, target = pair_graph(path(m)), double_vertex(path(m + 1))
         assert [index_of(target, W.phi(t)) for t in source.labels] == list(
             range(1, source.graph.order + 1)), m
+
+
+@pytest.mark.parametrize("m", range(3, 11))
+def test_phi_edge_image_equality(m):
+    # phi applied token by token carries every edge of the pair graph of
+    # P_m onto an edge of F2(P_{m+1}), and onto all of them
+    source, target = pair_graph(path(m)), double_vertex(path(m + 1))
+    image = set()
+    for u, v in source.graph.edges:
+        a, b = (index_of(target, W.phi(token_label_of(source, x))) for x in (u, v))
+        image.add((min(a, b), max(a, b)))
+    assert image == target.graph.edges
 
 
 # ---------------------------------------------------------------------------
