@@ -3,7 +3,8 @@
 Subcommands: ``build`` (export a base or derived graph), ``alpha``
 (exact independence number of one instance), ``verify`` (formula vs
 solver vs witness sweep), ``witness`` (emit and certify an explicit
-construction), ``props`` (randomized property suites).
+construction), ``props`` (randomized property suites). ``witness``
+certifies a construction by the same step as each ``verify`` row.
 
 Exit codes: 0 all ok, 1 mismatch or failed check, 2 aborted on budget,
 64 configuration error (any argument the package rejects). The package
@@ -20,14 +21,15 @@ from typing import Sequence
 
 from .exports import derived_to_dot, derived_to_json, graph_to_dot, graph_to_json, token_text
 from .graphs import complete, cycle, fan, path, wheel
-from .mis import is_independent
-from .operators import double_vertex, indices_of, k_token, pair_graph
+from .operators import k_token
 from .verify import (
     EXIT_MISMATCH,
     EXIT_OK,
     FAMILIES,
     METHODS,
+    OPERATORS,
     RunConfig,
+    certify,
     rows_to_csv,
     rows_to_json,
     rows_to_table,
@@ -48,9 +50,6 @@ BASE_BUILDERS = {
     "wheel": wheel,
 }
 
-NAMED_OPS = {"dv": (double_vertex, "double_vertex"), "pair": (pair_graph, "pair_graph")}
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse parser whose usage errors exit with the config code."""
 
@@ -64,8 +63,8 @@ def _parse_op(op: str | None):
     """Map an --op value to a deriving function, or None for the base graph."""
     if op is None:
         return None, "base"
-    if op in NAMED_OPS:
-        return NAMED_OPS[op]
+    if op in OPERATORS:
+        return OPERATORS[op], OPERATORS[op].__name__
     if op.startswith("token:"):
         try:
             k = int(op.split(":", 1)[1])
@@ -107,11 +106,11 @@ def _build_instance(family: str, m: int, op: str | None):
 
 def cmd_build(args) -> int:
     graph, derived, _ = _build_instance(args.family, args.m, args.op)
-    to_derived, to_graph = {
-        "dot": (derived_to_dot, graph_to_dot),
-        "json": (derived_to_json, graph_to_json),
+    to_derived, to_graph, end = {
+        "dot": (derived_to_dot, graph_to_dot, ""),  # DOT text ends with its own newline
+        "json": (derived_to_json, graph_to_json, "\n"),
     }[args.format]
-    _write_output(to_derived(derived) if derived is not None else to_graph(graph), args.out)
+    _write_output((to_derived(derived) if derived is not None else to_graph(graph)) + end, args.out)
     return EXIT_OK
 
 
@@ -147,11 +146,8 @@ def cmd_verify(args) -> int:
 
 def cmd_witness(args) -> int:
     fam = FAMILIES[f"{args.op}_{args.family}"]
-    pairs = fam.witness_pairs(args.m)
+    _, pairs, members, independent = certify(fam, args.m)
     expected = fam.formula(args.m)
-    derived = fam.derive(fam.base(args.m))
-    members = indices_of(derived, pairs)
-    independent = is_independent(derived.graph, members)
     matches = independent and len(members) == expected
     if args.format == "json":
         payload = {
@@ -213,10 +209,12 @@ def make_parser() -> _Parser:
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(handler=cmd_verify)
 
+    # the family and --op choices are read off verify's FAMILIES and OPERATORS tables
     p_witness = sub.add_parser("witness", help="emit and certify an explicit witness")
-    p_witness.add_argument("family", choices=("path", "cycle", "fan", "wheel"))
+    p_witness.add_argument("family", choices=tuple(dict.fromkeys(
+        fam.base.__name__ for fam in FAMILIES.values())))
     p_witness.add_argument("m", type=int)
-    p_witness.add_argument("--op", required=True, choices=tuple(NAMED_OPS))
+    p_witness.add_argument("--op", required=True, choices=tuple(OPERATORS))
     p_witness.add_argument("--format", default="text", choices=("text", "json"))
     p_witness.add_argument("--out", default=None)
     p_witness.set_defaults(handler=cmd_witness)

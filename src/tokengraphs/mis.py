@@ -86,7 +86,9 @@ class IndependentSet:
 
 @dataclass(frozen=True)
 class MisResult:
-    alpha: int
+    """One exact solve: a maximum independent set, whose size is
+    ``alpha``, and the search's counters."""
+
     witness: IndependentSet
     nodes: int
     elapsed: float  # seconds
@@ -95,6 +97,10 @@ class MisResult:
     triangle_prunes: int = 0  # nodes closed by the triangle-cover bound
     reductions: int = 0  # vertices taken by the isolated/pendant rule
     max_depth: int = 0  # most branchings above any search node
+
+    @property
+    def alpha(self) -> int:
+        return len(self.witness)
 
 
 def is_independent(g: Graph, members) -> bool:
@@ -137,7 +143,7 @@ def brute_force_alpha(g: Graph, cap: int = BRUTE_FORCE_CAP) -> MisResult:
 
     explore((1 << g.order) - 1, 0, 0)
     elapsed = time.perf_counter() - start
-    return MisResult(best, IndependentSet(g.order, _mask_to_set(best_mask)), nodes, elapsed)
+    return MisResult(IndependentSet(g.order, _mask_to_set(best_mask)), nodes, elapsed)
 
 
 def _block_starts(n: int, deadline: float, task: str):
@@ -574,7 +580,7 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
     best_mask |= union
     elapsed = time.perf_counter() - start
     return MisResult(
-        best_mask.bit_count(), IndependentSet(n, _mask_to_set(best_mask)), nodes, elapsed,
+        IndependentSet(n, _mask_to_set(best_mask)), nodes, elapsed,
         clique_prunes=clique_prunes, cover_prunes=cover_prunes, triangle_prunes=triangle_prunes,
         reductions=reductions, max_depth=max_depth,
     )

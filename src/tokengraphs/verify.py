@@ -1,9 +1,11 @@
 """Verification sweeps and randomized property suites.
 
-A sweep builds, for each selected family and parameter, the derived
-graph, evaluates the closed form, generates and certifies the explicit
-witness of its family's construction, runs the exact solver seeded with
-that witness, and emits one ``VerificationRow``. A witness arrives as
+A sweep, for each selected family and parameter, certifies the
+explicit witness of its family's construction (``certify``, the step the
+``witness`` subcommand shares: run the construction, build the derived
+graph, rank and check the pairs), evaluates the closed form, runs the
+exact solver seeded with that witness, and emits one
+``VerificationRow`` whose ``ms`` covers all of it. A witness arrives as
 plain ``(a, b)`` int tuples and ``operators.indices_of`` ranks them into
 vertex indices by arithmetic, so a row builds no ``labels`` tuple.
 Canonical CSV and JSON reports are byte-identical across runs for a
@@ -63,13 +65,17 @@ class VerificationRow:
 CSV_COLUMNS = tuple(f.name for f in fields(VerificationRow))
 
 
+OPERATORS: dict[str, Callable[[Graph], DerivedGraph]] = {"dv": double_vertex, "pair": pair_graph}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
-    """One closed form under test: how to build its derived graph, the
-    formula, and the explicit witness construction, which lists its
-    tokens {a, b} as ``(a, b)`` pairs. A construction covers its
-    formula's whole domain, so every row that is not aborted reports a
-    witness.
+    """One closed form under test: the operator's key in ``OPERATORS``,
+    the base graph builder, the formula, and the explicit witness
+    construction, which lists its tokens {a, b} as ``(a, b)`` pairs. A
+    construction covers its formula's whole domain, so every row that is
+    not aborted reports a witness. The family's name (``dv_path``, say)
+    and its deriving function are read off ``op`` and ``base``.
 
     ``min_m`` is the smallest m the sweep runs, and it is not the
     smallest m the formula accepts: the formula may accept an m whose
@@ -77,35 +83,33 @@ class FamilySpec:
     ``pair_graph`` needs base order >= 2. Keep the two apart.
     """
 
-    name: str
-    operator: str  # "double_vertex" | "pair_graph"
+    op: str  # a key of OPERATORS
     base: Callable[[int], Graph]
-    derive: Callable[[Graph], DerivedGraph]
     formula: Callable[[int], int]
     witness_pairs: Callable[[int], tuple]
     min_m: int
     default_range: tuple[int, int]
 
+    @property
+    def name(self) -> str:
+        return f"{self.op}_{self.base.__name__}"
+
+    @property
+    def derive(self) -> Callable[[Graph], DerivedGraph]:
+        return OPERATORS[self.op]
+
 
 FAMILIES: dict[str, FamilySpec] = {
     fam.name: fam
     for fam in (
-        FamilySpec("dv_path", "double_vertex", path, double_vertex,
-                   formulas.dv_path, witnesses.dv_path_witness_pairs, 2, (2, 12)),
-        FamilySpec("dv_cycle", "double_vertex", cycle, double_vertex,
-                   formulas.dv_cycle, witnesses.dv_cycle_witness_pairs, 3, (3, 12)),
-        FamilySpec("dv_fan", "double_vertex", fan, double_vertex,
-                   formulas.dv_fan, witnesses.dv_fan_witness_pairs, 1, (2, 12)),
-        FamilySpec("dv_wheel", "double_vertex", wheel, double_vertex,
-                   formulas.dv_wheel, witnesses.dv_wheel_witness_pairs, 3, (3, 12)),
-        FamilySpec("pair_path", "pair_graph", path, pair_graph,
-                   formulas.pair_path, witnesses.pair_path_witness_pairs, 2, (3, 10)),
-        FamilySpec("pair_cycle", "pair_graph", cycle, pair_graph,
-                   formulas.pair_cycle, witnesses.pair_cycle_witness_pairs, 3, (3, 12)),
-        FamilySpec("pair_fan", "pair_graph", fan, pair_graph,
-                   formulas.pair_fan, witnesses.pair_fan_witness_pairs, 1, (3, 10)),
-        FamilySpec("pair_wheel", "pair_graph", wheel, pair_graph,
-                   formulas.pair_wheel, witnesses.pair_wheel_witness_pairs, 3, (3, 10)),
+        FamilySpec("dv", path, formulas.dv_path, witnesses.dv_path_witness_pairs, 2, (2, 12)),
+        FamilySpec("dv", cycle, formulas.dv_cycle, witnesses.dv_cycle_witness_pairs, 3, (3, 12)),
+        FamilySpec("dv", fan, formulas.dv_fan, witnesses.dv_fan_witness_pairs, 1, (2, 12)),
+        FamilySpec("dv", wheel, formulas.dv_wheel, witnesses.dv_wheel_witness_pairs, 3, (3, 12)),
+        FamilySpec("pair", path, formulas.pair_path, witnesses.pair_path_witness_pairs, 2, (3, 10)),
+        FamilySpec("pair", cycle, formulas.pair_cycle, witnesses.pair_cycle_witness_pairs, 3, (3, 12)),
+        FamilySpec("pair", fan, formulas.pair_fan, witnesses.pair_fan_witness_pairs, 1, (3, 10)),
+        FamilySpec("pair", wheel, formulas.pair_wheel, witnesses.pair_wheel_witness_pairs, 3, (3, 10)),
     )
 }
 
@@ -152,22 +156,30 @@ def solve_exact(g: Graph, method: str = "auto", budget_ms: float | None = None,
     return alpha(g, budget_ms=budget_ms, incumbent=incumbent)
 
 
+def certify(fam: FamilySpec, m: int):
+    """Build the family's witness at m and check it in the derived graph:
+    ``(derived, pairs, members, independent)``, with ``members`` the
+    vertex indices of the ``(a, b)`` pairs. The construction runs first,
+    so an m below its domain is rejected in the construction's words."""
+    pairs = fam.witness_pairs(m)
+    derived = fam.derive(fam.base(m))
+    members = indices_of(derived, pairs)
+    return derived, pairs, members, is_independent(derived.graph, members)
+
+
 def verify_one(fam: FamilySpec, m: int, method: str = "auto",
                budget_ms: float | None = None) -> VerificationRow:
-    """Build, evaluate, certify and solve a single (family, m) pair.
+    """Certify, evaluate and solve a single (family, m) pair; the row's
+    ``ms`` covers all three, the build included.
 
-    The witness is built and checked first; only an independent one seeds
-    the solve as its incumbent. A dependent one reports witness -1 and the
-    solve starts from the greedy incumbent. An aborted row reports neither
-    alpha nor witness."""
-    derived = fam.derive(fam.base(m))
-    formula_value = fam.formula(m)
+    Only an independent witness seeds the solve as its incumbent. A
+    dependent one reports witness -1 and the solve starts from the greedy
+    incumbent. An aborted row reports neither alpha nor witness."""
     started = time.perf_counter()
-    members = indices_of(derived, fam.witness_pairs(m))
-    if is_independent(derived.graph, members):
-        witness_size, seed = len(members), members
-    else:
-        witness_size, seed = -1, None  # dependent "witness": report as mismatch
+    derived, _, members, independent = certify(fam, m)
+    formula_value = fam.formula(m)
+    # a dependent "witness" reports as a mismatch
+    witness_size, seed = (len(members), members) if independent else (-1, None)
     try:
         result = solve_exact(derived.graph, method=method, budget_ms=budget_ms, incumbent=seed)
         solver_value: int | None = result.alpha
@@ -180,7 +192,7 @@ def verify_one(fam: FamilySpec, m: int, method: str = "auto",
     ms = (time.perf_counter() - started) * 1000.0
     return VerificationRow(
         family=fam.name,
-        operator=fam.operator,
+        operator=fam.derive.__name__,
         m=m,
         vertices=derived.graph.order,
         formula=formula_value,

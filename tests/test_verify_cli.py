@@ -1,11 +1,13 @@
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -163,19 +165,27 @@ def test_witness_seed_changes_no_alpha_and_no_node_count():
         assert seeded.alpha == fam.formula(m), (name, m)
 
 
+def with_dependent_witness(fam, m):
+    """``fam`` with its witness at m extended by a neighbour of its first
+    member, so that it is no longer independent."""
+    dg = fam.derive(fam.base(m))
+    first = min(indices_of(dg, fam.witness_pairs(m)))
+    neighbour = token_label_of(dg, dg.graph.adjacency_masks[first - 1].bit_length())
+    return dataclasses.replace(fam, witness_pairs=lambda m: (*fam.witness_pairs(m), neighbour))
+
+
+def with_short_witness(fam):
+    """``fam`` with the first token of every witness dropped."""
+    return dataclasses.replace(fam, witness_pairs=lambda m: fam.witness_pairs(m)[1:])
+
+
 def test_verify_one_reports_a_short_witness_as_mismatch():
-    fam = FAMILIES["pair_cycle"]
-    short = dataclasses.replace(fam, witness_pairs=lambda m: fam.witness_pairs(m)[1:])
-    row = verify_one(short, 7)
+    row = verify_one(with_short_witness(FAMILIES["pair_cycle"]), 7)
     assert (row.alpha, row.witness, row.status) == (row.formula, row.formula - 1, "mismatch")
 
 
 def test_verify_one_solves_a_dependent_witness_unseeded(monkeypatch):
-    fam = FAMILIES["pair_cycle"]
-    dg = fam.derive(fam.base(7))
-    first = min(indices_of(dg, fam.witness_pairs(7)))
-    neighbour = token_label_of(dg, dg.graph.adjacency_masks[first - 1].bit_length())
-    planted = dataclasses.replace(fam, witness_pairs=lambda m: (*fam.witness_pairs(m), neighbour))
+    planted = with_dependent_witness(FAMILIES["pair_cycle"], 7)
     seeds = []
 
     def spy(g, *args, incumbent=None, **kwargs):
@@ -186,6 +196,41 @@ def test_verify_one_solves_a_dependent_witness_unseeded(monkeypatch):
     row = verify_one(planted, 7)
     assert (row.alpha, row.witness, row.status) == (row.formula, -1, "mismatch")
     assert seeds == [None]
+
+
+@pytest.mark.parametrize("plant, size, independent, witness", [
+    ("short", 13, True, 13),
+    ("dependent", 15, False, -1),
+])
+def test_cli_witness_fails_on_a_planted_construction(monkeypatch, capsys, plant, size,
+                                                     independent, witness):
+    fam = FAMILIES["pair_cycle"]
+    planted = with_short_witness(fam) if plant == "short" else with_dependent_witness(fam, 7)
+    monkeypatch.setitem(verify.FAMILIES, "pair_cycle", planted)
+    argv = ["witness", "cycle", "7", "--op", "pair"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"witness pair_cycle m=7: size {size}, formula 14, "
+        f"independent: {'yes' if independent else 'NO'}")
+    assert main(argv + ["--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["size"], payload["formula"], payload["independent"]) == (size, 14, independent)
+    # the sweep certifies through the same step, so it fails the same plant
+    row = verify_one(verify.FAMILIES["pair_cycle"], 7)
+    assert (row.alpha, row.witness, row.status) == (14, witness, "mismatch")
+
+
+def test_verify_one_ms_covers_the_build():
+    fam = FAMILIES["pair_cycle"]
+
+    @functools.wraps(fam.base)
+    def slow_base(m):
+        time.sleep(0.05)
+        return fam.base(m)
+
+    row = verify_one(dataclasses.replace(fam, base=slow_base), 5)
+    assert (row.family, row.status) == ("pair_cycle", "ok")
+    assert row.ms >= 50
 
 
 def test_constructed_rows_build_no_token(monkeypatch):
