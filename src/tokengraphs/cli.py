@@ -50,6 +50,14 @@ BASE_BUILDERS = {
     "wheel": wheel,
 }
 
+# what ``--help`` prints around the subcommand list, as plain text; the
+# module docstring above is for maintainers
+_HELP_SUMMARY = ("Build token graphs of paths, cycles, fans and wheels, and check their "
+                 "independence numbers three ways: formula, exact solver and explicit witness.")
+_HELP_EXIT_CODES = ("exit codes: 0 all ok, 1 mismatch or failed check, 2 aborted on budget, "
+                    "64 configuration error")
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse parser whose usage errors exit with the config code."""
 
@@ -180,7 +188,8 @@ def cmd_props(args) -> int:
 
 
 def make_parser() -> _Parser:
-    parser = _Parser(prog="tokengraphs", description=__doc__)
+    parser = _Parser(prog="tokengraphs", description=_HELP_SUMMARY,
+                     epilog=_HELP_EXIT_CODES)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", help="export a base or derived graph")

@@ -31,6 +31,8 @@ Two independent routes are provided on purpose:
   Each node inherits its vertex degrees from its parent, and its
   reductions work through one worklist of the vertices whose degree
   dropped, lowest index first, so they revisit no other vertex. The
+  root's degree table is each adjacency mask's popcount, or, when
+  vertices are avoided, the popcount of its part outside them. The
   root's worklist starts from the vertices of degree <= 1, read off the
   degree table as it is built, and a component root's from none: the
   root's reductions leave no vertex of degree <= 1 behind. Either way
@@ -42,7 +44,9 @@ Two independent routes are provided on purpose:
   at a time under the budget, and searches from the mask without them,
   so no smaller graph is built and the witness keeps g's labels.
   ``alpha(g, incumbent=...)`` reads its set the same way and checks it
-  independent; ``verify`` passes a row's certified witness there.
+  independent; ``verify`` passes a row's certified witness there. Where
+  the search finds nothing larger, as on every paper row, the witness is
+  that set as given, not read back off its mask.
 
 Both are exact and deterministic: repeated runs return the same size and
 the same witness. All bookkeeping is done on Python-int bitmasks, bit i
@@ -423,6 +427,7 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
     search, which still closes a node only where a bound meets the best
     set found, so a small or empty incumbent costs nodes, never
     exactness. Both sets are read once, through ``Graph._vertex_mask``.
+    When no larger set is found the witness is ``incumbent`` itself.
 
     The search is one loop: where g's root splits after its reductions,
     each component is pushed as a depth-0 frame, a root of its own that
@@ -472,7 +477,11 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
     deg = []
     low = 0  # the vertices of degree <= 1, the root's reduction worklist
     for lo in _block_starts(n, deadline, "building the degree table"):
-        block = [(nb & mask).bit_count() for nb in adj[lo:lo + _BLOCK]]
+        rows = adj[lo:lo + _BLOCK]
+        if avoid_mask:
+            block = [(nb & mask).bit_count() for nb in rows]
+        else:  # nothing avoided: every neighbour is in the residual graph
+            block = list(map(int.bit_count, rows))
         deg += block
         for v in compress(range(lo, lo + len(block)), map((2).__gt__, block)):
             low |= 1 << v
@@ -579,8 +588,14 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
                       matching))
     best_mask |= union
     elapsed = time.perf_counter() - start
+    # where nothing beat the seed (every paper row), hand its set back
+    # instead of reading the mask digit by digit
+    if incumbent is not None and best_mask == seed:
+        members = frozenset(incumbent)
+    else:
+        members = _mask_to_set(best_mask)
     return MisResult(
-        IndependentSet(n, _mask_to_set(best_mask)), nodes, elapsed,
+        IndependentSet(n, members), nodes, elapsed,
         clique_prunes=clique_prunes, cover_prunes=cover_prunes, triangle_prunes=triangle_prunes,
         reductions=reductions, max_depth=max_depth,
     )

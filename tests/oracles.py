@@ -137,3 +137,21 @@ def double_cover_matching_size(g: Graph, keep) -> int:
         return False
 
     return sum(augment(u, set()) for u in sorted(kept))
+
+
+def greedy_clique_cover_size(g: Graph, keep) -> int:
+    """Number of cliques in the greedy clique cover of the subgraph induced
+    by ``keep``: each clique starts at the lowest vertex no clique holds
+    yet, then grows by the lowest such vertex adjacent to all its members,
+    read off the raw edge set."""
+    edges = {frozenset(e) for e in g.edges}
+    left = sorted(set(keep))
+    count = 0
+    while left:
+        clique = [left.pop(0)]
+        for v in list(left):  # ascending, so each take is the lowest common neighbour
+            if all(frozenset((u, v)) in edges for u in clique):
+                clique.append(v)
+                left.remove(v)
+        count += 1
+    return count

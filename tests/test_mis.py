@@ -11,7 +11,8 @@ import pytest
 
 from tokengraphs import mis
 from tokengraphs.graphs import (
-    Graph, complete, cycle, disjoint_union, fan, induced_subgraph, join, path, wheel,
+    Graph, complete, cycle, delete_vertices, disjoint_union, fan, induced_subgraph, join, path,
+    wheel,
 )
 from tokengraphs.mis import (
     SolveAborted,
@@ -28,7 +29,7 @@ from tokengraphs.operators import double_vertex, index_of, indices_of, k_token, 
 from tokengraphs.verify import FAMILIES, random_graph
 from tokengraphs.witnesses import dv_cycle_witness_pairs, pair_cycle_witness_pairs, r_set_dv
 
-from .oracles import double_cover_matching_size, exhaustive_alpha
+from .oracles import double_cover_matching_size, exhaustive_alpha, greedy_clique_cover_size
 
 
 def test_is_independent_basic():
@@ -236,6 +237,38 @@ def test_alpha_avoiding_every_vertex():
     assert result.witness.order == 5
     assert result.witness.members == frozenset()
     assert result.nodes == 1  # the empty root is still a search node
+
+
+def _avoid_corpus():
+    """(graph, avoid) pairs: 400 random graphs of order 2..16 and 25 draws
+    each on F3(C9), F2(W9) and P(C11), every avoid set leaving a vertex."""
+    rng = random.Random(41)
+    graphs = [random_graph(rng, rng.randint(2, 16)) for _ in range(400)]
+    for g in (k_token(cycle(9), 3).graph, double_vertex(wheel(9)).graph,
+              pair_graph(cycle(11)).graph):
+        graphs += [g] * 25
+    for g in graphs:
+        p = rng.uniform(0, 0.5)
+        yield g, [v for v in g.vertices if rng.random() < p][:g.order - 1]
+
+
+def _counters(result):
+    return (result.alpha, result.nodes, result.clique_prunes, result.cover_prunes,
+            result.triangle_prunes, result.reductions, result.max_depth)
+
+
+def test_alpha_avoiding_searches_like_the_deleted_graph():
+    # the degree table counts residual neighbours when vertices are avoided
+    # and reads plain popcounts when none are; both must give the search
+    # the deleted graph gets. (The triangle guards read g, so deleting every
+    # triangle could move a prune between the clique and the cycle cover;
+    # no case here does.)
+    for g, avoid in _avoid_corpus():
+        result = alpha(g, avoid=avoid)
+        h, relabel = delete_vertices(g, avoid)
+        expected = alpha(h)
+        assert _counters(result) == _counters(expected), (g, avoid)
+        assert {relabel[v] for v in result.witness.members} == expected.witness.members
 
 
 def test_alpha_budget_aborts():
@@ -466,6 +499,18 @@ def test_cycle_cover_bound_is_at_most_the_clique_cover_on_triangle_free_graphs()
         for start in starts:
             bound, _ = _cycle_cover_bound(adj, mask, start, math.inf)
             assert bound <= _clique_cover_bound(adj, mask)
+
+
+def test_clique_cover_bound_matches_greedy_reference():
+    # the count is the greedy cover's, whatever the bitmask bookkeeping
+    rng = random.Random(31)
+    corpus = [random_graph(rng, rng.randint(1, 14)) for _ in range(300)]
+    corpus.append(pair_graph(cycle(40)).graph)
+    for g in corpus:
+        keep = [v for v in g.vertices if rng.random() < 0.8] or [1]
+        for part in (keep, g.vertices):
+            expected = greedy_clique_cover_size(g, part)
+            assert _clique_cover_bound(g.adjacency_masks, g._vertex_mask(part)) == expected
 
 
 @pytest.mark.parametrize("build, calls", [

@@ -159,10 +159,13 @@ def test_witness_seed_changes_no_alpha_and_no_node_count():
     for name, m in PAPER_ROWS:
         fam = FAMILIES[name]
         dg = fam.derive(fam.base(m))
-        seeded = alpha(dg.graph, incumbent=indices_of(dg, fam.witness_pairs(m)))
+        seed = indices_of(dg, fam.witness_pairs(m))
+        seeded = alpha(dg.graph, incumbent=seed)
         unseeded = alpha(dg.graph)
         assert (seeded.alpha, seeded.nodes) == (unseeded.alpha, unseeded.nodes), (name, m)
         assert seeded.alpha == fam.formula(m), (name, m)
+        # nothing beats the seed, so the solve hands it back as its witness
+        assert seeded.witness.members == frozenset(seed), (name, m)
 
 
 def with_dependent_witness(fam, m):
@@ -564,6 +567,18 @@ def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["alpha", "galaxy", "3"])
     assert excinfo.value.code == 64
+
+
+def test_cli_help_is_a_plain_summary(capsys):
+    # the subcommands and the exit codes, not the module's reST docstring
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--help"])
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    for name in ("build", "alpha", "verify", "witness", "props"):
+        assert f"\n    {name} " in out
+    assert "exit codes: 0 all ok" in out
+    assert "``" not in out
 
 
 @pytest.mark.parametrize("argv, code, line", [
