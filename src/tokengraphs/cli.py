@@ -154,7 +154,8 @@ def cmd_verify(args) -> int:
 
 def cmd_witness(args) -> int:
     fam = FAMILIES[f"{args.op}_{args.family}"]
-    _, pairs, members, independent = certify(fam, args.m)
+    _, pairs, members, seed = certify(fam, args.m)
+    independent = seed is not None
     expected = fam.formula(args.m)
     matches = independent and len(members) == expected
     if args.format == "json":

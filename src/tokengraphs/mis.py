@@ -44,9 +44,18 @@ Two independent routes are provided on purpose:
   at a time under the budget, and searches from the mask without them,
   so no smaller graph is built and the witness keeps g's labels.
   ``alpha(g, incumbent=...)`` reads its set the same way and checks it
-  independent; ``verify`` passes a row's certified witness there. Where
-  the search finds nothing larger, as on every paper row, the witness is
-  that set as given, not read back off its mask.
+  independent. A ``verify`` row passes its witness as the ``_CheckedSet``
+  that ``verify.certify`` got from ``_checked``, the one independence
+  check (``is_independent`` runs it too): members and mask, which
+  ``alpha`` trusts without reading them again. ``alpha`` itself only
+  validates and reads; ``_solve`` searches. A root started from an
+  incumbent first compares a greedy clique cover of its whole residual
+  graph with it and, where the cover is no larger, returns with 1 node
+  before building anything else; otherwise the root reuses that cover
+  when its reductions take nothing. Where the search finds nothing
+  larger, as on every paper row, the witness is that set as given, not
+  read back off its mask. The solvers hand back the sets they built
+  through ``IndependentSet._trusted``, skipping the range check.
 
 Both are exact and deterministic: repeated runs return the same size and
 the same witness. All bookkeeping is done on Python-int bitmasks, bit i
@@ -65,7 +74,7 @@ from typing import Iterable
 from .graphs import Graph, _component_masks, _mask_to_set
 
 BRUTE_FORCE_CAP = 26
-_BLOCK = 1024  # vertices between two deadline checks in the solver's set-up
+_BLOCK = 1024  # vertices (in the set-up) or cliques (in a cover) between two deadline checks
 
 
 class SolveAborted(RuntimeError):
@@ -83,6 +92,15 @@ class IndependentSet:
         for v in self.members:
             if not (1 <= v <= self.order):
                 raise ValueError(f"member {v} out of range 1..{self.order}")
+
+    @classmethod
+    def _trusted(cls, order: int, members: frozenset[int]) -> IndependentSet:
+        """The set of these members, trusted unchecked: the caller (a
+        solver handing back a set it built) guarantees they lie in
+        1..order."""
+        s = object.__new__(cls)
+        s.__dict__.update(order=order, members=members)
+        return s
 
     def __len__(self) -> int:
         return len(self.members)
@@ -107,12 +125,33 @@ class MisResult:
         return len(self.witness)
 
 
+class _CheckedSet:
+    """An independent vertex set of some graph with its bitmask, made only
+    by ``_checked``. ``alpha`` takes one as its incumbent without reading
+    or checking it again."""
+
+    __slots__ = ("members", "mask")
+
+    def __init__(self, members: frozenset[int], mask: int) -> None:
+        self.members = members
+        self.mask = mask
+
+
+def _checked(g: Graph, members: frozenset[int]) -> _CheckedSet | None:
+    """``members`` with their bitmask if no edge of g has both endpoints
+    among them, else None; a member out of range raises ``ValueError``.
+    The one independence check: ``is_independent`` and
+    ``verify.certify`` both run it."""
+    mask = g._vertex_mask(members)
+    adj = g.adjacency_masks
+    if any(adj[v - 1] & mask for v in members):
+        return None
+    return _CheckedSet(members, mask)
+
+
 def is_independent(g: Graph, members) -> bool:
     """True iff no edge of g has both endpoints in ``members``."""
-    member_set = set(members)
-    mask = g._vertex_mask(member_set)
-    adj = g.adjacency_masks
-    return not any(adj[v - 1] & mask for v in member_set)
+    return _checked(g, frozenset(members)) is not None
 
 
 def brute_force_alpha(g: Graph, cap: int = BRUTE_FORCE_CAP) -> MisResult:
@@ -147,7 +186,7 @@ def brute_force_alpha(g: Graph, cap: int = BRUTE_FORCE_CAP) -> MisResult:
 
     explore((1 << g.order) - 1, 0, 0)
     elapsed = time.perf_counter() - start
-    return MisResult(IndependentSet(g.order, _mask_to_set(best_mask)), nodes, elapsed)
+    return MisResult(IndependentSet._trusted(g.order, _mask_to_set(best_mask)), nodes, elapsed)
 
 
 def _block_starts(n: int, deadline: float, task: str):
@@ -207,12 +246,19 @@ def _greedy_incumbent(
     return chosen
 
 
-def _clique_cover_bound(adj: tuple[int, ...], mask: int) -> int:
+def _clique_cover_bound(adj: tuple[int, ...], mask: int, deadline: float = math.inf) -> int:
     """Number of cliques in a greedy clique cover of the residual graph;
-    each clique holds at most one independent vertex."""
+    each clique holds at most one independent vertex. Raises
+    ``SolveAborted`` once ``perf_counter()`` has passed ``deadline``,
+    checked before the first clique and then once per ``_BLOCK``."""
     count = 0
     rem = mask
+    next_check = 0
     while rem:
+        if count == next_check:
+            if time.perf_counter() > deadline:
+                raise SolveAborted("budget exceeded while building the clique cover")
+            next_check += _BLOCK
         bit = rem & -rem
         rem ^= bit
         cand = adj[bit.bit_length() - 1] & rem
@@ -415,6 +461,33 @@ def _drop(adj: tuple[int, ...], deg: list[int], mask: int, gone: int) -> int:
     return dirty
 
 
+def _read(g: Graph, vertices: Iterable[int], deadline: float,
+          task: str) -> tuple[tuple[int, ...], int]:
+    """The vertices as a tuple and as a mask, read a block at a time
+    under the budget; an abort names ``task``."""
+    vertices = tuple(vertices)
+    mask = 0
+    for lo in _block_starts(len(vertices), deadline, task):
+        mask |= g._vertex_mask(vertices[lo:lo + _BLOCK])
+    return vertices, mask
+
+
+def _read_incumbent(g: Graph, incumbent: Iterable[int], avoid_mask: int,
+                    deadline: float) -> tuple[tuple[int, ...], int]:
+    """``alpha``'s incumbent as a tuple and as a mask, read and checked
+    outside ``avoid_mask`` and independent a block at a time under the
+    budget."""
+    incumbent, seed = _read(g, incumbent, deadline, "reading the incumbent")
+    if clash := seed & avoid_mask:
+        raise ValueError(f"incumbent vertex {(clash & -clash).bit_length()} is avoided")
+    adj = g.adjacency_masks
+    for lo in _block_starts(len(incumbent), deadline, "reading the incumbent"):
+        for v in incumbent[lo:lo + _BLOCK]:
+            if adj[v - 1] & seed:
+                raise ValueError(f"incumbent vertex {v} has a neighbour in the incumbent")
+    return incumbent, seed
+
+
 def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = (),
           incumbent: Iterable[int] | None = None) -> MisResult:
     """Exact alpha by branch and bound; no size limit, no default timeout.
@@ -428,6 +501,15 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
     set found, so a small or empty incumbent costs nodes, never
     exactness. Both sets are read once, through ``Graph._vertex_mask``.
     When no larger set is found the witness is ``incumbent`` itself.
+    ``verify`` hands a row's witness over as the private ``_CheckedSet``
+    that ``verify.certify`` made while checking it: ``alpha`` trusts that
+    set and its mask as they stand and reads nothing.
+
+    These reads and checks are all ``alpha`` does itself; ``_solve`` runs
+    the search. A root started from an incumbent first compares the clique
+    cover of its whole residual graph with the incumbent's size: where
+    the cover meets it, as on most paper rows, the solve ends there, with
+    1 node and 1 clique prune, before any degree table or reduction.
 
     The search is one loop: where g's root splits after its reductions,
     each component is pushed as a depth-0 frame, a root of its own that
@@ -440,7 +522,8 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
     alone, and the solve checks it throughout: once per block of
     ``_BLOCK`` vertices in the set-up (reading ``avoid``, reading and
     checking ``incumbent``, the degree table and the greedy incumbent's
-    buckets; an abort there names its step), once per vertex the greedy
+    buckets; an abort there names its step), once per ``_BLOCK`` cliques
+    of every clique cover, the first included, once per vertex the greedy
     incumbent takes, once per search node before its reductions, and once
     per augmenting search. Without a budget the deadline is ``math.inf``,
     which no clock passes.
@@ -451,29 +534,33 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
         raise ValueError(f"budget must be positive, got {budget_ms}")
     start = time.perf_counter()
     deadline = math.inf if budget_ms is None else start + budget_ms / 1000.0
+    avoid, avoid_mask = _read(g, avoid, deadline, "reading the avoided vertices")
+    seed = 0
+    if isinstance(incumbent, _CheckedSet):
+        incumbent, seed = incumbent.members, incumbent.mask
+    elif incumbent is not None:
+        incumbent, seed = _read_incumbent(g, incumbent, avoid_mask, deadline)
+    return _solve(g, budget_ms, start, deadline, avoid, avoid_mask, incumbent, seed)
+
+
+def _solve(g: Graph, budget_ms: float | None, start: float, deadline: float,
+           avoid: tuple[int, ...], avoid_mask: int, incumbent: Iterable[int] | None,
+           seed: int) -> MisResult:
+    """``alpha``'s search, trusting its caller: ``avoid`` and
+    ``incumbent`` have been read into ``avoid_mask`` and ``seed``, and the
+    incumbent, if any, checked independent outside ``avoid``. ``start``
+    and ``deadline`` are the solve's clock."""
     adj = g.adjacency_masks
     n = g.order
-
-    def read(vertices: Iterable[int], task: str) -> tuple[tuple[int, ...], int]:
-        """The vertices as a tuple and as a mask, read a block at a time
-        under the budget."""
-        vertices = tuple(vertices)
-        mask = 0
-        for lo in _block_starts(len(vertices), deadline, task):
-            mask |= g._vertex_mask(vertices[lo:lo + _BLOCK])
-        return vertices, mask
-
-    avoid, avoid_mask = read(avoid, "reading the avoided vertices")
-    if incumbent is not None:
-        incumbent, seed = read(incumbent, "reading the incumbent")
-        if clash := seed & avoid_mask:
-            raise ValueError(f"incumbent vertex {(clash & -clash).bit_length()} is avoided")
-        for lo in _block_starts(len(incumbent), deadline, "reading the incumbent"):
-            for v in incumbent[lo:lo + _BLOCK]:
-                if adj[v - 1] & seed:
-                    raise ValueError(f"incumbent vertex {v} has a neighbour in the incumbent")
-
     mask = ((1 << n) - 1) ^ avoid_mask
+    early_cover = -1  # the clique cover of g's root before its reductions, if read
+    if incumbent is not None and mask:
+        # the seed is maximum when a clique cover of the whole residual
+        # graph is no larger: close the root before any other set-up
+        early_cover = _clique_cover_bound(adj, mask, deadline)
+        if early_cover <= seed.bit_count():
+            return MisResult(IndependentSet._trusted(n, frozenset(incumbent)), 1,
+                             time.perf_counter() - start, clique_prunes=1)
     deg = []
     low = 0  # the vertices of degree <= 1, the root's reduction worklist
     for lo in _block_starts(n, deadline, "building the degree table"):
@@ -541,9 +628,14 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
         # below the root of a triangle-free g every clique of the greedy
         # cover is an edge or a vertex, so the cycle cover is at least
         # as tight
-        if (depth == 0 or g.has_triangle) and size + _clique_cover_bound(adj, mask) <= best:
-            clique_prunes += 1
-            continue
+        if depth == 0 or g.has_triangle:
+            if nodes == 1 and not reductions and early_cover >= 0:
+                cover = early_cover  # g's root, which its reductions left whole
+            else:
+                cover = _clique_cover_bound(adj, mask, deadline)
+            if size + cover <= best:
+                clique_prunes += 1
+                continue
         # the children start from this node's matching
         bound, matching = _cycle_cover_bound(adj, mask, matching, deadline)
         if size + bound <= best:
@@ -595,7 +687,7 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
     else:
         members = _mask_to_set(best_mask)
     return MisResult(
-        IndependentSet(n, members), nodes, elapsed,
+        IndependentSet._trusted(n, members), nodes, elapsed,
         clique_prunes=clique_prunes, cover_prunes=cover_prunes, triangle_prunes=triangle_prunes,
         reductions=reductions, max_depth=max_depth,
     )

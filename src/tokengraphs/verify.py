@@ -5,7 +5,9 @@ explicit witness of its family's construction (``certify``, the step the
 ``witness`` subcommand shares: run the construction, build the derived
 graph, rank and check the pairs), evaluates the closed form, runs the
 exact solver seeded with that witness, and emits one
-``VerificationRow`` whose ``ms`` covers all of it. A witness arrives as
+``VerificationRow`` whose ``ms`` covers all of it. ``certify`` owns the
+row's one independence check: it hands the witness to the solver with
+the mask that check built, and the solver trusts it unread. A witness arrives as
 plain ``(a, b)`` int tuples and ``operators.indices_of`` ranks them into
 vertex indices by arithmetic, so a row builds no ``labels`` tuple.
 Canonical CSV and JSON reports are byte-identical across runs for a
@@ -35,7 +37,7 @@ from .graphs import (
     path,
     wheel,
 )
-from .mis import SolveAborted, alpha, brute_force_alpha, is_independent
+from .mis import SolveAborted, _checked, alpha, brute_force_alpha, is_independent
 from .operators import DerivedGraph, double_vertex, indices_of, k_token, pair_graph
 
 STATUS_OK = "ok"
@@ -158,13 +160,18 @@ def solve_exact(g: Graph, method: str = "auto", budget_ms: float | None = None,
 
 def certify(fam: FamilySpec, m: int):
     """Build the family's witness at m and check it in the derived graph:
-    ``(derived, pairs, members, independent)``, with ``members`` the
-    vertex indices of the ``(a, b)`` pairs. The construction runs first,
-    so an m below its domain is rejected in the construction's words."""
+    ``(derived, pairs, members, seed)``, with ``members`` the vertex
+    indices of the ``(a, b)`` pairs and ``seed`` None when two of them are
+    adjacent. The construction runs first, so an m below its domain is
+    rejected in the construction's words.
+
+    This is the one independence check of a witness. An independent
+    witness comes back as ``seed``, the members with their bitmask, which
+    ``alpha`` takes as its incumbent and trusts without a second read."""
     pairs = fam.witness_pairs(m)
     derived = fam.derive(fam.base(m))
     members = indices_of(derived, pairs)
-    return derived, pairs, members, is_independent(derived.graph, members)
+    return derived, pairs, members, _checked(derived.graph, members)
 
 
 def verify_one(fam: FamilySpec, m: int, method: str = "auto",
@@ -172,14 +179,16 @@ def verify_one(fam: FamilySpec, m: int, method: str = "auto",
     """Certify, evaluate and solve a single (family, m) pair; the row's
     ``ms`` covers all three, the build included.
 
-    Only an independent witness seeds the solve as its incumbent. A
-    dependent one reports witness -1 and the solve starts from the greedy
-    incumbent. An aborted row reports neither alpha nor witness."""
+    Only an independent witness seeds the solve as its incumbent, in the
+    form ``certify`` checked it, so the solve neither reads nor checks it
+    again. A dependent one reports witness -1 and the solve starts from
+    the greedy incumbent. An aborted row reports neither alpha nor
+    witness."""
     started = time.perf_counter()
-    derived, _, members, independent = certify(fam, m)
+    derived, _, members, seed = certify(fam, m)
     formula_value = fam.formula(m)
     # a dependent "witness" reports as a mismatch
-    witness_size, seed = (len(members), members) if independent else (-1, None)
+    witness_size = -1 if seed is None else len(members)
     try:
         result = solve_exact(derived.graph, method=method, budget_ms=budget_ms, incumbent=seed)
         solver_value: int | None = result.alpha

@@ -392,6 +392,49 @@ def test_alpha_budget_holds_inside_the_cycle_cover_matching():
                            time.perf_counter() - 1)
 
 
+def test_alpha_budget_holds_inside_the_early_clique_cover(monkeypatch):
+    # 20100 vertices and a checked 10100-member seed: the whole-graph clique
+    # cover runs before any other set-up and alone takes tens of ms, so a
+    # 1 ms budget holds only through the cover's own deadline checks
+    dg = pair_graph(cycle(200))
+    seed = mis._checked(dg.graph, indices_of(dg, pair_cycle_witness_pairs(200)))
+    start = time.perf_counter()
+    with pytest.raises(SolveAborted, match="^budget exceeded while building the clique cover$"):
+        alpha(dg.graph, budget_ms=1, incumbent=seed)
+    assert time.perf_counter() - start < 0.015
+    # with a deadline already past, the check before the first clique fires
+    with pytest.raises(SolveAborted, match="clique cover"):
+        _clique_cover_bound(path(3).adjacency_masks, 0b111, time.perf_counter() - 1)
+    # the next check comes after _BLOCK cliques: the clock below reads 0.0
+    # once and 1.0 once, so a third read would raise StopIteration
+    g = pair_graph(cycle(80)).graph  # 1640 cliques
+    clock = iter([0.0, 1.0])
+    monkeypatch.setattr(mis, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    with pytest.raises(SolveAborted, match="clique cover"):
+        _clique_cover_bound(g.adjacency_masks, (1 << g.order) - 1, 0.5)
+
+
+def test_independent_set_range_checks_all_but_the_solvers_own_sets(monkeypatch):
+    with pytest.raises(ValueError, match="^member 4 out of range 1..3$"):
+        mis.IndependentSet(3, frozenset({1, 4}))
+    with pytest.raises(ValueError, match="^member 0 out of range 1..3$"):
+        mis.IndependentSet(3, frozenset({0}))
+
+    def refuse(self):
+        raise AssertionError("a solver range-checked a set it built")
+
+    # the solvers build their witnesses in range, so they skip the check
+    monkeypatch.setattr(mis.IndependentSet, "__post_init__", refuse)
+    dg, small = pair_graph(cycle(7)), path(6)
+    g, seed = dg.graph, indices_of(dg, pair_cycle_witness_pairs(7))
+    for h, result in ((g, alpha(g)), (g, alpha(g, incumbent=seed)), (g, alpha(g, avoid=[1])),
+                      (g, alpha(g, incumbent=mis._checked(g, seed))),
+                      (small, brute_force_alpha(small))):
+        assert is_independent(h, result.witness.members)
+    with pytest.raises(AssertionError, match="range-checked"):
+        mis.IndependentSet(3, frozenset({1}))
+
+
 def test_cycle_cover_bound_on_a_big_graph_does_not_recurse():
     # 3240 vertices: a recursive augmenting search would hit the
     # interpreter's recursion limit on long alternating paths

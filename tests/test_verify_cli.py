@@ -12,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from tokengraphs import verify
+from tokengraphs import mis, verify
 from tokengraphs.cli import main
+from tokengraphs.graphs import Graph
 from tokengraphs.mis import alpha, brute_force_alpha
 from tokengraphs.operators import DerivedGraph, indices_of, token_label_of
 from tokengraphs.verify import (
@@ -199,6 +200,89 @@ def test_verify_one_solves_a_dependent_witness_unseeded(monkeypatch):
     row = verify_one(planted, 7)
     assert (row.alpha, row.witness, row.status) == (row.formula, -1, "mismatch")
     assert seeds == [None]
+
+
+def test_a_seeded_row_checks_its_witness_once(monkeypatch):
+    # certify checks the witness and hands it over with its mask; alpha
+    # neither reads the members into a mask again nor checks them again
+    checks, reads = [], []
+    checked, vertex_mask = mis._checked, Graph._vertex_mask
+
+    def counting_check(g, members):
+        checks.append(len(members))
+        return checked(g, members)
+
+    def counting_mask(g, vertices):
+        vertices = tuple(vertices)
+        reads.append(len(vertices))
+        return vertex_mask(g, vertices)
+
+    def no_read(*args):
+        raise AssertionError("alpha read a certified witness again")
+
+    monkeypatch.setattr(mis, "_checked", counting_check)
+    monkeypatch.setattr(verify, "_checked", counting_check)
+    monkeypatch.setattr(Graph, "_vertex_mask", counting_mask)
+    monkeypatch.setattr(mis, "_read_incumbent", no_read)
+    for name, m in PAPER_ROWS:
+        if name == "dv_wheel":  # its construction solves from a plain incumbent
+            continue
+        checks.clear()
+        reads.clear()
+        row = verify_one(FAMILIES[name], m)
+        assert (row.status, row.witness) == ("ok", row.formula), (name, m)
+        assert checks == reads == [row.witness], (name, m)
+    # a dependent witness is checked once too, and the row solves unseeded
+    checks.clear()
+    row = verify_one(with_dependent_witness(FAMILIES["pair_cycle"], 7), 7)
+    assert (row.alpha, row.witness, row.status) == (row.formula, -1, "mismatch")
+    assert checks == [15]
+
+
+def test_seeded_rows_close_at_the_whole_graph_clique_cover(monkeypatch):
+    # a row whose seed meets the clique cover of the whole graph ends there,
+    # before any degree table or reduction; the others search as before,
+    # reusing that cover at a root their reductions leave whole
+    clique_cover = mis._clique_cover_bound
+    whole = []
+
+    def counting(adj, mask, *args):
+        whole.append(mask == full)
+        return clique_cover(adj, mask, *args)
+
+    def no_drop(*args):
+        raise AssertionError("a row closed by its seed ran the reductions")
+
+    monkeypatch.setattr(mis, "_clique_cover_bound", counting)
+    closed, searched = [], []
+    for name, m in PAPER_ROWS:
+        derived, _, _, seed = verify.certify(FAMILIES[name], m)
+        g = derived.graph
+        full = (1 << g.order) - 1
+        whole.clear()
+        if clique_cover(g.adjacency_masks, full) <= FAMILIES[name].formula(m):
+            with monkeypatch.context() as patch:
+                patch.setattr(mis, "_drop", no_drop)
+                result = alpha(g, incumbent=seed)
+            assert (result.nodes, result.reductions, result.clique_prunes) == (1, 0, 1), (name, m)
+            closed.append((name, m))
+        else:
+            result = alpha(g, incumbent=seed)
+            assert result.nodes == (5 if (name, m) == ("dv_wheel", 5) else 1), (name, m)
+            searched.append((name, m))
+        assert whole.count(True) == 1, (name, m)
+        assert result.alpha == FAMILIES[name].formula(m), (name, m)
+    # the odd cycles and wheels from m = 5 need the cycle or triangle cover
+    assert searched == [(name, m) for name in ("dv_cycle", "dv_wheel", "pair_cycle", "pair_wheel")
+                        for m in range(5, 25, 2)]
+    assert len(closed) == 136
+
+
+def test_a_budgeted_seeded_row_aborts_inside_the_early_cover():
+    # 20100 vertices: the whole-graph clique cover alone takes tens of ms,
+    # so a 1 ms budget holds only through the cover's own deadline checks
+    row = verify_one(FAMILIES["pair_cycle"], 200, budget_ms=1)
+    assert (row.alpha, row.witness, row.status) == (None, None, "aborted")
 
 
 @pytest.mark.parametrize("plant, size, independent, witness", [
