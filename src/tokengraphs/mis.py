@@ -15,7 +15,10 @@ Two independent routes are provided on purpose:
   upper bounds, each tried only where the ones before it fail to prune: a
   greedy clique cover; a cycle cover read off a maximum matching of the
   bipartite double cover (the LP plus cycle-cover bound of Akiba & Iwata,
-  TCS 2016), each node starting from its parent's matching; and
+  TCS 2016), each node starting from its parent's matching, which it
+  leaves intact, and stopping as soon as its matching is large enough to
+  prove the node closed (so a matching short of maximum comes back only
+  from a node it closes, whose children are never searched); and
   vertex-disjoint triangles around the high-degree vertices with a cycle
   cover of the rest, started from the node's own matching. The cycle
   cover is exact on bipartite graphs, the clique cover is the tighter one
@@ -271,7 +274,7 @@ def _clique_cover_bound(adj: tuple[int, ...], mask: int, deadline: float = math.
 
 
 def _cycle_cover_bound(
-    adj: tuple[int, ...], mask: int, matching: tuple, deadline: float
+    adj: tuple[int, ...], mask: int, matching: tuple, deadline: float, target: int = -1
 ) -> tuple[int, tuple]:
     """Upper bound on alpha of the subgraph induced by ``mask`` from a
     maximum matching of its bipartite double cover, where u' sees v'' for
@@ -290,7 +293,16 @@ def _cycle_cover_bound(
     greedily, and the rest are augmented by depth-first Kuhn searches on
     an explicit stack. Returns ``(bound, matching)`` and leaves the given
     matching intact. Raises ``SolveAborted`` once ``perf_counter()``
-    passes ``deadline``."""
+    passes ``deadline``.
+
+    A matching M leaves ``|mask| - |M|`` paths, so the cover's bound is at
+    most ``(2 * |mask| - |M|) // 2``, a number that only falls as M grows.
+    Once it is at most ``target``, after the greedy pass or an augmenting
+    search, the call returns it with the matching as it stands: the bound
+    of a maximum matching would be no larger, so a caller that closes a
+    node when the bound is at most ``target`` closes the same nodes. Only
+    such a return hands back a matching that may not be maximum; the
+    default ``target`` of -1 never stops early."""
     out, inn, tails, heads = matching
     out, inn = out[:], inn[:]
     gone = tails & ~mask
@@ -319,6 +331,12 @@ def _cycle_cover_bound(
             out[u], inn[v] = v, u
             tails |= ubit
             free_heads ^= vbit
+    # (2 * |mask| - |M|) // 2 <= target exactly when |M| >= need
+    size = mask.bit_count()
+    need = 2 * (size - target) - 1
+    matched = tails.bit_count()
+    if matched >= need:
+        return (2 * size - matched) // 2, (out, inn, tails, mask & ~free_heads)
     # ``live`` holds the heads that no failed search reached. The mates of
     # the heads a failed search reached see only such heads, so an
     # alternating path that enters them never gets out to a free head,
@@ -345,6 +363,9 @@ def _cycle_cover_bound(
                 v = vbit.bit_length() - 1
                 for x in reversed(stack):  # flip the alternating path
                     out[x], inn[v], v = v, x, out[x]
+                matched += 1
+                if matched >= need:
+                    return (2 * size - matched) // 2, (out, inn, tails, mask & ~free_heads)
                 break
             if cand:
                 vbit = cand & -cand
@@ -383,7 +404,8 @@ def _cycle_cover_bound(
 
 
 def _triangle_cover_bound(
-    adj: tuple[int, ...], mask: int, deg: list[int], matching: tuple, deadline: float
+    adj: tuple[int, ...], mask: int, deg: list[int], matching: tuple, deadline: float,
+    target: int = -1
 ) -> int:
     """Upper bound on alpha of the subgraph induced by ``mask`` from
     vertex-disjoint triangles, each holding at most one independent vertex,
@@ -393,8 +415,10 @@ def _triangle_cover_bound(
     free takes its lowest-degree free neighbour that has a free neighbour
     in the seed's neighbourhood, then that vertex's lowest-degree such
     neighbour, so each choice is linear in the seed's degree.
-    ``_cycle_cover_bound`` covers the rest from ``matching``. Raises
-    ``SolveAborted`` once ``perf_counter()`` passes ``deadline``."""
+    ``_cycle_cover_bound`` covers the rest from ``matching``, which it
+    leaves intact, and stops early once the total is at most ``target``,
+    so the result is at most ``target`` exactly when the full cover's is.
+    Raises ``SolveAborted`` once ``perf_counter()`` passes ``deadline``."""
     live = sorted((v for v, d in enumerate(deg) if d >= 0), key=deg.__getitem__, reverse=True)
     median = deg[live[len(live) // 2]]
     count = 0
@@ -411,7 +435,7 @@ def _triangle_cover_bound(
             b = _lowest_degree_hub(adj, deg, adj[a] & nb, nb)
             free &= ~(1 << s | 1 << a | 1 << b)
             count += 1
-    return count + _cycle_cover_bound(adj, free, matching, deadline)[0]
+    return count + _cycle_cover_bound(adj, free, matching, deadline, target - count)[0]
 
 
 def _lowest_degree_hub(adj: tuple[int, ...], deg: list[int], scan: int, within: int) -> int:
@@ -636,15 +660,16 @@ def _solve(g: Graph, budget_ms: float | None, start: float, deadline: float,
             if size + cover <= best:
                 clique_prunes += 1
                 continue
-        # the children start from this node's matching
-        bound, matching = _cycle_cover_bound(adj, mask, matching, deadline)
+        # the children start from this node's matching, which is maximum
+        # unless the matching stopped early at a node it closes
+        bound, matching = _cycle_cover_bound(adj, mask, matching, deadline, best - size)
         if size + bound <= best:
             cover_prunes += 1
             continue
         # read at the first node left open; a triangle-free g has no
         # triangle in any vertex subset either
         if g.has_triangle and size + _triangle_cover_bound(adj, mask, deg, matching,
-                                                           deadline) <= best:
+                                                           deadline, best - size) <= best:
             triangle_prunes += 1
             continue
 

@@ -575,6 +575,38 @@ def test_alpha_runs_the_clique_cover_below_the_root_only_with_triangles(monkeypa
     assert len(counted) == calls
 
 
+@pytest.mark.parametrize("build, nodes, closing, stopped", [
+    (lambda: k_token(cycle(11), 3).graph, 127, 63, 48),
+    (lambda: k_token(cycle(9), 4).graph, 67, 31, 23),
+    (lambda: disjoint_union(*[k_token(cycle(9), 3).graph] * 2), 59, 24, 22),
+    (lambda: k_token(wheel(9), 3).graph, 6679, 2114, 1831),  # the triangle cover's calls too
+], ids=["F3(C11)", "F4(C9)", "2xF3(C9)", "F3(W9)"])
+def test_cycle_cover_early_stop_changes_no_prune(monkeypatch, build, nodes, closing, stopped):
+    # every call of the search is run twice, with and without its target:
+    # both fall on the same side of the target, a call that does not stop
+    # is the full call, and one that stops returns the half-integral bound
+    # of the matching it has, no lower than the full call's
+    cycle_cover = mis._cycle_cover_bound
+    calls = []
+
+    def both_ways(adj, mask, matching, deadline, target=-1):
+        full = cycle_cover(adj, mask, matching, deadline)
+        early = cycle_cover(adj, mask, matching, deadline, target)
+        size, arcs = mask.bit_count(), early[1][2].bit_count()
+        stops = (2 * size - arcs) // 2 <= target
+        if stops:
+            assert early[0] == (2 * size - arcs) // 2 >= full[0]
+        else:
+            assert early == full
+        assert (early[0] <= target) == (full[0] <= target)
+        calls.append((full[0] <= target, stops))
+        return early
+
+    monkeypatch.setattr(mis, "_cycle_cover_bound", both_ways)
+    assert alpha(build()).nodes == nodes
+    assert [sum(column) for column in zip(*calls)] == [closing, stopped]
+
+
 def test_alpha_budget_holds_inside_the_triangle_cover():
     # about 1.5 s unbudgeted, with the triangle cover at most open nodes
     g = k_token(wheel(9), 3).graph
@@ -586,7 +618,7 @@ def test_alpha_budget_holds_inside_the_triangle_cover():
 
 @pytest.mark.slow
 def test_alpha_solves_f3_c15():
-    # the standing gate for the exact search: about 2 s on a 2-vCPU Xeon
+    # the standing gate for the exact search: about 1.5 s on a 2-vCPU Xeon
     result = alpha(k_token(cycle(15), 3).graph, budget_ms=120_000)
     assert (result.alpha, result.nodes) == (213, 5731)
 
@@ -669,6 +701,23 @@ def test_alpha_search_is_pinned(build, expected):
     g = build()
     result = alpha(g)
     assert (g.order, result.alpha, result.nodes) == expected
+
+
+@pytest.mark.parametrize("build, counters, witness", [
+    (lambda: k_token(cycle(13), 3).graph, (781, 0, 389, 0, 328, 19),
+     0x252b552a55ab4492a4ca56d4914aaa9292ab5556ab612aa5554aaaa515aab5556a8a954a),
+    (lambda: k_token(wheel(9), 3).graph, (6679, 1217, 520, 1594, 4955, 39),
+     0x1089508924a08a084aa95209452a29),
+], ids=["F3(C13)", "F3(W9)"])
+def test_alpha_result_is_pinned(build, counters, witness):
+    # the whole MisResult of two searches that branch, one through the
+    # cycle cover alone and one through all three bounds: every counter
+    # and the witness, as a mask with bit v - 1 for vertex v. The
+    # cycle-cover matching's early stop may change none of them.
+    r = alpha(build())
+    assert (r.nodes, r.clique_prunes, r.cover_prunes, r.triangle_prunes, r.reductions,
+            r.max_depth) == counters
+    assert sum(1 << (v - 1) for v in r.witness.members) == witness
 
 
 SOLVER_COUNTS = Path(__file__).parent / "golden" / "solver_counts.txt"

@@ -27,7 +27,14 @@ from tokengraphs.graphs import (
     path,
     wheel,
 )
-from tokengraphs.mis import IndependentSet, _cycle_cover_bound, alpha, brute_force_alpha, is_independent
+from tokengraphs.mis import (
+    IndependentSet,
+    _cycle_cover_bound,
+    _triangle_cover_bound,
+    alpha,
+    brute_force_alpha,
+    is_independent,
+)
 from tokengraphs.operators import (
     MULTISET,
     SUBSET,
@@ -378,6 +385,50 @@ def test_cycle_cover_bound_from_cold_and_stale_matchings(g, data):
         assert bound >= expected_alpha
         assert matching[2].bit_count() == expected_size
         assert bound == _bound_of_pieces(g, mask, matching)
+
+
+@st.composite
+def bipartite_graphs(draw, max_order=12):
+    n = draw(st.integers(min_value=1, max_value=max_order))
+    left = draw(st.sets(st.integers(min_value=1, max_value=n)))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+             if (u in left) != (v in left)]
+    picked = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph(n, frozenset(picked))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(graphs(max_order=10), bipartite_graphs(), bridged_unions(), relabeled_cycles()),
+       st.data())
+def test_cover_bounds_stop_early_on_the_same_side_of_their_target(g, data):
+    # for every target t the bound with t and the full bound are both <= t
+    # or both > t, so a search closes the same nodes either way; a call that
+    # does not stop early is the full call, maximum matching included
+    keep = data.draw(st.one_of(
+        st.just(set(g.vertices)),
+        st.sets(st.integers(min_value=1, max_value=g.order), min_size=1),
+    ))
+    mask = sum(1 << (v - 1) for v in keep)
+    adj = g.adjacency_masks
+    deg = [(nb & mask).bit_count() if mask >> v & 1 else -1 for v, nb in enumerate(adj)]
+    expected_alpha = exhaustive_alpha(induced_subgraph(g, keep)[0])
+    no_arcs = [-1] * g.order
+    stale = _random_matching(g, data.draw(st.randoms(use_true_random=False)))
+    for start in ((no_arcs, no_arcs, 0, 0), stale):
+        kept = (start[0][:], start[1][:], start[2], start[3])
+        full, full_matching = _cycle_cover_bound(adj, mask, start, inf)
+        full_triangles = _triangle_cover_bound(adj, mask, deg, start, inf)
+        assert full >= expected_alpha and full_triangles >= expected_alpha
+        for t in range(-1, max(full, full_triangles) + 2):
+            early, matching = _cycle_cover_bound(adj, mask, start, inf, t)
+            assert (early <= t) == (full <= t)
+            assert early >= full and early >= _bound_of_pieces(g, mask, matching)
+            if early > t:
+                assert (early, matching) == (full, full_matching)
+            early = _triangle_cover_bound(adj, mask, deg, start, inf, t)
+            assert (early <= t) == (full_triangles <= t)
+            assert early >= full_triangles
+            assert start == kept
 
 
 @given(graphs(min_order=1, max_order=8))
