@@ -27,12 +27,12 @@ def dv_cycle(m: int) -> int:
 
 def dv_fan(m: int) -> int:
     """alpha of the double vertex graph of the fan on m+1 vertices:
-    floor(m^2/4), with the degenerate single-token case at m = 1. The
+    the path value, except 1 at m = 1, the single token. The
     paper states it from m = 2; it holds from m = 1."""
     _require("dv_fan", m, 1)
     if m == 1:
         return 1
-    return m * m // 4
+    return dv_path(m)
 
 
 def dv_wheel(m: int) -> int:

@@ -34,15 +34,15 @@ Two independent routes are provided on purpose:
   Each node inherits its vertex degrees from its parent, and its
   reductions work through one worklist of the vertices whose degree
   dropped, lowest index first, so they revisit no other vertex. The
-  root's degree table is each adjacency mask's popcount, or, when
-  vertices are avoided, the popcount of its part outside them. The
-  root's worklist starts from the vertices of degree <= 1, read off the
-  degree table as it is built, and a component root's from none: the
-  root's reductions leave no vertex of degree <= 1 behind. Either way
-  the next take is the lowest vertex of degree <= 1, so the takes and
-  the search tree are those of a scan over every vertex. The
-  search is one loop over an explicit stack, not interpreter frames;
-  each component root is a depth-0 frame of it, like g's own root.
+  root's degree table counts each vertex's neighbours outside the
+  avoided vertices. The root's worklist starts from the vertices of
+  degree <= 1, read off the degree table as it is built, and a
+  component root's from none: the root's reductions leave no vertex of
+  degree <= 1 behind. Either way the next take is the lowest vertex of
+  degree <= 1, so the takes and the search tree are those of a scan over
+  every vertex. The search is one loop over an explicit stack, not
+  interpreter frames; each component root is a depth-0 frame of it, like
+  g's own root, and starts from its part of the incumbent.
   ``alpha(g, avoid=...)`` reads the given vertices into a mask, a block
   at a time under the budget, and searches from the mask without them,
   so no smaller graph is built and the witness keeps g's labels.
@@ -50,15 +50,23 @@ Two independent routes are provided on purpose:
   independent. A ``verify`` row passes its witness as the ``_CheckedSet``
   that ``verify.certify`` got from ``_checked``, the one independence
   check (``is_independent`` runs it too): members and mask, which
-  ``alpha`` trusts without reading them again. ``alpha`` itself only
-  validates and reads; ``_solve`` searches. A root started from an
+  ``alpha`` trusts without reading them again. A root started from an
   incumbent first compares a greedy clique cover of its whole residual
-  graph with it and, where the cover is no larger, returns with 1 node
-  before building anything else; otherwise the root reuses that cover
-  when its reductions take nothing. Where the search finds nothing
-  larger, as on every paper row, the witness is that set as given, not
-  read back off its mask. The solvers hand back the sets they built
-  through ``IndependentSet._trusted``, skipping the range check.
+  graph with it and, where the cover is no larger, as on most paper
+  rows, returns that set as given, with 1 node and 1 clique prune,
+  before any degree table or reduction; otherwise the root reuses that
+  cover when its reductions take nothing. The solvers hand back the sets
+  they built through ``IndependentSet._trusted``, skipping the range
+  check.
+  ``alpha``'s budget is checked throughout the solve: once per block of
+  ``_BLOCK`` vertices in the set-up (reading ``avoid``, reading and
+  checking ``incumbent``, the degree table and the greedy incumbent's
+  buckets), once per ``_BLOCK`` cliques of every clique cover, the first
+  included, once per vertex the greedy incumbent takes, once per search
+  node before its reductions, and once per augmenting search. Without a
+  budget the deadline is ``math.inf``, which no clock passes. Every
+  graph arrives with the adjacency bitmasks the solve reads, so no mask
+  build falls inside the clock.
 
 Both are exact and deterministic: repeated runs return the same size and
 the same witness. All bookkeeping is done on Python-int bitmasks, bit i
@@ -496,22 +504,6 @@ def _read(g: Graph, vertices: Iterable[int], deadline: float,
     return vertices, mask
 
 
-def _read_incumbent(g: Graph, incumbent: Iterable[int], avoid_mask: int,
-                    deadline: float) -> tuple[tuple[int, ...], int]:
-    """``alpha``'s incumbent as a tuple and as a mask, read and checked
-    outside ``avoid_mask`` and independent a block at a time under the
-    budget."""
-    incumbent, seed = _read(g, incumbent, deadline, "reading the incumbent")
-    if clash := seed & avoid_mask:
-        raise ValueError(f"incumbent vertex {(clash & -clash).bit_length()} is avoided")
-    adj = g.adjacency_masks
-    for lo in _block_starts(len(incumbent), deadline, "reading the incumbent"):
-        for v in incumbent[lo:lo + _BLOCK]:
-            if adj[v - 1] & seed:
-                raise ValueError(f"incumbent vertex {v} has a neighbour in the incumbent")
-    return incumbent, seed
-
-
 def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = (),
           incumbent: Iterable[int] | None = None) -> MisResult:
     """Exact alpha by branch and bound; no size limit, no default timeout.
@@ -523,34 +515,15 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
     with a neighbour in it raises ``ValueError``. It only starts the
     search, which still closes a node only where a bound meets the best
     set found, so a small or empty incumbent costs nodes, never
-    exactness. Both sets are read once, through ``Graph._vertex_mask``.
-    When no larger set is found the witness is ``incumbent`` itself.
-    ``verify`` hands a row's witness over as the private ``_CheckedSet``
-    that ``verify.certify`` made while checking it: ``alpha`` trusts that
-    set and its mask as they stand and reads nothing.
-
-    These reads and checks are all ``alpha`` does itself; ``_solve`` runs
-    the search. A root started from an incumbent first compares the clique
-    cover of its whole residual graph with the incumbent's size: where
-    the cover meets it, as on most paper rows, the solve ends there, with
-    1 node and 1 clique prune, before any degree table or reduction.
-
-    The search is one loop: where g's root splits after its reductions,
-    each component is pushed as a depth-0 frame, a root of its own that
-    starts from its part of the incumbent.
+    exactness. Both sets are read once, through ``Graph._vertex_mask``;
+    a ``_CheckedSet`` made by ``_checked`` is trusted as it stands and
+    not read at all.
 
     ``budget_ms`` aborts the solve with ``SolveAborted`` once exceeded so
     callers can report a distinguishable aborted status; it must be
-    positive (a NaN deadline would never pass). Every graph arrives with
-    the adjacency bitmasks the solve reads, so the clock covers the solve
-    alone, and the solve checks it throughout: once per block of
-    ``_BLOCK`` vertices in the set-up (reading ``avoid``, reading and
-    checking ``incumbent``, the degree table and the greedy incumbent's
-    buckets; an abort there names its step), once per ``_BLOCK`` cliques
-    of every clique cover, the first included, once per vertex the greedy
-    incumbent takes, once per search node before its reductions, and once
-    per augmenting search. Without a budget the deadline is ``math.inf``,
-    which no clock passes.
+    positive (a NaN deadline would never pass). The clock covers the
+    solve alone, its set-up included, and an abort in the set-up names
+    its step.
     """
     if g.order < 1:
         raise ValueError("alpha needs a non-empty graph")
@@ -558,24 +531,19 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
         raise ValueError(f"budget must be positive, got {budget_ms}")
     start = time.perf_counter()
     deadline = math.inf if budget_ms is None else start + budget_ms / 1000.0
+    adj = g.adjacency_masks
+    n = g.order
     avoid, avoid_mask = _read(g, avoid, deadline, "reading the avoided vertices")
-    seed = 0
     if isinstance(incumbent, _CheckedSet):
         incumbent, seed = incumbent.members, incumbent.mask
     elif incumbent is not None:
-        incumbent, seed = _read_incumbent(g, incumbent, avoid_mask, deadline)
-    return _solve(g, budget_ms, start, deadline, avoid, avoid_mask, incumbent, seed)
-
-
-def _solve(g: Graph, budget_ms: float | None, start: float, deadline: float,
-           avoid: tuple[int, ...], avoid_mask: int, incumbent: Iterable[int] | None,
-           seed: int) -> MisResult:
-    """``alpha``'s search, trusting its caller: ``avoid`` and
-    ``incumbent`` have been read into ``avoid_mask`` and ``seed``, and the
-    incumbent, if any, checked independent outside ``avoid``. ``start``
-    and ``deadline`` are the solve's clock."""
-    adj = g.adjacency_masks
-    n = g.order
+        incumbent, seed = _read(g, incumbent, deadline, "reading the incumbent")
+        if clash := seed & avoid_mask:
+            raise ValueError(f"incumbent vertex {(clash & -clash).bit_length()} is avoided")
+        for lo in _block_starts(len(incumbent), deadline, "reading the incumbent"):
+            for v in incumbent[lo:lo + _BLOCK]:
+                if adj[v - 1] & seed:
+                    raise ValueError(f"incumbent vertex {v} has a neighbour in the incumbent")
     mask = ((1 << n) - 1) ^ avoid_mask
     early_cover = -1  # the clique cover of g's root before its reductions, if read
     if incumbent is not None and mask:
@@ -588,11 +556,7 @@ def _solve(g: Graph, budget_ms: float | None, start: float, deadline: float,
     deg = []
     low = 0  # the vertices of degree <= 1, the root's reduction worklist
     for lo in _block_starts(n, deadline, "building the degree table"):
-        rows = adj[lo:lo + _BLOCK]
-        if avoid_mask:
-            block = [(nb & mask).bit_count() for nb in rows]
-        else:  # nothing avoided: every neighbour is in the residual graph
-            block = list(map(int.bit_count, rows))
+        block = [(nb & mask).bit_count() for nb in adj[lo:lo + _BLOCK]]
         deg += block
         for v in compress(range(lo, lo + len(block)), map((2).__gt__, block)):
             low |= 1 << v
@@ -705,14 +669,8 @@ def _solve(g: Graph, budget_ms: float | None, start: float, deadline: float,
                       matching))
     best_mask |= union
     elapsed = time.perf_counter() - start
-    # where nothing beat the seed (every paper row), hand its set back
-    # instead of reading the mask digit by digit
-    if incumbent is not None and best_mask == seed:
-        members = frozenset(incumbent)
-    else:
-        members = _mask_to_set(best_mask)
     return MisResult(
-        IndependentSet._trusted(n, members), nodes, elapsed,
+        IndependentSet._trusted(n, _mask_to_set(best_mask)), nodes, elapsed,
         clique_prunes=clique_prunes, cover_prunes=cover_prunes, triangle_prunes=triangle_prunes,
         reductions=reductions, max_depth=max_depth,
     )

@@ -26,7 +26,7 @@ from tokengraphs.mis import (
     is_independent,
 )
 from tokengraphs.operators import double_vertex, index_of, indices_of, k_token, pair_graph
-from tokengraphs.verify import FAMILIES, random_graph
+from tokengraphs.verify import FAMILIES, certify, random_graph
 from tokengraphs.witnesses import dv_cycle_witness_pairs, pair_cycle_witness_pairs, r_set_dv
 
 from .oracles import double_cover_matching_size, exhaustive_alpha, greedy_clique_cover_size
@@ -258,11 +258,10 @@ def _counters(result):
 
 
 def test_alpha_avoiding_searches_like_the_deleted_graph():
-    # the degree table counts residual neighbours when vertices are avoided
-    # and reads plain popcounts when none are; both must give the search
-    # the deleted graph gets. (The triangle guards read g, so deleting every
-    # triangle could move a prune between the clique and the cycle cover;
-    # no case here does.)
+    # the degree table counts each vertex's neighbours outside the avoided
+    # vertices, so the search is the one the deleted graph gets. (The
+    # triangle guards read g, so deleting every triangle could move a prune
+    # between the clique and the cycle cover; no case here does.)
     for g, avoid in _avoid_corpus():
         result = alpha(g, avoid=avoid)
         h, relabel = delete_vertices(g, avoid)
@@ -341,6 +340,28 @@ def test_alpha_from_an_empty_or_small_incumbent_is_exact():
             result = alpha(g, incumbent=seed)
             assert result.alpha == want.alpha
             assert is_independent(g, result.witness.members)
+
+
+def test_both_incumbent_forms_search_alike():
+    # a plain incumbent is read and checked, a _CheckedSet is trusted as it
+    # stands; past that the two must run the same search
+    def pairs():
+        for fam in FAMILIES.values():
+            for m in range(max(3, fam.min_m), 25):
+                derived, _, members, _ = certify(fam, m)
+                yield derived.graph, (), members
+        rng = random.Random(36)
+        for i in range(100):
+            g = random_graph(rng, rng.randint(2, 14))
+            avoid = [v for v in g.vertices if rng.random() < 0.2][:g.order - 1] if i % 2 else []
+            best = sorted(alpha(g, avoid=avoid).witness.members)
+            # all of a maximum set, or some of it, so some searches improve on it
+            yield g, avoid, [v for v in best if rng.random() < 0.7] if i % 3 else best
+
+    for g, avoid, seed in pairs():
+        plain = alpha(g, avoid=avoid, incumbent=seed)
+        checked = alpha(g, avoid=avoid, incumbent=mis._checked(g, frozenset(seed)))
+        assert replace(plain, elapsed=0) == replace(checked, elapsed=0), (g, avoid, seed)
 
 
 def test_alpha_budget_covers_the_incumbent_read(monkeypatch):
