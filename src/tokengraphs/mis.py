@@ -2,9 +2,10 @@
 
 Two independent routes are provided on purpose:
 
-* ``brute_force_alpha``: plain recursive include/exclude enumeration in
-  ascending vertex order with only the trivial remaining-vertices bound.
-  It is the oracle; it stays simple so it can be trusted.
+* ``brute_force_alpha``: include/exclude enumeration in ascending vertex
+  order with only the trivial remaining-vertices bound, run on an explicit
+  stack, so a raised ``cap`` cannot overrun the recursion limit. It is the
+  oracle; it stays simple so it can be trusted.
 * ``alpha``: branch and bound. Branches on a maximum-degree vertex,
   among those the one with the most neighbours of that same degree
   (lowest index on ties), include branch first, a minimum-degree greedy
@@ -178,24 +179,21 @@ def brute_force_alpha(g: Graph, cap: int = BRUTE_FORCE_CAP) -> MisResult:
         raise ValueError("brute_force_alpha needs a non-empty graph")
     adj = g.adjacency_masks
     start = time.perf_counter()
-    best = 0
-    best_mask = 0
-    nodes = 0
-
-    def explore(mask: int, chosen: int, size: int) -> None:
-        nonlocal best, best_mask, nodes
+    best = best_mask = nodes = 0
+    # Each popped frame walks its include chain in place, pushing every
+    # exclude child on the way down: nodes are visited in preorder, include
+    # child first, with no interpreter frame per level.
+    stack = [((1 << g.order) - 1, 0, 0)]  # (mask, chosen, size)
+    while stack:
+        mask, chosen, size = stack.pop()
         nodes += 1
-        if size + mask.bit_count() <= best:
-            return
-        if mask == 0:
+        while mask and size + mask.bit_count() > best:
+            low = mask & -mask
+            stack.append((mask ^ low, chosen, size))
+            mask, chosen, size = mask & ~(adj[low.bit_length() - 1] | low), chosen | low, size + 1
+            nodes += 1
+        if not mask and size > best:  # a leaf the remaining-vertices bound left open
             best, best_mask = size, chosen
-            return
-        low = mask & -mask
-        v = low.bit_length() - 1
-        explore(mask & ~(adj[v] | low), chosen | low, size + 1)
-        explore(mask ^ low, chosen, size)
-
-    explore((1 << g.order) - 1, 0, 0)
     elapsed = time.perf_counter() - start
     return MisResult(IndependentSet._trusted(g.order, _mask_to_set(best_mask)), nodes, elapsed)
 

@@ -1,9 +1,11 @@
 """Independent test oracles.
 
 These deliberately avoid the package's solver and construction paths:
-alpha is computed by top-down subset enumeration over the raw edge set,
-and derived-graph adjacency is re-derived from first principles (shared
-elements and endpoint adjacency) instead of symmetric differences.
+alpha is computed by top-down subset enumeration over the raw edge set
+(or by the oracle's include/exclude enumeration as a plain recursion, to
+pin ``brute_force_alpha`` node for node), and derived-graph adjacency is
+re-derived from first principles (shared elements and endpoint
+adjacency) instead of symmetric differences.
 """
 
 from __future__ import annotations
@@ -54,6 +56,35 @@ def exhaustive_alpha(g: Graph) -> int:
             if subset_is_independent(g.edges, combo):
                 return k
     return 0
+
+
+def recursive_brute_force_alpha(g: Graph) -> tuple[int, int, frozenset[int]]:
+    """``(alpha, nodes, witness members)`` of the include/exclude
+    enumeration ``brute_force_alpha`` runs, as the plain recursion it was
+    first written as: ascending vertex order, include child first, only
+    the remaining-vertices bound. Its masks are read off the raw edge
+    set. It recurses once per vertex, so keep g small."""
+    adj = [0] * g.order
+    for u, v in g.edges:
+        adj[u - 1] |= 1 << (v - 1)
+        adj[v - 1] |= 1 << (u - 1)
+    best = best_mask = nodes = 0
+
+    def explore(mask: int, chosen: int, size: int) -> None:
+        nonlocal best, best_mask, nodes
+        nodes += 1
+        if size + mask.bit_count() <= best:
+            return
+        if mask == 0:
+            best, best_mask = size, chosen
+            return
+        low = mask & -mask
+        v = low.bit_length() - 1
+        explore(mask & ~(adj[v] | low), chosen | low, size + 1)
+        explore(mask ^ low, chosen, size)
+
+    explore((1 << g.order) - 1, 0, 0)
+    return best, nodes, frozenset(v + 1 for v in range(g.order) if best_mask >> v & 1)
 
 
 def naive_double_vertex_edges(g: Graph) -> set[frozenset]:

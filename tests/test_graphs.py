@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from itertools import permutations
 
@@ -24,6 +25,7 @@ from tokengraphs.graphs import (
 from tokengraphs.mis import alpha, is_independent
 from tokengraphs.operators import k_token
 from tokengraphs.verify import random_graph
+from tokengraphs.witnesses import r_set_dv, r_set_pair
 
 from .oracles import triple_has_triangle
 from .test_mis import _frame_depth
@@ -76,6 +78,18 @@ def test_graph_keeps_a_normalized_frozenset():
 def test_graph_rejections_and_messages(edges, message):
     with pytest.raises(ValueError, match=message):
         Graph(4, edges)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Graph(-1), "order must be non-negative, got -1"),
+    (lambda: join(Graph(0), path(2)), "join needs two non-empty graphs"),
+    (lambda: cartesian_product(path(2), Graph(0)), "cartesian product needs two non-empty graphs"),
+    (lambda: r_set_dv(4, 5), "r_set_dv needs 1 <= q <= 4, got 5"),
+    (lambda: r_set_pair(4, 0), "r_set_pair needs 1 <= i <= 4, got 0"),
+])
+def test_constructions_reject_out_of_domain_arguments(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_empty_graph_is_representable():

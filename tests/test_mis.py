@@ -15,6 +15,7 @@ from tokengraphs.graphs import (
     wheel,
 )
 from tokengraphs.mis import (
+    BRUTE_FORCE_CAP,
     SolveAborted,
     _branch_vertex,
     _clique_cover_bound,
@@ -29,7 +30,10 @@ from tokengraphs.operators import double_vertex, index_of, indices_of, k_token, 
 from tokengraphs.verify import FAMILIES, certify, random_graph
 from tokengraphs.witnesses import dv_cycle_witness_pairs, pair_cycle_witness_pairs, r_set_dv
 
-from .oracles import double_cover_matching_size, exhaustive_alpha, greedy_clique_cover_size
+from .oracles import (
+    double_cover_matching_size, exhaustive_alpha, greedy_clique_cover_size,
+    recursive_brute_force_alpha,
+)
 
 
 def test_is_independent_basic():
@@ -165,6 +169,44 @@ def test_brute_force_matches_exhaustive_oracle():
         assert brute_force_alpha(g).alpha == exhaustive_alpha(g)
 
 
+def _brute_force_corpus():
+    """(label, graph) pairs: every paper row of at most ``BRUTE_FORCE_CAP``
+    vertices, 200 ``verify.random_graph`` draws of order 1..26 and 60
+    sparse graphs of order 18..26, whose include chains run deep."""
+    for fam in FAMILIES.values():
+        m = fam.min_m
+        while (g := fam.derive(fam.base(m)).graph).order <= BRUTE_FORCE_CAP:
+            yield f"{fam.name}({m})", g
+            m += 1
+    rng = random.Random(41)
+    for i in range(200):
+        g = random_graph(rng, rng.randint(1, BRUTE_FORCE_CAP))
+        yield f"random{i}(n={g.order})", g
+    for i in range(60):
+        n = rng.randint(18, BRUTE_FORCE_CAP)
+        edges = frozenset((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                          if rng.random() < 0.15)
+        yield f"sparse{i}(n={n})", Graph(n, edges)
+
+
+def test_brute_force_enumerates_like_the_recursive_reference():
+    corpus = list(_brute_force_corpus())
+    assert len(corpus) == 38 + 200 + 60  # 38 paper rows fit the cap
+    for label, g in corpus:
+        got = brute_force_alpha(g)
+        assert (got.alpha, got.nodes, got.witness.members) == recursive_brute_force_alpha(g), label
+
+
+def test_brute_force_with_a_raised_cap_needs_no_interpreter_frames():
+    # an include chain as long as the graph: with a frame per level both
+    # would overrun the default recursion limit of 1000
+    edgeless = brute_force_alpha(Graph(3000), cap=3000)
+    assert (edgeless.alpha, edgeless.nodes) == (3000, 6001)
+    assert edgeless.witness.members == frozenset(range(1, 3001))
+    clique = brute_force_alpha(complete(1500), cap=1500)
+    assert (clique.alpha, clique.nodes, clique.witness.members) == (1, 2999, frozenset({1}))
+
+
 def test_alpha_additive_over_disjoint_union():
     rng = random.Random(56)
     for _ in range(15):
@@ -285,6 +327,16 @@ def test_alpha_budget_bounds_the_greedy_incumbent():
     with pytest.raises(SolveAborted, match="greedy incumbent"):
         alpha(g, budget_ms=2)
     assert time.perf_counter() - start < 0.5
+
+
+def test_greedy_incumbent_checks_the_deadline_before_each_take(monkeypatch):
+    # the clock reads 0.0 for the bucket fill (one block) and 1.0 ever
+    # after, so only the check before the first take can raise
+    clock = chain([0.0], repeat(1.0))
+    monkeypatch.setattr(mis, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    g = path(3)
+    with pytest.raises(SolveAborted, match="^budget exceeded while building the greedy incumbent$"):
+        _greedy_incumbent(g.adjacency_masks, 0b111, [1, 2, 1], 0.5)
 
 
 def test_alpha_budget_bounds_the_solver_set_up():

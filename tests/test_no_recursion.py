@@ -1,6 +1,5 @@
-"""No function in the package calls itself by name, apart from the
-brute-force oracle, whose depth is bounded, so a large input cannot
-overrun the interpreter's recursion limit."""
+"""No function in the package calls itself by name, so a large input
+cannot overrun the interpreter's recursion limit."""
 
 import ast
 from pathlib import Path
@@ -9,9 +8,6 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tokengraphs"
 MODULES = sorted(PACKAGE.rglob("*.py"))
-
-# brute_force_alpha's explore descends at most BRUTE_FORCE_CAP levels.
-ALLOWED = {("mis.py", "brute_force_alpha.explore")}
 
 
 def calls_itself(fn: ast.FunctionDef) -> bool:
@@ -29,18 +25,17 @@ def calls_itself(fn: ast.FunctionDef) -> bool:
     return False
 
 
-def self_calling_functions(path: Path) -> set[tuple[str, str]]:
-    """(file name, qualified name) of every function in ``path`` that
-    calls itself."""
+def self_calling_functions(tree: ast.AST) -> set[str]:
+    """Qualified name of every function in ``tree`` that calls itself."""
     found = set()
-    pending = [(ast.parse(path.read_text(), filename=str(path)), "")]
+    pending = [(tree, "")]
     while pending:
         node, prefix = pending.pop()
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 qualname = prefix + child.name
                 if not isinstance(child, ast.ClassDef) and calls_itself(child):
-                    found.add((path.name, qualname))
+                    found.add(qualname)
                 pending.append((child, qualname + "."))
             else:
                 pending.append((child, prefix))
@@ -49,12 +44,20 @@ def self_calling_functions(path: Path) -> set[tuple[str, str]]:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_function_calls_itself(path):
-    unexpected = sorted(self_calling_functions(path) - ALLOWED)
-    assert unexpected == [], f"{path.name} has self-calling functions: {unexpected}"
+    found = sorted(self_calling_functions(ast.parse(path.read_text(), filename=str(path))))
+    assert found == [], f"{path.name} has self-calling functions: {found}"
 
 
-def test_the_allowed_self_calls_are_found():
-    # keeps the allow list current and shows that the detector sees a
-    # nested self-call
-    found = set().union(*(self_calling_functions(p) for p in MODULES))
-    assert ALLOWED <= found
+def test_a_planted_self_call_is_found():
+    planted = ast.parse(
+        "def solve(g):\n"
+        "    def explore(mask):\n"
+        "        return mask and explore(mask >> 1)\n"
+        "    return explore(g)\n"
+        "class Walker:\n"
+        "    def walk(self, node):\n"
+        "        return [self.walk(c) for c in node]\n"
+        "def calls_another(x):\n"
+        "    return solve(x)\n"
+    )
+    assert self_calling_functions(planted) == {"solve.explore", "Walker.walk"}

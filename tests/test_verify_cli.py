@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from tokengraphs import mis, verify
+from tokengraphs import mis, verify, witnesses
 from tokengraphs.cli import main
 from tokengraphs.graphs import Graph
 from tokengraphs.mis import alpha, brute_force_alpha
@@ -360,6 +360,26 @@ def test_property_suites_validate_sizes():
         run_property_suites(sizes=())
     with pytest.raises(ValueError):
         run_property_suites(sizes=(5,), trials=0)
+
+
+def test_property_suites_skip_a_token_count_above_the_order():
+    results = {s.name: s for s in run_property_suites(sizes=(2,), trials=3)}
+    assert all(s.ok for s in results.values())
+    # one k = 2 case per two-vertex draw; k = 3 does not fit
+    assert results["token_graph_deletion_commutes"].cases == 3
+
+
+def test_a_failing_suite_case_is_reported_and_fails_props(monkeypatch, capsys):
+    # every slice claimed independent: the dependent slices q = (m + 1) / 2
+    # of the odd cycles m = 3..11 fail, and nothing else
+    monkeypatch.setattr(witnesses, "l_is_independent_expected", lambda m, q: True)
+    results = run_property_suites(sizes=(4,), trials=1)
+    failures = {s.name: s.failures for s in results if s.failures}
+    assert failures == {"l_set_independence_dichotomy": [
+        "m=3 q=2", "m=5 q=3", "m=7 q=4", "m=9 q=5", "m=11 q=6"]}
+    assert suites_report(results).endswith(" 5 FAILURES\n")
+    assert main(["props", "--sizes", "4", "--trials", "1"]) == 1
+    assert "  failed: m=11 q=6\n" in capsys.readouterr().out
 
 
 def test_suites_report_shows_failures():
