@@ -31,7 +31,9 @@ Two independent routes are provided on purpose:
   matching M of the n vertices left, and the cycle cover, at most that
   from a maximum matching, closes every node it would. A k-token graph
   has a triangle only when its base does, so on F_k(C_m), m >= 4, neither
-  runs below the root.
+  runs below the root. Nor does the triangle cover run at a node that a
+  third of its vertices, rounded up, already leaves open: the cover never
+  counts less.
   Each node inherits its vertex degrees from its parent, and its
   reductions work through one worklist of the vertices whose degree
   dropped, lowest index first, so they revisit no other vertex. The
@@ -444,6 +446,14 @@ def _triangle_cover_bound(
     return count + _cycle_cover_bound(adj, free, matching, deadline, target - count)[0]
 
 
+def _triangle_cover_floor(live: int) -> int:
+    """The least value ``_triangle_cover_bound`` can take on ``live``
+    vertices, whatever the graph, matching or target: each triangle counts
+    1 for its 3 vertices and each cycle-cover piece of L vertices at least
+    L / 3, so the bound is at least ceil(live / 3)."""
+    return -(-live // 3)
+
+
 def _lowest_degree_hub(adj: tuple[int, ...], deg: list[int], scan: int, within: int) -> int:
     """The vertex of the mask ``scan`` with a neighbour in ``within`` and
     the lowest ``deg``, lowest index on ties; -1 if there is none."""
@@ -628,10 +638,12 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
         if size + bound <= best:
             cover_prunes += 1
             continue
-        # read at the first node left open; a triangle-free g has no
+        # read at the first node left open, and only where its floor does
+        # not already keep the node open; a triangle-free g has no
         # triangle in any vertex subset either
-        if g.has_triangle and size + _triangle_cover_bound(adj, mask, deg, matching,
-                                                           deadline, best - size) <= best:
+        if (g.has_triangle and size + _triangle_cover_floor(mask.bit_count()) <= best
+                and size + _triangle_cover_bound(adj, mask, deg, matching, deadline,
+                                                 best - size) <= best):
             triangle_prunes += 1
             continue
 

@@ -18,7 +18,11 @@ F2(g) is the pair graph of g without its diagonal tokens {x, x}, so
 builder, which lists for each base vertex x the ranks of its tokens
 {s, x} and joins the lists of x and y for each edge xy.
 ``k_token(g, 2)`` builds the same graph as ``double_vertex(g)`` the
-general way.
+general way. Its moves along a base edge xy, S + x ~ S + y, depend only
+on the base order n, k, x and y, so ``k_token`` keeps a move table per
+(n, k), for the 16 (n, k) used last: the ranks of the k-subsets holding
+each vertex, and for each pair xy met as an edge so far the two rank
+lists to zip. Later builds of that order and k, on any graph, reuse it.
 
 Vertex i of a derived graph is the i-th k-subset or k-multiset of
 1..n in lexicographic order, so a derived graph stores only its kind, k
@@ -32,7 +36,7 @@ it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
@@ -40,6 +44,9 @@ from .graphs import Graph, _edge_pairs
 
 SUBSET = "subset"
 MULTISET = "multiset"
+
+# how many (n, k) move tables ``k_token`` keeps; the property suites use 13
+_MOVE_TABLES = 16
 
 
 @dataclass(frozen=True)
@@ -151,22 +158,45 @@ def double_vertex(g: Graph) -> DerivedGraph:
 
 def k_token(g: Graph, k: int) -> DerivedGraph:
     """Graph on all k-subsets of V(g); adjacency when the symmetric
-    difference of the two subsets is exactly one edge of g."""
+    difference of the two subsets is exactly one edge of g.
+
+    The moves along a base edge xy, S + x ~ S + y for each (k-1)-subset S
+    of V(g) minus {x, y}, depend only on the order n, k, x and y, so every
+    build of one order and k reads them from one move table
+    (``_move_table``, kept for the last 16 (n, k)): an edge met before is
+    a zip of two stored rank lists, and a new one fills its lists from two
+    set differences."""
     if not (1 <= k <= g.order):
         raise ValueError(f"k must satisfy 1 <= k <= {g.order}, got {k}")
-    # a k-subset is indexed by its bitmask, bit x-1 standing for vertex x,
-    # so a move x -> y is two ORs and a lookup
-    bits = [1 << x for x in range(g.order)]
-    index = {sum(combo): i for i, combo in enumerate(combinations(bits, k))}
-    masks = [0] * len(index)
+    holders, moves = _move_table(g.order, k)
+    masks = [0] * comb(g.order, k)
     for x, y in _edge_pairs(g.adjacency_masks):
-        bx, by = bits[x - 1], bits[y - 1]
-        movable = [b for b in bits if b != bx and b != by]
-        for stay in map(sum, combinations(movable, k - 1)):
-            i, j = index[stay | bx], index[stay | by]
+        pair = moves.get((x, y))
+        if pair is None:
+            # hx - hy ranks the tokens S + x and hy - hx the tokens S + y;
+            # adding x (or y) to each S keeps the lexicographic order of
+            # the S, so the two sorted lists pair up S by S
+            hx, hy = holders[x - 1], holders[y - 1]
+            pair = moves[x, y] = (sorted(hx - hy), sorted(hy - hx))
+        for i, j in zip(*pair):
             masks[i] |= 1 << j
             masks[j] |= 1 << i
     return DerivedGraph(Graph._from_masks(masks), SUBSET, k, g.order)
+
+
+@lru_cache(maxsize=_MOVE_TABLES)
+def _move_table(n: int, k: int) -> tuple[list[set[int]], dict[tuple[int, int], tuple]]:
+    """The move table of the k-subsets of 1..n, one of the last
+    ``_MOVE_TABLES`` (n, k) asked for: for each vertex x, the set of
+    0-based ranks of the k-subsets holding x, and, for each pair x < y
+    that a build has met as an edge, the sorted ranks of the k-subsets
+    holding x but not y and of those holding y but not x. It depends on
+    n and k alone, never on a graph, so it outlives the builds."""
+    holders = [set() for _ in range(n)]
+    for rank, token in enumerate(combinations(holders, k)):
+        for holder in token:
+            holder.add(rank)
+    return holders, {}
 
 
 def pair_graph(g: Graph) -> DerivedGraph:

@@ -5,7 +5,9 @@ alpha is computed by top-down subset enumeration over the raw edge set
 (or by the oracle's include/exclude enumeration as a plain recursion, to
 pin ``brute_force_alpha`` node for node), and derived-graph adjacency is
 re-derived from first principles (shared elements and endpoint
-adjacency) instead of symmetric differences.
+adjacency) instead of symmetric differences, or, to pin ``k_token``'s
+neighbour masks, by the per-build bitmask index it used before its move
+tables.
 """
 
 from __future__ import annotations
@@ -114,6 +116,25 @@ def naive_k_token_edges(g: Graph, k: int) -> set[frozenset]:
         if len(diff) == 2 and g.has_edge(*diff):
             edges.add(frozenset((t1, t2)))
     return edges
+
+
+def bitmask_index_k_token_masks(g: Graph, k: int) -> tuple[int, ...]:
+    """The neighbour masks of F_k(g), vertex i being the i-th k-subset in
+    lexicographic order, built with no state kept between calls: each
+    k-subset is indexed by its bitmask, bit x-1 standing for vertex x, and
+    each edge xy of the raw edge set joins S + x and S + y for every
+    (k-1)-subset S of the other vertices."""
+    bits = [1 << x for x in range(g.order)]
+    index = {sum(combo): i for i, combo in enumerate(combinations(bits, k))}
+    masks = [0] * len(index)
+    for x, y in g.edges:
+        bx, by = bits[x - 1], bits[y - 1]
+        movable = [b for b in bits if b != bx and b != by]
+        for stay in map(sum, combinations(movable, k - 1)):
+            i, j = index[stay | bx], index[stay | by]
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    return tuple(masks)
 
 
 def naive_pair_adjacent(g: Graph, t1: tuple[int, int], t2: tuple[int, int]) -> bool:

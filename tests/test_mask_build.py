@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from tokengraphs import graphs, verify
+from tokengraphs import graphs, operators, verify
 from tokengraphs.graphs import (
     Graph,
     cartesian_product,
@@ -26,7 +26,10 @@ from tokengraphs.graphs import (
 from tokengraphs.operators import double_vertex, k_token, pair_graph
 from tokengraphs.verify import FAMILIES, STATUS_OK, random_graph, verify_one
 
-from .oracles import naive_double_vertex_edges, naive_k_token_edges, naive_pair_graph_edges
+from .oracles import (
+    bitmask_index_k_token_masks, naive_double_vertex_edges, naive_k_token_edges,
+    naive_pair_graph_edges,
+)
 
 BASES = (
     [path(m) for m in range(2, 9)]
@@ -195,3 +198,53 @@ def test_operators_and_builders_never_read_edge_views(monkeypatch):
             cartesian_product(reduced, reduced)
     assert all(s.ok for s in verify.run_property_suites(0, sizes=(5, 6, 7, 8), trials=40))
     assert views == []
+
+
+def _token_edges(dg) -> set[frozenset]:
+    labels = dg.labels
+    return {frozenset((labels[u - 1], labels[v - 1])) for u, v in dg.graph.edges}
+
+
+@pytest.mark.parametrize("base", BASES, ids=repr)
+def test_k_token_builds_alike_from_a_cold_or_a_shared_move_table(base):
+    # a move table depends on (n, k) alone: filled by this base from
+    # nothing, or by every other base of its order first, it gives the
+    # same graph
+    others = [b for b in BASES if b.order == base.order and b is not base]
+    for k in range(1, min(4, base.order) + 1):
+        expected = naive_k_token_edges(base, k)
+        operators._move_table.cache_clear()
+        cold = k_token(base, k)
+        assert _token_edges(cold) == expected
+        for other in others:
+            k_token(other, k)
+        warm = k_token(base, k)
+        assert _token_edges(warm) == expected
+        assert warm.graph == cold.graph
+
+
+def test_property_suite_builds_match_the_bitmask_index_builder(monkeypatch):
+    builds = []
+
+    def recording_k_token(g, k):
+        dg = k_token(g, k)
+        builds.append((g, k, dg.graph.adjacency_masks))
+        return dg
+
+    monkeypatch.setattr(verify, "k_token", recording_k_token)
+    assert all(s.ok for s in verify.run_property_suites(0, sizes=(5, 6, 7, 8), trials=40))
+    assert len(builds) == 640 and len({(g.order, k) for g, k, _ in builds}) == 13
+    for g, k, masks in builds:
+        assert masks == bitmask_index_k_token_masks(g, k)
+
+
+def test_k_token_keeps_at_most_sixteen_move_tables():
+    # one table per (n, k), the least recently used dropped past 16: the
+    # property suites' 13 all stay
+    operators._move_table.cache_clear()
+    asked = [(n, k) for n in range(1, 12) for k in (1, 2, 3) if k <= n]
+    for n, k in asked:
+        k_token(path(n), k)
+    info = operators._move_table.cache_info()
+    assert len(asked) > 16
+    assert (info.maxsize, info.currsize) == (16, 16)

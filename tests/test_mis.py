@@ -22,6 +22,7 @@ from tokengraphs.mis import (
     _cycle_cover_bound,
     _greedy_incumbent,
     _triangle_cover_bound,
+    _triangle_cover_floor,
     alpha,
     brute_force_alpha,
     is_independent,
@@ -556,6 +557,48 @@ def test_triangle_cover_bound_is_an_upper_bound():
         _, warm = _cycle_cover_bound(adj, mask, cold, math.inf)
         for start in (cold, warm):
             assert _triangle_cover_bound(adj, mask, deg, start, math.inf) >= expected
+
+
+def test_triangle_cover_bound_never_falls_below_its_floor():
+    # the lemma behind alpha's skip: each triangle counts 1 for 3 vertices
+    # and each cycle-cover piece of L vertices at least L / 3, from a cold
+    # or a stale matching and whether or not a target stops it early
+    rng = random.Random(19)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 24))
+        adj = g.adjacency_masks
+        _, mask, starts = _subset_and_starts(rng, g)
+        deg = [(nb & mask).bit_count() if mask >> v & 1 else -1 for v, nb in enumerate(adj)]
+        live = mask.bit_count()
+        assert _triangle_cover_floor(live) == math.ceil(live / 3)
+        for start in starts:
+            for target in (-1, rng.randint(0, live)):
+                bound = _triangle_cover_bound(adj, mask, deg, start, math.inf, target)
+                assert 3 * bound >= live
+
+
+def test_the_triangle_cover_floor_skip_changes_no_result(monkeypatch):
+    # with the floor at -inf nothing is skipped; the search must not change
+    rng = random.Random(0)
+    corpus = [random_graph(rng, rng.randint(5, 40)) for _ in range(300)]
+    corpus += [k_token(wheel(9), 3).graph, double_vertex(wheel(23)).graph,
+               pair_graph(wheel(23)).graph]
+    calls = []
+    triangle_cover = mis._triangle_cover_bound
+
+    def counting(*args):
+        calls.append(args)
+        return triangle_cover(*args)
+
+    monkeypatch.setattr(mis, "_triangle_cover_bound", counting)
+    skipping = [replace(alpha(g), elapsed=0) for g in corpus]
+    skipped_calls = len(calls)
+    monkeypatch.setattr(mis, "_triangle_cover_floor", lambda live: -math.inf)
+    for g, expected in zip(corpus, skipping):
+        assert replace(alpha(g), elapsed=0) == expected
+    # the skip is taken, yet the triangle cover still closes nodes
+    assert 0 < skipped_calls < len(calls) - skipped_calls
+    assert sum(result.triangle_prunes for result in skipping) > 0
 
 
 def _random_bipartite(rng, n):
