@@ -162,11 +162,10 @@ def cycle(m: int) -> Graph:
     return Graph(m, [(i, i + 1) for i in range(1, m)] + [(1, m)])
 
 
-def complete(n: int) -> Graph:
-    """Complete graph K_n."""
-    if n < 1:
-        raise ValueError(f"complete needs n >= 1, got {n}")
-    return Graph(n, combinations(range(1, n + 1), 2))
+def complete(m: int) -> Graph:
+    """Complete graph K_m."""
+    _require("complete", m, 1)
+    return Graph(m, combinations(range(1, m + 1), 2))
 
 
 def join(g: Graph, h: Graph) -> Graph:

@@ -31,9 +31,9 @@ Two independent routes are provided on purpose:
   matching M of the n vertices left, and the cycle cover, at most that
   from a maximum matching, closes every node it would. A k-token graph
   has a triangle only when its base does, so on F_k(C_m), m >= 4, neither
-  runs below the root. Nor does the triangle cover run at a node that a
-  third of its vertices, rounded up, already leaves open: the cover never
-  counts less.
+  runs below the root. The triangle cover returns at once, without
+  placing a triangle, at a node that a third of its vertices, rounded up,
+  already leaves open: the cover never counts less.
   Each node inherits its vertex degrees from its parent, and its
   reductions work through one worklist of the vertices whose degree
   dropped, lowest index first, so they revisit no other vertex. The
@@ -424,9 +424,16 @@ def _triangle_cover_bound(
     in the seed's neighbourhood, then that vertex's lowest-degree such
     neighbour, so each choice is linear in the seed's degree.
     ``_cycle_cover_bound`` covers the rest from ``matching``, which it
-    leaves intact, and stops early once the total is at most ``target``,
-    so the result is at most ``target`` exactly when the full cover's is.
+    leaves intact, and stops early once the total is at most ``target``.
+    A ``target`` >= 0 below ceil(|mask| / 3) returns |mask| at once: each
+    triangle counts 1 for its 3 vertices and each cycle-cover piece of L
+    vertices at least L / 3, so the full cover is at least that floor, and
+    at most |mask|. Either way the result is at most ``target`` exactly
+    when the full cover's is, and never below it.
     Raises ``SolveAborted`` once ``perf_counter()`` passes ``deadline``."""
+    size = mask.bit_count()
+    if 0 <= target < -(-size // 3):
+        return size
     live = sorted((v for v, d in enumerate(deg) if d >= 0), key=deg.__getitem__, reverse=True)
     median = deg[live[len(live) // 2]]
     count = 0
@@ -444,14 +451,6 @@ def _triangle_cover_bound(
             free &= ~(1 << s | 1 << a | 1 << b)
             count += 1
     return count + _cycle_cover_bound(adj, free, matching, deadline, target - count)[0]
-
-
-def _triangle_cover_floor(live: int) -> int:
-    """The least value ``_triangle_cover_bound`` can take on ``live``
-    vertices, whatever the graph, matching or target: each triangle counts
-    1 for its 3 vertices and each cycle-cover piece of L vertices at least
-    L / 3, so the bound is at least ceil(live / 3)."""
-    return -(-live // 3)
 
 
 def _lowest_degree_hub(adj: tuple[int, ...], deg: list[int], scan: int, within: int) -> int:
@@ -638,12 +637,10 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
         if size + bound <= best:
             cover_prunes += 1
             continue
-        # read at the first node left open, and only where its floor does
-        # not already keep the node open; a triangle-free g has no
+        # read at the first node left open; a triangle-free g has no
         # triangle in any vertex subset either
-        if (g.has_triangle and size + _triangle_cover_floor(mask.bit_count()) <= best
-                and size + _triangle_cover_bound(adj, mask, deg, matching, deadline,
-                                                 best - size) <= best):
+        if g.has_triangle and size + _triangle_cover_bound(adj, mask, deg, matching, deadline,
+                                                           best - size) <= best:
             triangle_prunes += 1
             continue
 

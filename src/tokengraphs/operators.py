@@ -20,9 +20,10 @@ builder, which lists for each base vertex x the ranks of its tokens
 ``k_token(g, 2)`` builds the same graph as ``double_vertex(g)`` the
 general way. Its moves along a base edge xy, S + x ~ S + y, depend only
 on the base order n, k, x and y, so ``k_token`` keeps a move table per
-(n, k), for the 16 (n, k) used last: the ranks of the k-subsets holding
-each vertex, and for each pair xy met as an edge so far the two rank
-lists to zip. Later builds of that order and k, on any graph, reuse it.
+(n, k), for the last ``_MOVE_TABLES`` (n, k) used: the ranks of the
+k-subsets holding each vertex, and for each pair xy met as an edge so
+far the two rank lists to zip. Later builds of that order and k, on any
+graph, reuse it.
 
 Vertex i of a derived graph is the i-th k-subset or k-multiset of
 1..n in lexicographic order, so a derived graph stores only its kind, k
@@ -46,7 +47,10 @@ SUBSET = "subset"
 MULTISET = "multiset"
 
 # how many (n, k) move tables ``k_token`` keeps; the property suites use 13
-_MOVE_TABLES = 16
+# at orders <= 8 and 29 at orders <= 16, the most ``props`` allows. A
+# process that sweeps many large (n, k) pays for it in memory: F3(C30)'s
+# table alone holds 1.29 MB.
+_MOVE_TABLES = 32
 
 
 @dataclass(frozen=True)
@@ -74,9 +78,6 @@ class DerivedGraph:
     def labels(self) -> tuple[tuple[int, ...], ...]:
         choose = combinations if self.kind == SUBSET else combinations_with_replacement
         return tuple(choose(range(1, self.base_order + 1), self.k))
-
-    def __repr__(self) -> str:
-        return f"DerivedGraph(order={self.graph.order}, base_order={self.base_order}, kind={self.kind})"
 
 
 def token_label_of(dg: DerivedGraph, index: int) -> tuple[int, ...]:
@@ -163,9 +164,9 @@ def k_token(g: Graph, k: int) -> DerivedGraph:
     The moves along a base edge xy, S + x ~ S + y for each (k-1)-subset S
     of V(g) minus {x, y}, depend only on the order n, k, x and y, so every
     build of one order and k reads them from one move table
-    (``_move_table``, kept for the last 16 (n, k)): an edge met before is
-    a zip of two stored rank lists, and a new one fills its lists from two
-    set differences."""
+    (``_move_table``, kept for the last ``_MOVE_TABLES`` (n, k)): an edge
+    met before is a zip of two stored rank lists, and a new one fills its
+    lists from two set differences."""
     if not (1 <= k <= g.order):
         raise ValueError(f"k must satisfy 1 <= k <= {g.order}, got {k}")
     holders, moves = _move_table(g.order, k)

@@ -47,6 +47,11 @@ def test_graph_normalizes_edge_orientation():
     assert g.has_edge(1, 3) and g.has_edge(3, 1)
 
 
+def test_has_edge_is_false_outside_the_vertex_range():
+    g = path(3)
+    assert not g.has_edge(0, 1) and not g.has_edge(3, 4)
+
+
 @pytest.mark.parametrize("edges", [
     frozenset({(2, 1), (3, 2)}),  # reversed, inside a frozenset
     {(1, 2), (3, 2)},  # a set
@@ -82,6 +87,7 @@ def test_graph_rejections_and_messages(edges, message):
 
 @pytest.mark.parametrize("build, message", [
     (lambda: Graph(-1), "order must be non-negative, got -1"),
+    (lambda: complete(0), "complete needs m >= 1, got 0"),
     (lambda: join(Graph(0), path(2)), "join needs two non-empty graphs"),
     (lambda: cartesian_product(path(2), Graph(0)), "cartesian product needs two non-empty graphs"),
     (lambda: r_set_dv(4, 5), "r_set_dv needs 1 <= q <= 4, got 5"),

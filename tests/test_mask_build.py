@@ -238,13 +238,13 @@ def test_property_suite_builds_match_the_bitmask_index_builder(monkeypatch):
         assert masks == bitmask_index_k_token_masks(g, k)
 
 
-def test_k_token_keeps_at_most_sixteen_move_tables():
-    # one table per (n, k), the least recently used dropped past 16: the
-    # property suites' 13 all stay
+def test_k_token_keeps_at_most_its_bound_of_move_tables():
+    # one table per (n, k), the least recently used dropped past
+    # _MOVE_TABLES: the property suites' 13 all stay
     operators._move_table.cache_clear()
-    asked = [(n, k) for n in range(1, 12) for k in (1, 2, 3) if k <= n]
+    asked = [(n, k) for n in range(1, 14) for k in (1, 2, 3) if k <= n]
     for n, k in asked:
         k_token(path(n), k)
     info = operators._move_table.cache_info()
-    assert len(asked) > 16
-    assert (info.maxsize, info.currsize) == (16, 16)
+    assert len(asked) > operators._MOVE_TABLES
+    assert info.maxsize == info.currsize == operators._MOVE_TABLES

@@ -22,7 +22,6 @@ from tokengraphs.mis import (
     _cycle_cover_bound,
     _greedy_incumbent,
     _triangle_cover_bound,
-    _triangle_cover_floor,
     alpha,
     brute_force_alpha,
     is_independent,
@@ -570,7 +569,6 @@ def test_triangle_cover_bound_never_falls_below_its_floor():
         _, mask, starts = _subset_and_starts(rng, g)
         deg = [(nb & mask).bit_count() if mask >> v & 1 else -1 for v, nb in enumerate(adj)]
         live = mask.bit_count()
-        assert _triangle_cover_floor(live) == math.ceil(live / 3)
         for start in starts:
             for target in (-1, rng.randint(0, live)):
                 bound = _triangle_cover_bound(adj, mask, deg, start, math.inf, target)
@@ -578,27 +576,28 @@ def test_triangle_cover_bound_never_falls_below_its_floor():
 
 
 def test_the_triangle_cover_floor_skip_changes_no_result(monkeypatch):
-    # with the floor at -inf nothing is skipped; the search must not change
+    # with target -1 the cover takes neither its floor exit nor its
+    # cycle cover's early stop; the search must not change
     rng = random.Random(0)
     corpus = [random_graph(rng, rng.randint(5, 40)) for _ in range(300)]
     corpus += [k_token(wheel(9), 3).graph, double_vertex(wheel(23)).graph,
                pair_graph(wheel(23)).graph]
+    expected = [replace(alpha(g), elapsed=0) for g in corpus]
     calls = []
     triangle_cover = mis._triangle_cover_bound
 
-    def counting(*args):
-        calls.append(args)
-        return triangle_cover(*args)
+    def full(adj, mask, deg, matching, deadline, target=-1):
+        calls.append((mask, target))
+        return triangle_cover(adj, mask, deg, matching, deadline)
 
-    monkeypatch.setattr(mis, "_triangle_cover_bound", counting)
-    skipping = [replace(alpha(g), elapsed=0) for g in corpus]
-    skipped_calls = len(calls)
-    monkeypatch.setattr(mis, "_triangle_cover_floor", lambda live: -math.inf)
-    for g, expected in zip(corpus, skipping):
-        assert replace(alpha(g), elapsed=0) == expected
-    # the skip is taken, yet the triangle cover still closes nodes
-    assert 0 < skipped_calls < len(calls) - skipped_calls
-    assert sum(result.triangle_prunes for result in skipping) > 0
+    monkeypatch.setattr(mis, "_triangle_cover_bound", full)
+    for g, result in zip(corpus, expected):
+        assert replace(alpha(g), elapsed=0) == result
+    # the floor exit is open to some calls and not to others, and the
+    # triangle cover still closes nodes
+    floor_exits = [0 <= target and 3 * target < mask.bit_count() for mask, target in calls]
+    assert any(floor_exits) and not all(floor_exits)
+    assert sum(result.triangle_prunes for result in expected) > 0
 
 
 def _random_bipartite(rng, n):

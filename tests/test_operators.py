@@ -109,6 +109,11 @@ def test_k_token_complement_identity():
     assert is_isomorphic(k_token(cycle(5), 3).graph, double_vertex(cycle(5)).graph)
 
 
+def test_derived_graph_repr_is_the_dataclass_repr():
+    assert repr(k_token(cycle(7), 3)) == (
+        "DerivedGraph(graph=Graph(order=35, size=70), kind='subset', k=3, base_order=7)")
+
+
 def test_k_token_domain():
     with pytest.raises(ValueError):
         k_token(path(3), 0)
