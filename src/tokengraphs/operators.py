@@ -13,17 +13,17 @@ Three operators are provided:
   {x, x} ~ {x, y} exactly when xy is an edge, and two distinct diagonal
   vertices {x, x}, {y, y} are never adjacent.
 
-F2(g) is the pair graph of g without its diagonal tokens {x, x}, so
-``double_vertex`` and ``pair_graph`` are built by one rank-table
-builder, which lists for each base vertex x the ranks of its tokens
-{s, x} and joins the lists of x and y for each edge xy.
-``k_token(g, 2)`` builds the same graph as ``double_vertex(g)`` the
-general way. Its moves along a base edge xy, S + x ~ S + y, depend only
-on the base order n, k, x and y, so ``k_token`` keeps a move table per
-(n, k), for the last ``_MOVE_TABLES`` (n, k) used: the ranks of the
-k-subsets holding each vertex, and for each pair xy met as an edge so
-far the two rank lists to zip. Later builds of that order and k, on any
-graph, reuse it.
+All three are one builder. A move along a base edge xy, S + x ~ S + y,
+depends only on the base order n, k, the token kind, x and y, so the
+builder keeps a move table per (n, k, kind), for the last
+``_MOVE_TABLES`` used: for each pair xy met as an edge so far, the ranks
+of the tokens S + x and S + y as two lists to zip. Later builds of that
+order, k and kind, on any graph, reuse it. At k = 2 the lists are the
+ranks of the tokens {s, x} and {s, y} in order of s, read off one rank
+table; F2(g) is the pair graph of g without its diagonal tokens {x, x},
+so on subsets both lists leave out s = x and s = y. At other k they are
+the sorted differences of the sets of k-subsets holding x and holding y.
+So ``k_token(g, 2)`` and ``double_vertex(g)`` share one table.
 
 Vertex i of a derived graph is the i-th k-subset or k-multiset of
 1..n in lexicographic order, so a derived graph stores only its kind, k
@@ -40,17 +40,19 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb
+from typing import Callable
 
 from .graphs import Graph, _edge_pairs
 
 SUBSET = "subset"
 MULTISET = "multiset"
 
-# how many (n, k) move tables ``k_token`` keeps; the property suites use 13
-# at orders <= 8 and 29 at orders <= 16, the most ``props`` allows. A
-# process that sweeps many large (n, k) pays for it in memory: F3(C30)'s
-# table alone holds 1.29 MB.
-_MOVE_TABLES = 32
+# how many (n, k, kind) move tables the builders keep; it must fit the 46
+# (n, kind) of ``verify --families all --m 3..24`` (orders 3..25, both
+# kinds, k = 2) and the 29 (n, k) of ``props`` at orders <= 16, the most it
+# allows: 61 tables when one process runs both. A process that sweeps many
+# large (n, k) pays for it in memory: F3(C30)'s table alone holds 1.29 MB.
+_MOVE_TABLES = 64
 
 
 @dataclass(frozen=True)
@@ -154,50 +156,16 @@ def double_vertex(g: Graph) -> DerivedGraph:
     difference is an edge of g. Needs g.order >= 2."""
     if g.order < 2:
         raise ValueError(f"double vertex graph needs base order >= 2, got {g.order}")
-    return _pair_tokens(g, SUBSET)
+    return _build(g, 2, SUBSET)
 
 
 def k_token(g: Graph, k: int) -> DerivedGraph:
     """Graph on all k-subsets of V(g); adjacency when the symmetric
-    difference of the two subsets is exactly one edge of g.
-
-    The moves along a base edge xy, S + x ~ S + y for each (k-1)-subset S
-    of V(g) minus {x, y}, depend only on the order n, k, x and y, so every
-    build of one order and k reads them from one move table
-    (``_move_table``, kept for the last ``_MOVE_TABLES`` (n, k)): an edge
-    met before is a zip of two stored rank lists, and a new one fills its
-    lists from two set differences."""
+    difference of the two subsets is exactly one edge of g. At k = 2 it
+    is ``double_vertex(g)``, built from the same move table."""
     if not (1 <= k <= g.order):
         raise ValueError(f"k must satisfy 1 <= k <= {g.order}, got {k}")
-    holders, moves = _move_table(g.order, k)
-    masks = [0] * comb(g.order, k)
-    for x, y in _edge_pairs(g.adjacency_masks):
-        pair = moves.get((x, y))
-        if pair is None:
-            # hx - hy ranks the tokens S + x and hy - hx the tokens S + y;
-            # adding x (or y) to each S keeps the lexicographic order of
-            # the S, so the two sorted lists pair up S by S
-            hx, hy = holders[x - 1], holders[y - 1]
-            pair = moves[x, y] = (sorted(hx - hy), sorted(hy - hx))
-        for i, j in zip(*pair):
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-    return DerivedGraph(Graph._from_masks(masks), SUBSET, k, g.order)
-
-
-@lru_cache(maxsize=_MOVE_TABLES)
-def _move_table(n: int, k: int) -> tuple[list[set[int]], dict[tuple[int, int], tuple]]:
-    """The move table of the k-subsets of 1..n, one of the last
-    ``_MOVE_TABLES`` (n, k) asked for: for each vertex x, the set of
-    0-based ranks of the k-subsets holding x, and, for each pair x < y
-    that a build has met as an edge, the sorted ranks of the k-subsets
-    holding x but not y and of those holding y but not x. It depends on
-    n and k alone, never on a graph, so it outlives the builds."""
-    holders = [set() for _ in range(n)]
-    for rank, token in enumerate(combinations(holders, k)):
-        for holder in token:
-            holder.add(rank)
-    return holders, {}
+    return _build(g, k, SUBSET)
 
 
 def pair_graph(g: Graph) -> DerivedGraph:
@@ -205,39 +173,72 @@ def pair_graph(g: Graph) -> DerivedGraph:
     of g. Needs g.order >= 2."""
     if g.order < 2:
         raise ValueError(f"pair graph needs base order >= 2, got {g.order}")
-    return _pair_tokens(g, MULTISET)
+    return _build(g, 2, MULTISET)
+
+
+def _build(g: Graph, k: int, kind: str) -> DerivedGraph:
+    """The graph on the k-subsets (``SUBSET``) or k-multisets
+    (``MULTISET``) of V(g) with S + x ~ S + y for each edge xy of g: each
+    edge zips its two rank lists from the move table of (n, k, kind),
+    which fills them the first time any build meets that edge."""
+    n = g.order
+    fill, moves = _move_table(n, k, kind)
+    masks = [0] * comb(n + (k - 1 if kind == MULTISET else 0), k)
+    for x, y in _edge_pairs(g.adjacency_masks):
+        pair = moves.get((x, y))
+        if pair is None:
+            pair = moves[x, y] = fill(x, y)
+        for i, j in zip(*pair):
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    return DerivedGraph(Graph._from_masks(masks), kind, k, n)
+
+
+@lru_cache(maxsize=_MOVE_TABLES)
+def _move_table(n: int, k: int, kind: str) -> tuple[Callable, dict[tuple[int, int], tuple]]:
+    """The move table of the k-subsets (``SUBSET``) or, at k = 2, the
+    2-multisets (``MULTISET``) of 1..n, one of the last ``_MOVE_TABLES``
+    (n, k, kind) asked for: a fill that gives, for a pair x < y, the
+    0-based ranks of the tokens S + x and of the tokens S + y, paired S by
+    S over the (k-1)-tokens S that both x and y can join, and the dict of
+    the pairs filled so far. It depends on n, k and the kind alone, never on
+    a graph, so it outlives the builds."""
+    if k == 2:
+        diagonal = kind == MULTISET
+        start = _pair_starts(n, diagonal)
+        # ranks[x - 1] lists the tokens {s, x} in order of s = 1..n, s = x
+        # only with the diagonal
+        ranks = [[start[s] + x for s in range(1, x + diagonal)] + [start[x] + s for s in range(x + 1, n + 1)]
+                 for x in range(1, n + 1)]
+
+        def fill(x: int, y: int) -> tuple[list[int], list[int]]:
+            ax, ay = ranks[x - 1], ranks[y - 1]
+            if diagonal:
+                return ax, ay
+            # x < y: x's list holds {x, y} at s = y, y's holds it at s = x
+            return ax[:y - 2] + ax[y - 1:], ay[:x - 1] + ay[x:]
+    else:
+        # holders[x - 1] is the set of ranks of the k-subsets holding x
+        holders = [set() for _ in range(n)]
+        for rank, token in enumerate(combinations(holders, k)):
+            for holder in token:
+                holder.add(rank)
+
+        def fill(x: int, y: int) -> tuple[list[int], list[int]]:
+            # hx - hy ranks the tokens S + x and hy - hx the tokens S + y;
+            # adding x (or y) to each S keeps the lexicographic order of
+            # the S, so the two sorted lists pair up S by S
+            hx, hy = holders[x - 1], holders[y - 1]
+            return sorted(hx - hy), sorted(hy - hx)
+    return fill, {}
 
 
 def _pair_starts(n: int, diagonal: bool) -> list[int]:
     """The rank table of the 2-multisets (``diagonal``) or 2-subsets of
-    1..n that ``_pair_tokens`` and ``indices_of`` share: {a, b} with
+    1..n that ``_move_table`` and ``indices_of`` share: {a, b} with
     a <= b is vertex ``start[a] + b``, 0-based."""
     # As a multiset, the (a - 1)(2n + 2 - a) / 2 multisets {a', .} with
     # a' < a come first, then {a, a} .. {a, b}. As a subset (a < b) it
     # loses the a diagonal vertices {1, 1} .. {a, a} before it:
     # (a - 1)(2n - a) / 2 + b - a - 1.
     return [(a - 1) * (2 * n - a) // 2 - 1 - (0 if diagonal else a) for a in range(n + 1)]
-
-
-def _pair_tokens(g: Graph, kind: str) -> DerivedGraph:
-    """The graph on the 2-multisets (``MULTISET``) or 2-subsets
-    (``SUBSET``) of V(g) with {s,x} ~ {s,y} for each edge xy of g and
-    each shared s; subsets leave out the diagonal s = x or s = y."""
-    n = g.order
-    diagonal = kind == MULTISET
-    start = _pair_starts(n, diagonal)
-    # ranks[x - 1] lists the vertices {s, x} in order of s = 1..n, s = x
-    # only with the diagonal
-    ranks = [[start[s] + x for s in range(1, x + diagonal)] + [start[x] + s for s in range(x + 1, n + 1)]
-             for x in g.vertices]
-    masks = [0] * comb(n + diagonal, 2)
-    for x, y in _edge_pairs(g.adjacency_masks):
-        ax, ay = ranks[x - 1], ranks[y - 1]
-        if not diagonal:
-            # x < y: x's list holds {x, y} at s = y, y's holds it at s = x
-            ax, ay = ax[:y - 2] + ax[y - 1:], ay[:x - 1] + ay[x:]
-        # {s, x} ~ {s, y} for every shared s
-        for i, j in zip(ax, ay):
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-    return DerivedGraph(Graph._from_masks(masks), kind, 2, n)

@@ -23,7 +23,7 @@ from tokengraphs.graphs import (
     path,
     wheel,
 )
-from tokengraphs.operators import double_vertex, k_token, pair_graph
+from tokengraphs.operators import MULTISET, SUBSET, double_vertex, k_token, pair_graph
 from tokengraphs.verify import FAMILIES, STATUS_OK, random_graph, verify_one
 
 from .oracles import (
@@ -223,26 +223,72 @@ def test_k_token_builds_alike_from_a_cold_or_a_shared_move_table(base):
         assert warm.graph == cold.graph
 
 
+@pytest.mark.parametrize("base", BASES, ids=repr)
+def test_pair_builders_build_alike_from_a_cold_or_a_shared_move_table(base):
+    # double_vertex, pair_graph and k_token(., 2) read one move table per
+    # (n, kind): filled by this base from nothing, or by every other base
+    # of its order through all three builders first, it gives the same graph
+    others = [b for b in BASES if b.order == base.order and b is not base]
+    for build, oracle in ((double_vertex, naive_double_vertex_edges),
+                          (pair_graph, naive_pair_graph_edges)):
+        expected = oracle(base)
+        operators._move_table.cache_clear()
+        cold = build(base)
+        assert _token_edges(cold) == expected
+        for other in others:
+            double_vertex(other)
+            pair_graph(other)
+            k_token(other, 2)
+        warm = build(base)
+        assert _token_edges(warm) == expected
+        assert warm == cold
+    assert k_token(base, 2) == double_vertex(base)
+
+
+def test_the_paper_sweep_keeps_one_move_table_per_order_and_kind():
+    # 218 builds over 23 orders at each kind: every (n, kind) of the sweep
+    # fits the bound, so each table is made once
+    operators._move_table.cache_clear()
+    verify.run_sweep(verify.RunConfig(tuple(FAMILIES), (3, 24)))
+    info = operators._move_table.cache_info()
+    assert info.misses == info.currsize == 46
+    assert info.hits == 172
+
+
 def test_property_suite_builds_match_the_bitmask_index_builder(monkeypatch):
+    # the suites are where all three builders share the move tables
     builds = []
+    pair_builds = []
 
     def recording_k_token(g, k):
         dg = k_token(g, k)
         builds.append((g, k, dg.graph.adjacency_masks))
         return dg
 
+    def recording(build, oracle):
+        def record(g):
+            dg = build(g)
+            pair_builds.append((dg, oracle(g)))
+            return dg
+        return record
+
     monkeypatch.setattr(verify, "k_token", recording_k_token)
+    monkeypatch.setattr(verify, "double_vertex", recording(double_vertex, naive_double_vertex_edges))
+    monkeypatch.setattr(verify, "pair_graph", recording(pair_graph, naive_pair_graph_edges))
     assert all(s.ok for s in verify.run_property_suites(0, sizes=(5, 6, 7, 8), trials=40))
     assert len(builds) == 640 and len({(g.order, k) for g, k, _ in builds}) == 13
     for g, k, masks in builds:
         assert masks == bitmask_index_k_token_masks(g, k)
+    assert len(pair_builds) == 98 and {dg.kind for dg, _ in pair_builds} == {SUBSET, MULTISET}
+    for dg, expected in pair_builds:
+        assert _token_edges(dg) == expected
 
 
 def test_k_token_keeps_at_most_its_bound_of_move_tables():
     # one table per (n, k), the least recently used dropped past
-    # _MOVE_TABLES: the property suites' 13 all stay
+    # _MOVE_TABLES
     operators._move_table.cache_clear()
-    asked = [(n, k) for n in range(1, 14) for k in (1, 2, 3) if k <= n]
+    asked = [(n, k) for n in range(1, 24) for k in (1, 2, 3) if k <= n]
     for n, k in asked:
         k_token(path(n), k)
     info = operators._move_table.cache_info()

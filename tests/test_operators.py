@@ -89,7 +89,9 @@ def _rank_table_bases():
 
 @pytest.mark.parametrize("base", _rank_table_bases())
 def test_rank_table_builds_agree_with_k_token_and_oracle(base):
-    assert double_vertex(base) == k_token(base, 2)
+    dv = double_vertex(base)
+    assert dv == k_token(base, 2)
+    assert _labelled_edges(dv) == naive_double_vertex_edges(base)
     dg = pair_graph(base)
     assert _labelled_edges(dg) == naive_pair_graph_edges(base)
 
@@ -205,7 +207,7 @@ PAIR_GRAPHS = [pytest.param(derive(base(m)), id=f"{derive.__name__}({base.__name
 
 @pytest.mark.parametrize("dg", PAIR_GRAPHS)
 def test_indices_of_ranks_every_pair_from_the_table(dg):
-    # k = 2 ranks come from the rank table the builders share, with no label built
+    # k = 2 ranks come from the rank table that fills the k = 2 move tables, with no label built
     choose = combinations if dg.kind == SUBSET else combinations_with_replacement
     pairs = list(choose(range(1, dg.base_order + 1), 2))
     assert [index_of(dg, p) for p in pairs] == list(range(1, dg.graph.order + 1))
