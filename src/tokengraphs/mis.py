@@ -53,14 +53,12 @@ Two independent routes are provided on purpose:
   independent. A ``verify`` row passes its witness as the ``_CheckedSet``
   that ``verify.certify`` got from ``_checked``, the one independence
   check (``is_independent`` runs it too): members and mask, which
-  ``alpha`` trusts without reading them again. A root started from an
-  incumbent first compares a greedy clique cover of its whole residual
-  graph with it and, where the cover is no larger, as on most paper
-  rows, returns that set as given, with 1 node and 1 clique prune,
-  before any degree table or reduction; otherwise the root reuses that
-  cover when its reductions take nothing. The solvers hand back the sets
-  they built through ``IndependentSet._trusted``, skipping the range
-  check.
+  ``alpha`` trusts without reading them again, checking only the mask
+  against ``avoid``. A root started from an incumbent first compares a
+  greedy clique cover of its whole residual graph with it and, where the
+  cover is no larger, as on most paper rows, returns that set as given,
+  with 1 node and 1 clique prune, before any degree table or reduction;
+  otherwise the root reuses that cover when its reductions take nothing.
   ``alpha``'s budget is checked throughout the solve: once per block of
   ``_BLOCK`` vertices in the set-up (reading ``avoid``, reading and
   checking ``incumbent``, the degree table and the greedy incumbent's
@@ -97,24 +95,10 @@ class SolveAborted(RuntimeError):
 
 @dataclass(frozen=True)
 class IndependentSet:
-    """A set of vertex indices claimed independent in some graph."""
+    """A solver's witness: its members, vertex indices of the graph it
+    solved. That graph, and so its order, is the caller's."""
 
-    order: int
     members: frozenset[int]
-
-    def __post_init__(self) -> None:
-        for v in self.members:
-            if not (1 <= v <= self.order):
-                raise ValueError(f"member {v} out of range 1..{self.order}")
-
-    @classmethod
-    def _trusted(cls, order: int, members: frozenset[int]) -> IndependentSet:
-        """The set of these members, trusted unchecked: the caller (a
-        solver handing back a set it built) guarantees they lie in
-        1..order."""
-        s = object.__new__(cls)
-        s.__dict__.update(order=order, members=members)
-        return s
 
     def __len__(self) -> int:
         return len(self.members)
@@ -197,7 +181,7 @@ def brute_force_alpha(g: Graph, cap: int = BRUTE_FORCE_CAP) -> MisResult:
         if not mask and size > best:  # a leaf the remaining-vertices bound left open
             best, best_mask = size, chosen
     elapsed = time.perf_counter() - start
-    return MisResult(IndependentSet._trusted(g.order, _mask_to_set(best_mask)), nodes, elapsed)
+    return MisResult(IndependentSet(_mask_to_set(best_mask)), nodes, elapsed)
 
 
 def _block_starts(n: int, deadline: float, task: str):
@@ -523,8 +507,8 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
     search, which still closes a node only where a bound meets the best
     set found, so a small or empty incumbent costs nodes, never
     exactness. Both sets are read once, through ``Graph._vertex_mask``;
-    a ``_CheckedSet`` made by ``_checked`` is trusted as it stands and
-    not read at all.
+    a ``_CheckedSet`` made by ``_checked`` is trusted independent and not
+    read again, and only its mask is checked against ``avoid``.
 
     ``budget_ms`` aborts the solve with ``SolveAborted`` once exceeded so
     callers can report a distinguishable aborted status; it must be
@@ -541,12 +525,15 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
     adj = g.adjacency_masks
     n = g.order
     avoid, avoid_mask = _read(g, avoid, deadline, "reading the avoided vertices")
-    if isinstance(incumbent, _CheckedSet):
+    checked = isinstance(incumbent, _CheckedSet)
+    if checked:
         incumbent, seed = incumbent.members, incumbent.mask
     elif incumbent is not None:
         incumbent, seed = _read(g, incumbent, deadline, "reading the incumbent")
-        if clash := seed & avoid_mask:
-            raise ValueError(f"incumbent vertex {(clash & -clash).bit_length()} is avoided")
+    # a _CheckedSet is independent in g, but the avoided vertices are this call's
+    if incumbent is not None and (clash := seed & avoid_mask):
+        raise ValueError(f"incumbent vertex {(clash & -clash).bit_length()} is avoided")
+    if incumbent is not None and not checked:
         for lo in _block_starts(len(incumbent), deadline, "reading the incumbent"):
             for v in incumbent[lo:lo + _BLOCK]:
                 if adj[v - 1] & seed:
@@ -558,7 +545,7 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
         # graph is no larger: close the root before any other set-up
         early_cover = _clique_cover_bound(adj, mask, deadline)
         if early_cover <= seed.bit_count():
-            return MisResult(IndependentSet._trusted(n, frozenset(incumbent)), 1,
+            return MisResult(IndependentSet(frozenset(incumbent)), 1,
                              time.perf_counter() - start, clique_prunes=1)
     deg = []
     low = 0  # the vertices of degree <= 1, the root's reduction worklist
@@ -677,7 +664,7 @@ def alpha(g: Graph, budget_ms: float | None = None, *, avoid: Iterable[int] = ()
     best_mask |= union
     elapsed = time.perf_counter() - start
     return MisResult(
-        IndependentSet._trusted(n, _mask_to_set(best_mask)), nodes, elapsed,
+        IndependentSet(_mask_to_set(best_mask)), nodes, elapsed,
         clique_prunes=clique_prunes, cover_prunes=cover_prunes, triangle_prunes=triangle_prunes,
         reductions=reductions, max_depth=max_depth,
     )

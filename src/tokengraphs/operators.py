@@ -118,7 +118,8 @@ def indices_of(dg: DerivedGraph, tokens) -> frozenset[int]:
                 return frozenset(ranks)
         except ValueError:  # a token of another length
             pass
-        # some token is not a label: the loop below finds it and names it
+        # every token before it ranked
+        raise _not_a_label(tokens[len(ranks)], dg)
     # combinatorial number system: the k-subsets after e are those that
     # first exceed it at some position i, comb(n - e_i, k - i) for each i.
     # A k-multiset is the k-subset e_i + i of 1..n+k-1, so there the pool

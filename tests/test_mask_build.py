@@ -5,10 +5,12 @@ first-principles edge set and to its twin built from edges by the
 public constructor, and check that no operator reads its base's edges."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 from tokengraphs import graphs, operators, verify
+from tokengraphs.cli import main
 from tokengraphs.graphs import (
     Graph,
     cartesian_product,
@@ -253,6 +255,33 @@ def test_the_paper_sweep_keeps_one_move_table_per_order_and_kind():
     info = operators._move_table.cache_info()
     assert info.misses == info.currsize == 46
     assert info.hits == 172
+
+
+def test_move_tables_shared_across_builders_survive_eviction(capsys):
+    # the sweep fills a move table per (n, kind) that double_vertex,
+    # pair_graph and k_token share, props and the k = 1, 3 builds then push
+    # past the 64 kept, and the sweep runs again on refilled tables; both
+    # sweeps must match the golden
+    golden = (Path(__file__).parent / "golden" / "verify_paper.csv").read_text()
+    sweep = ["verify", "--families", "all", "--m", "3..24", "--format", "csv"]
+    props = ["props", "--seed", "5", "--sizes", "9,10,11,12,13,14,15,16", "--trials", "20"]
+    # props alone leaves 61 of the 64 tables in use; these builds evict some of the sweep's
+    builds = [["build", "cycle", str(m), "--op", f"token:{k}", "--format", "json"]
+              for k in (1, 3) for m in range(3, 26)]
+    operators._move_table.cache_clear()
+    failed = []
+    for args in (sweep, props, *builds, sweep):
+        made = operators._move_table.cache_info().misses
+        code = main(args)
+        out = capsys.readouterr().out
+        if code:
+            failed.append(f"{' '.join(args)}: exit {code}")
+        elif args is sweep and out != golden:
+            failed.append("verify differs from tests/golden/verify_paper.csv")
+    refilled = operators._move_table.cache_info().misses - made
+    if not refilled:
+        failed.append("the second sweep found every move table kept")
+    assert not failed
 
 
 def test_property_suite_builds_match_the_bitmask_index_builder(monkeypatch):

@@ -276,7 +276,6 @@ def test_alpha_avoiding_every_vertex():
     g = cycle(5)
     result = alpha(g, avoid=g.vertices)
     assert result.alpha == 0
-    assert result.witness.order == 5
     assert result.witness.members == frozenset()
     assert result.nodes == 1  # the empty root is still a search node
 
@@ -379,6 +378,22 @@ def test_alpha_budget_bounds_the_avoid_read():
 def test_alpha_rejects_a_bad_incumbent(avoid, seed, message):
     with pytest.raises(ValueError, match=message):
         alpha(path(5), avoid=avoid, incumbent=seed)
+
+
+def _pair_c5_seed():
+    dg = pair_graph(cycle(5))
+    return dg.graph, indices_of(dg, pair_cycle_witness_pairs(5))  # holds vertex 1
+
+
+@pytest.mark.parametrize("build", [lambda: (path(2), frozenset({1})), _pair_c5_seed],
+                         ids=["K2", "C(C5)"])
+def test_alpha_rejects_an_avoided_incumbent_in_either_form(build):
+    # a _CheckedSet is independent in g, which says nothing of the avoided
+    # vertices: on K2 the early cover would close the root on vertex 1
+    g, members = build()
+    for seed in (members, mis._checked(g, members)):
+        with pytest.raises(ValueError, match="^incumbent vertex 1 is avoided$"):
+            alpha(g, avoid=[1], incumbent=seed)
 
 
 def test_alpha_from_an_empty_or_small_incumbent_is_exact():
@@ -487,25 +502,36 @@ def test_alpha_budget_holds_inside_the_early_clique_cover(monkeypatch):
         _clique_cover_bound(g.adjacency_masks, (1 << g.order) - 1, 0.5)
 
 
-def test_independent_set_range_checks_all_but_the_solvers_own_sets(monkeypatch):
-    with pytest.raises(ValueError, match="^member 4 out of range 1..3$"):
-        mis.IndependentSet(3, frozenset({1, 4}))
-    with pytest.raises(ValueError, match="^member 0 out of range 1..3$"):
-        mis.IndependentSet(3, frozenset({0}))
+def _solver_exits():
+    """(g, avoided vertices, result, alpha) for each way a solver hands
+    back its witness; each alpha is known apart from the solver."""
+    small = path(6)
+    yield small, (), brute_force_alpha(small), 3
+    dg = pair_graph(cycle(8))
+    g, seed = dg.graph, indices_of(dg, pair_cycle_witness_pairs(8))
+    for incumbent in (seed, mis._checked(g, seed)):
+        result = alpha(g, incumbent=incumbent)
+        assert (result.nodes, result.clique_prunes) == (1, 1)  # closed at the early cover
+        yield g, (), result, FAMILIES["pair_cycle"].formula(8)
+    two = disjoint_union(*[k_token(cycle(7), 3).graph] * 2)  # splits at the root
+    yield two, (), alpha(two), 30
+    g = cycle(5)
+    yield g, g.vertices, alpha(g, avoid=g.vertices), 0
+    g = pair_graph(cycle(5)).graph
+    rest, _ = delete_vertices(g, [1, 7])
+    yield g, (1, 7), alpha(g, avoid=[1, 7]), brute_force_alpha(rest).alpha
 
-    def refuse(self):
-        raise AssertionError("a solver range-checked a set it built")
 
-    # the solvers build their witnesses in range, so they skip the check
-    monkeypatch.setattr(mis.IndependentSet, "__post_init__", refuse)
-    dg, small = pair_graph(cycle(7)), path(6)
-    g, seed = dg.graph, indices_of(dg, pair_cycle_witness_pairs(7))
-    for h, result in ((g, alpha(g)), (g, alpha(g, incumbent=seed)), (g, alpha(g, avoid=[1])),
-                      (g, alpha(g, incumbent=mis._checked(g, seed))),
-                      (small, brute_force_alpha(small))):
-        assert is_independent(h, result.witness.members)
-    with pytest.raises(AssertionError, match="range-checked"):
-        mis.IndependentSet(3, frozenset({1}))
+def test_every_solver_exit_returns_a_witness_of_g():
+    # no witness range-checks itself: every solver builds its members from
+    # g's own vertices, and this holds it to that
+    for g, avoided, result, expected in _solver_exits():
+        witness = result.witness
+        assert isinstance(witness, mis.IndependentSet)
+        assert witness.members <= set(g.vertices)
+        assert is_independent(g, witness.members)
+        assert witness.members.isdisjoint(avoided)
+        assert len(witness) == expected
 
 
 def test_cycle_cover_bound_on_a_big_graph_does_not_recurse():

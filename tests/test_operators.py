@@ -1,9 +1,10 @@
 import random
 import re
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
+from tokengraphs import operators
 from tokengraphs.formulas import pair_cycle
 from tokengraphs.graphs import (
     Graph, complete, cycle, delete_vertices, disjoint_union, fan, induced_subgraph, is_isomorphic,
@@ -196,6 +197,24 @@ def test_indices_of_rejects_a_later_token_by_name(derive, bad):
     with pytest.raises(ValueError, match=message):
         index_of(dg, bad)
     assert "labels" not in vars(dg)
+
+
+@pytest.mark.parametrize("derive", [double_vertex, pair_graph])
+def test_indices_of_names_a_rejected_pair_where_the_rank_table_finds_it(monkeypatch, derive):
+    # a k = 2 batch stops at its first bad token and names it there, with
+    # no combinatorial ranking of the batch from the start
+    dg = derive(path(5))
+
+    def refuse(*args):
+        raise AssertionError("a k = 2 batch was ranked by binomials")
+
+    monkeypatch.setattr(operators, "comb", refuse)
+    bads = [(2, 6), (3, 2) if dg.kind == SUBSET else (4, 3), (1, 2, 3)]
+    for first, *rest in permutations(bads):
+        message = "^" + re.escape(f"token {first} is not a vertex label of this {dg.kind} graph "
+                                  f"(k = 2, base order 5)") + "$"
+        with pytest.raises(ValueError, match=message):
+            indices_of(dg, [(1, 2), (2, 5), first, *rest, (3, 4)])
 
 
 # every double vertex and pair graph of a path, cycle, fan or wheel base of order <= 12

@@ -311,7 +311,7 @@ def test_alpha_avoiding_vertices_matches_solving_the_copy(g, data):
     reduced, relabel = delete_vertices(g, avoid)
     copy = alpha(reduced)
     back = {new: old for old, new in relabel.items()}
-    witness = IndependentSet(g.order, frozenset(back[w] for w in copy.witness.members))
+    witness = IndependentSet(frozenset(back[w] for w in copy.witness.members))
     expected = replace(copy, witness=witness, elapsed=0.0)
     assert replace(alpha(g, avoid=avoid), elapsed=0.0) == expected
 

@@ -408,6 +408,17 @@ def test_cli_alpha_base_graph(capsys):
     assert "= 1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["alpha", "complete", "12", "--op", "dv"], "alpha(double_vertex(complete(12))) = 6"),
+    (["alpha", "complete", "9", "--op", "token:3"], "alpha(token_3(complete(9))) = 12"),
+])
+def test_cli_alpha_dense_token_graphs(capsys, argv, line):
+    # F2(K12) and F3(K9): the triangle cover's floor exit skips most of
+    # their triangle covers, and no workload builds such a graph
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == line
+
+
 def test_cli_build_dot(capsys):
     assert main(["build", "cycle", "5", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -489,6 +500,18 @@ def witness_transcript() -> str:
 def test_cli_witness_matches_golden():
     golden = Path(__file__).parent / "golden" / "witness_cli.txt"
     assert witness_transcript() == golden.read_text()
+
+
+def test_every_witness_certifies_beyond_the_golden():
+    # witness_cli.txt stops at m = 12; every family at m = 13..40 must exit 0
+    failed = []
+    for fam in FAMILIES.values():
+        for m in range(13, 41):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["witness", fam.base.__name__, str(m), "--op", fam.op])
+            if code:
+                failed.append(f"{fam.name} m={m}: exit {code}")
+    assert not failed
 
 
 @pytest.mark.parametrize("argv, name", [
